@@ -170,7 +170,7 @@ def read_file(source, *, lenient: bool = False) -> tuple[GdfFile, Diagnostics]:
         header = replace(header, n_records=n_records)
         data_end = header_end + n_records * bpr
 
-    signals = decode_records(data[header_end:data_end], layout, n_records)
+    signals = decode_records(memoryview(data)[header_end:data_end], layout, n_records)
 
     events = None
     tail = data[data_end:]

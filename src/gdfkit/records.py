@@ -3,13 +3,16 @@
 A record holds ``samples_per_record`` consecutive samples of channel 1, then
 of channel 2, and so on; the data section is the concatenation of all
 records. Sparse channels (samples_per_record == 0) contribute no bytes here.
-24-bit integers are stored in 3 little-endian bytes; the 16-byte float type
-passes through as opaque bytes and is never scaled.
+Each continuous channel is thus a strided slice of the data section, which
+the codec reads and writes through a zero-copy numpy view. 24-bit integers
+are stored in 3 little-endian bytes and go through two views: the low 16 bits
+and the top byte. The 16-byte float type passes through as opaque bytes and
+is never scaled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +30,6 @@ class ChannelLayout:
     samples_per_record: int
     gdf_type: int
     offset: int | None
-    dig_min: float = 0.0
-    dig_max: float = 0.0
 
     @property
     def is_sparse(self) -> bool:
@@ -48,71 +49,11 @@ def layout_from_channels(channels: Sequence[ChannelInfo]) -> RecordLayout:
     for i, ch in enumerate(channels):
         info = type_info(ch.gdf_type)
         if ch.is_sparse:
-            entries.append(ChannelLayout(i, 0, int(ch.gdf_type), None,
-                                         ch.cal.dig_min, ch.cal.dig_max))
+            entries.append(ChannelLayout(i, 0, int(ch.gdf_type), None))
             continue
-        entries.append(ChannelLayout(i, ch.samples_per_record, int(ch.gdf_type),
-                                     offset, ch.cal.dig_min, ch.cal.dig_max))
+        entries.append(ChannelLayout(i, ch.samples_per_record, int(ch.gdf_type), offset))
         offset += ch.samples_per_record * info.size
     return RecordLayout(tuple(entries), offset)
-
-
-def decode_int24(b0: int, b1: int, b2: int, signed: bool = True) -> int:
-    """Assemble one 3-byte little-endian integer."""
-    value = b0 | (b1 << 8) | (b2 << 16)
-    if signed and value & 0x800000:
-        value -= 1 << 24
-    return value
-
-
-def encode_int24(value: int, signed: bool = True) -> bytes:
-    if signed:
-        if not -(1 << 23) <= value < 1 << 23:
-            raise DomainError(f"{value} outside int24 range")
-    elif not 0 <= value < 1 << 24:
-        raise DomainError(f"{value} outside uint24 range")
-    return (value & 0xFFFFFF).to_bytes(3, "little")
-
-
-def _decode_samples(raw: np.ndarray, gdf_type: int) -> np.ndarray:
-    """Raw little-endian bytes of one channel -> sample array."""
-    info = type_info(gdf_type)
-    if info.kind == "opaque":
-        return raw.reshape(-1, info.size).copy()
-    if info.size == 3:
-        b = raw.reshape(-1, 3).astype(np.uint32)
-        value = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        if info.min < 0:
-            out = value.astype(np.int32)
-            out[value & 0x800000 != 0] -= 1 << 24
-            return out
-        return value
-    return np.frombuffer(raw.tobytes(), dtype=info.dtype).copy()
-
-
-def _encode_samples(samples: np.ndarray, gdf_type: int) -> np.ndarray:
-    """Sample array -> raw little-endian bytes (uint8 array)."""
-    info = type_info(gdf_type)
-    if info.kind == "opaque":
-        flat = np.ascontiguousarray(samples, dtype=np.uint8)
-        if flat.size != samples.shape[0] * info.size:
-            raise DomainError("opaque samples must be rows of 16 bytes")
-        return flat.reshape(-1)
-    if info.size == 3:
-        v = np.asarray(samples).astype(np.int64)
-        if info.min < 0:
-            if np.any((v < info.min) | (v > info.max)):
-                raise DomainError("sample outside int24 range")
-        elif np.any((v < 0) | (v > info.max)):
-            raise DomainError("sample outside uint24 range")
-        v = (v & 0xFFFFFF).astype(np.uint32)
-        out = np.empty((v.size, 3), dtype=np.uint8)
-        out[:, 0] = v & 0xFF
-        out[:, 1] = (v >> 8) & 0xFF
-        out[:, 2] = (v >> 16) & 0xFF
-        return out.reshape(-1)
-    arr = np.ascontiguousarray(samples, dtype=info.dtype)
-    return np.frombuffer(arr.tobytes(), dtype=np.uint8).copy()
 
 
 @dataclass
@@ -121,13 +62,11 @@ class SignalBlock:
 
     ``samples[i]`` is the record-concatenated raw array of channel ``i``
     (None for sparse channels; an (n, 16) uint8 array for the opaque 16-byte
-    float type). ``validity[i]`` is True where the raw value lies within the
-    channel's digital bounds; it is derived data and ignored by equality.
+    float type).
     """
 
     samples: list[np.ndarray | None]
     n_records: int
-    validity: list[np.ndarray | None] = field(default_factory=list)
 
     def __eq__(self, other):
         if not isinstance(other, SignalBlock):
@@ -148,24 +87,32 @@ class SignalBlock:
 
     @classmethod
     def empty(cls) -> "SignalBlock":
-        return cls([], 0, [])
+        return cls([], 0)
 
 
-def _validity(samples: np.ndarray | None, entry: ChannelLayout) -> np.ndarray | None:
-    if samples is None:
-        return None
-    if type_info(entry.gdf_type).kind == "opaque":
-        return None
-    with np.errstate(invalid="ignore"):
-        return (samples >= entry.dig_min) & (samples <= entry.dig_max)
+_OPAQUE = np.dtype((np.uint8, 16))  # one 16-byte float sample as a row of bytes
+_LOW16 = np.dtype("<u2")            # low two bytes of a 24-bit sample
+_HIGH8 = {True: np.dtype("i1"), False: np.dtype("u1")}  # its top byte, by signedness
 
 
-def decode_records(data: bytes, layout: RecordLayout, n_records: int) -> SignalBlock:
+def _channel_view(buffer, layout: RecordLayout, entry: ChannelLayout, n_records: int,
+                  dtype, skip: int = 0) -> np.ndarray:
+    """Zero-copy (n_records, samples_per_record) view of one channel in a
+    record buffer; ``skip`` shifts it by bytes within each sample."""
+    return np.ndarray((n_records, entry.samples_per_record), dtype, buffer,
+                      offset=entry.offset + skip if n_records else 0,
+                      strides=(layout.bytes_per_record, type_info(entry.gdf_type).size))
+
+
+def decode_records(data: bytes | memoryview, layout: RecordLayout,
+                   n_records: int) -> SignalBlock:
     """Split the data section into per-channel sample arrays.
 
-    The byte count must equal ``n_records * bytes_per_record`` exactly;
-    anything else raises :class:`TruncatedDataError` reporting how many
-    complete records are present.
+    ``data`` is any buffer (bytes, memoryview). Each channel is one owned,
+    C-contiguous copy of its strided view. The byte count must equal
+    ``n_records * bytes_per_record`` exactly; anything else raises
+    :class:`TruncatedDataError` reporting how many complete records are
+    present.
     """
     if n_records < 0:
         raise DomainError(f"record count {n_records} is negative")
@@ -179,20 +126,28 @@ def decode_records(data: bytes, layout: RecordLayout, n_records: int) -> SignalB
             rule="data.truncated",
             complete_records=complete,
             remainder_bytes=len(data) - complete * bpr)
-    grid = np.frombuffer(data, dtype=np.uint8).reshape(n_records, layout.bytes_per_record)
     samples: list[np.ndarray | None] = []
-    validity: list[np.ndarray | None] = []
     for entry in layout.channels:
         if entry.is_sparse:
             samples.append(None)
-            validity.append(None)
             continue
-        width = entry.samples_per_record * type_info(entry.gdf_type).size
-        chunk = np.ascontiguousarray(grid[:, entry.offset:entry.offset + width])
-        arr = _decode_samples(chunk.reshape(-1), entry.gdf_type)
-        samples.append(arr)
-        validity.append(_validity(arr, entry))
-    return SignalBlock(samples, n_records, validity)
+        info = type_info(entry.gdf_type)
+        shape = (n_records, entry.samples_per_record)
+        if info.kind == "opaque":
+            out = np.empty((n_records * entry.samples_per_record, 16), np.uint8)
+            out.reshape(*shape, 16)[...] = _channel_view(data, layout, entry, n_records,
+                                                         _OPAQUE)
+        else:
+            out = np.empty(n_records * entry.samples_per_record, info.dtype)
+            grid = out.reshape(shape)
+            if info.size == 3:
+                high = _channel_view(data, layout, entry, n_records, _HIGH8[info.min < 0], 2)
+                np.left_shift(high, 16, out=grid, dtype=info.dtype)  # sign-extends int24
+                grid |= _channel_view(data, layout, entry, n_records, _LOW16)
+            else:
+                grid[...] = _channel_view(data, layout, entry, n_records, info.dtype)
+        samples.append(out)
+    return SignalBlock(samples, n_records)
 
 
 def encode_records(block: SignalBlock, layout: RecordLayout) -> bytes:
@@ -212,13 +167,32 @@ def encode_records(block: SignalBlock, layout: RecordLayout) -> bytes:
             raise DomainError(
                 f"channel {entry.index} needs {n * entry.samples_per_record} "
                 f"samples for {n} records, has {have}")
-    out = np.zeros((n, layout.bytes_per_record), dtype=np.uint8)
+    out = np.empty(n * layout.bytes_per_record, np.uint8)
     for entry in layout.channels:
         if entry.is_sparse:
             continue
-        width = entry.samples_per_record * type_info(entry.gdf_type).size
-        raw = _encode_samples(block.samples[entry.index], entry.gdf_type)
-        out[:, entry.offset:entry.offset + width] = raw.reshape(n, width)
+        info = type_info(entry.gdf_type)
+        samples = block.samples[entry.index]
+        shape = (n, entry.samples_per_record)
+        if info.kind == "opaque":
+            rows = np.asarray(samples, dtype=np.uint8)
+            if rows.size != n * entry.samples_per_record * 16:
+                raise DomainError("opaque samples must be rows of 16 bytes")
+            _channel_view(out, layout, entry, n, _OPAQUE)[...] = rows.reshape(*shape, 16)
+        elif info.size == 3:
+            v = np.asarray(samples)
+            if v.dtype.kind not in "iu":
+                v = v.astype(np.int64)
+            if v.size and (v.min() < info.min or v.max() > info.max):
+                raise DomainError(f"sample outside {info.name} range")
+            v = v.reshape(shape)
+            low = _channel_view(out, layout, entry, n, _LOW16)
+            high = _channel_view(out, layout, entry, n, _HIGH8[info.min < 0], 2)
+            low[...] = v  # the cast keeps the low 16 bits
+            np.right_shift(v, 16, out=high, casting="unsafe")
+        else:
+            _channel_view(out, layout, entry, n, info.dtype)[...] = \
+                np.asarray(samples, dtype=info.dtype).reshape(shape)
     return out.tobytes()
 
 
@@ -237,6 +211,19 @@ class OverflowReport:
         return self.n_invalid / self.n_samples if self.n_samples else 0.0
 
 
+def _float32_bounds(lo: np.float64, hi: np.float64) -> tuple[np.float32, np.float32]:
+    """The float32 bounds that admit exactly the float32 values within
+    [lo, hi], so a float32 channel is compared in its own dtype (a float64
+    comparison is several times slower) with the same result."""
+    with np.errstate(over="ignore"):  # beyond the float32 range: +-inf
+        lo32, hi32 = np.float32(lo), np.float32(hi)
+        if lo32 < lo:
+            lo32 = np.nextafter(lo32, np.float32(np.inf))
+        if hi32 > hi:
+            hi32 = np.nextafter(hi32, np.float32(-np.inf))
+    return lo32, hi32
+
+
 def overflow_scan(block: SignalBlock, channels: Sequence[ChannelInfo]) -> list[OverflowReport]:
     """Count samples outside each channel's digital bounds."""
     reports = []
@@ -245,8 +232,11 @@ def overflow_scan(block: SignalBlock, channels: Sequence[ChannelInfo]) -> list[O
         if arr is None or type_info(ch.gdf_type).kind == "opaque" or arr.size == 0:
             reports.append(OverflowReport(i, 0 if arr is None else len(arr), 0, None, None))
             continue
+        lo, hi = np.float64(ch.cal.dig_min), np.float64(ch.cal.dig_max)
+        if arr.dtype == np.float32:
+            lo, hi = _float32_bounds(lo, hi)
         with np.errstate(invalid="ignore"):
-            valid = (arr >= ch.cal.dig_min) & (arr <= ch.cal.dig_max)
+            valid = (arr >= lo) & (arr <= hi)
         finite = arr[~np.isnan(arr)] if arr.dtype.kind == "f" else arr
         reports.append(OverflowReport(
             channel=i,

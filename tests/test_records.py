@@ -11,9 +11,7 @@ from gdfkit.errors import DomainError, TruncatedDataError
 from gdfkit.header import ChannelInfo
 from gdfkit.records import (
     SignalBlock,
-    decode_int24,
     decode_records,
-    encode_int24,
     encode_records,
     layout_from_channels,
     overflow_scan,
@@ -47,30 +45,50 @@ class TestLayout:
 
 
 class TestInt24:
+    """24-bit samples through the record codec, one sample per record."""
+
+    @staticmethod
+    def layout(gdf_type):
+        return layout_from_channels([make_channel(gdf_type, spr=1)])
+
+    def decode(self, gdf_type, raw):
+        return decode_records(raw, self.layout(gdf_type), 1).samples[0][0]
+
+    def encode(self, gdf_type, value):
+        info = type_info(gdf_type)
+        block = SignalBlock([np.array([value], info.dtype)], 1)
+        return encode_records(block, self.layout(gdf_type))
+
     def test_all_ones_signed(self):
-        assert decode_int24(0xFF, 0xFF, 0xFF, signed=True) == -1
+        assert self.decode(GdfType.INT24, b"\xff\xff\xff") == -1
+        assert self.encode(GdfType.INT24, -1) == b"\xff\xff\xff"
 
     def test_minimum(self):
-        assert decode_int24(0x00, 0x00, 0x80, signed=True) == -8_388_608
+        assert self.decode(GdfType.INT24, b"\x00\x00\x80") == -8_388_608
+        assert self.encode(GdfType.INT24, -8_388_608) == b"\x00\x00\x80"
 
     def test_all_ones_unsigned(self):
-        assert decode_int24(0xFF, 0xFF, 0xFF, signed=False) == 16_777_215
+        assert self.decode(GdfType.UINT24, b"\xff\xff\xff") == 16_777_215
+        assert self.encode(GdfType.UINT24, 16_777_215) == b"\xff\xff\xff"
 
     @given(st.integers(-(1 << 23), (1 << 23) - 1))
     def test_signed_round_trip(self, value):
-        b = encode_int24(value, signed=True)
-        assert decode_int24(*b, signed=True) == value
+        b = self.encode(GdfType.INT24, value)
+        assert b == value.to_bytes(3, "little", signed=True)
+        assert self.decode(GdfType.INT24, b) == value
 
     @given(st.integers(0, (1 << 24) - 1))
     def test_unsigned_round_trip(self, value):
-        b = encode_int24(value, signed=False)
-        assert decode_int24(*b, signed=False) == value
+        b = self.encode(GdfType.UINT24, value)
+        assert b == value.to_bytes(3, "little")
+        assert self.decode(GdfType.UINT24, b) == value
 
     def test_range_checked(self):
-        with pytest.raises(DomainError):
-            encode_int24(1 << 23, signed=True)
-        with pytest.raises(DomainError):
-            encode_int24(-1, signed=False)
+        for gdf_type, value in ((GdfType.INT24, 1 << 23), (GdfType.INT24, -(1 << 23) - 1),
+                                (GdfType.UINT24, -1), (GdfType.UINT24, 1 << 24)):
+            block = SignalBlock([np.array([value], np.int64)], 1)
+            with pytest.raises(DomainError):
+                encode_records(block, self.layout(gdf_type))
 
 
 class TestDecodeRecords:
@@ -87,13 +105,6 @@ class TestDecodeRecords:
         block = decode_records(b"", layout, 0)
         assert block.n_records == 0
         assert block.samples[0].size == 0
-
-    def test_validity_mask(self):
-        ch = make_channel(GdfType.INT16, spr=4, dig=(-1000.0, 1000.0))
-        layout = layout_from_channels([ch])
-        data = struct.pack("<4h", 0, 1500, -1000, 1000)
-        block = decode_records(data, layout, 1)
-        assert block.validity[0].tolist() == [True, False, True, True]
 
     def test_truncated(self):
         layout = layout_from_channels([make_channel(GdfType.INT16, spr=2)])
@@ -237,6 +248,100 @@ def test_ordering_against_brute_force():
     assert checked > 500
 
 
+# Reference codec for the differential test: one sample at a time through
+# struct or int.from_bytes. Floats are compared by their bit patterns, so NaN
+# payloads count, and 16-byte floats as raw bytes.
+_REFERENCE = {  # type code: (struct format of one sample, decoded dtype)
+    GdfType.INT8: ("<b", "int8"), GdfType.UINT8: ("<B", "uint8"),
+    GdfType.INT16: ("<h", "int16"), GdfType.UINT16: ("<H", "uint16"),
+    GdfType.INT32: ("<i", "int32"), GdfType.UINT32: ("<I", "uint32"),
+    GdfType.INT64: ("<q", "int64"), GdfType.UINT64: ("<Q", "uint64"),
+    GdfType.FLOAT32: ("<I", "float32"), GdfType.FLOAT64: ("<Q", "float64"),
+    GdfType.FLOAT128: ("16s", "uint8"),
+    GdfType.INT24: (None, "int32"), GdfType.UINT24: (None, "uint32"),
+}
+
+
+def _ref_size(gdf_type):
+    fmt = _REFERENCE[gdf_type][0]
+    return 3 if fmt is None else struct.calcsize(fmt)
+
+
+def _ref_decode(data, channels, n_records):
+    """Per channel, its samples in file order, read sequentially."""
+    out = [[] for _ in channels]
+    at = 0
+    for _ in range(n_records):
+        for values, ch in zip(out, channels):
+            fmt, size = _REFERENCE[ch.gdf_type][0], _ref_size(ch.gdf_type)
+            for _ in range(ch.samples_per_record):
+                raw = data[at:at + size]
+                values.append(int.from_bytes(raw, "little", signed=ch.gdf_type == GdfType.INT24)
+                              if fmt is None else struct.unpack(fmt, raw)[0])
+                at += size
+    assert at == len(data)
+    return out
+
+
+def _ref_encode(values, channels, n_records):
+    parts = []
+    for r in range(n_records):
+        for vals, ch in zip(values, channels):
+            fmt, spr = _REFERENCE[ch.gdf_type][0], ch.samples_per_record
+            for v in vals[r * spr:(r + 1) * spr]:
+                parts.append(v.to_bytes(3, "little", signed=ch.gdf_type == GdfType.INT24)
+                             if fmt is None else struct.pack(fmt, v))
+    return b"".join(parts)
+
+
+def _as_reference(arr):
+    """A decoded channel in the reference codec's terms."""
+    if arr.dtype.kind == "f":
+        return arr.view(f"<u{arr.itemsize}").tolist()
+    if arr.ndim == 2:
+        return [bytes(row) for row in arr]
+    return arr.tolist()
+
+
+@st.composite
+def _record_cases(draw):
+    """(channels, n_records, data): spr 0 makes a sparse channel; a 24-bit
+    channel may close the record, so its last sample ends the buffer."""
+    spec = draw(st.lists(st.tuples(st.sampled_from(ALL_TYPES), st.integers(0, 5)),
+                         max_size=5))
+    if draw(st.booleans()):
+        spec.append((draw(st.sampled_from([GdfType.INT24, GdfType.UINT24])),
+                     draw(st.integers(1, 5))))
+    channels = [ChannelInfo(label=f"c{i}", gdf_type=t, samples_per_record=spr,
+                            cal=Calibration(0, 1, 0.0, 1.0))
+                for i, (t, spr) in enumerate(spec)]
+    n_records = draw(st.integers(0, 4))
+    size = n_records * sum(spr * _ref_size(t) for t, spr in spec)
+    return channels, n_records, draw(st.binary(min_size=size, max_size=size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_cases())
+def test_codec_against_reference(case):
+    channels, n_records, data = case
+    layout = layout_from_channels(channels)
+    want = _ref_decode(data, channels, n_records)
+    assert _ref_encode(want, channels, n_records) == data
+    padded = b"\xa5" + data + b"\x5a"
+    for source in (data, memoryview(padded)[1:-1]):
+        block = decode_records(source, layout, n_records)
+        for ch, got, values in zip(channels, block.samples, want):
+            if ch.is_sparse:
+                assert got is None
+                continue
+            assert got.dtype == np.dtype(_REFERENCE[ch.gdf_type][1])
+            row = (16,) if ch.gdf_type == GdfType.FLOAT128 else ()
+            assert got.shape == (len(values), *row)
+            assert got.flags.writeable and got.flags.owndata and got.flags.c_contiguous
+            assert _as_reference(got) == values
+        assert encode_records(block, layout) == data
+
+
 class TestOverflowScan:
     def test_clean(self):
         ch = make_channel(GdfType.INT16, spr=4, dig=(-1000.0, 1000.0))
@@ -253,6 +358,30 @@ class TestOverflowScan:
         (report,) = overflow_scan(block, [ch])
         assert report.n_invalid == 1
         assert report.saturation_ratio == 0.25
+
+    def test_bounds_inclusive(self):
+        ch = make_channel(GdfType.INT16, spr=4, dig=(-1000.0, 1000.0))
+        layout = layout_from_channels([ch])
+        block = decode_records(struct.pack("<4h", 0, 1500, -1000, 1000), layout, 1)
+        (report,) = overflow_scan(block, [ch])
+        assert report.n_invalid == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_float32_bounds_beyond_float32_range(self):
+        ch = make_channel(GdfType.FLOAT32, spr=4, dig=(-1e300, 1e300))
+        block = SignalBlock([np.array([0.5, 3e38, -3e38, np.nan], np.float32)], 1)
+        (report,) = overflow_scan(block, [ch])
+        assert report.n_invalid == 1
+
+    @pytest.mark.filterwarnings("error")
+    @settings(deadline=None)
+    @given(st.lists(st.floats(width=32), min_size=1, max_size=8), st.floats(), st.floats())
+    def test_float32_counts_match_float64(self, values, lo, hi):
+        ch = make_channel(GdfType.FLOAT32, spr=len(values), dig=(lo, hi))
+        arr = np.array(values, np.float32)
+        (report,) = overflow_scan(SignalBlock([arr], 1), [ch])
+        wide = arr.astype(np.float64)
+        assert report.n_invalid == np.count_nonzero(~((wide >= lo) & (wide <= hi)))
 
     def test_sensor_off_nan(self):
         ch = make_channel(GdfType.FLOAT32, spr=2, dig=(-1.0, 1.0))
