@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tlv as tlvmod
 from .core import Calibration, GdfType, type_info
-from .diagnostics import Diagnostics, Severity
+from .diagnostics import Severity
 from .errors import DiagnosticError, GdfError
 from .events import EventCodeRegistry, EventTable, default_event_rate
 from .fileio import GdfFile, anonymize, read_file, validate, write_file
@@ -118,10 +118,6 @@ def _parse_type(text: str) -> GdfType:
         return GdfType[text.upper()]
     except KeyError:
         raise GdfError(f"unknown sample type {text!r}") from None
-
-
-def _load(path: str, lenient: bool) -> tuple[GdfFile, Diagnostics]:
-    return read_file(path, lenient=lenient)
 
 
 # --- inspect -----------------------------------------------------------------
@@ -265,7 +261,7 @@ def _render_tlv(e: tlvmod.TlvElement, ns: int) -> str:
 
 def cmd_inspect(args) -> int:
     try:
-        f, diags = _load(args.path, args.lenient)
+        f, diags = read_file(args.path, lenient=args.lenient)
     except DiagnosticError as exc:
         for d in exc.diagnostics:
             print(str(d), file=sys.stderr)
@@ -287,7 +283,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        f, diags = _load(args.path, args.lenient)
+        f, diags = read_file(args.path, lenient=args.lenient)
     except DiagnosticError as exc:
         for d in exc.diagnostics:
             print(str(d))
@@ -296,7 +292,8 @@ def cmd_validate(args) -> int:
         rule = exc.rule or "file.unreadable"
         print(f"error: [{rule}] {exc}")
         return FAILURE
-    diags.extend(validate(f))
+    parsed = set(diags)
+    diags.extend(d for d in validate(f) if d not in parsed)
     for report in overflow_scan(f.signals, f.channels):
         if report.n_invalid:
             label = f.channels[report.channel].label
@@ -327,7 +324,7 @@ def cmd_convert(args) -> int:
                            "pass --to")
     if direction == "gdf":
         return _convert_csv_to_gdf(args)
-    f, diags = _load(args.input, args.lenient)
+    f, diags = read_file(args.input, lenient=args.lenient)
     for d in diags:
         print(str(d), file=sys.stderr)
     if direction == "text":
@@ -538,7 +535,7 @@ def _read_sidecar(input_path, channels, header) -> EventTable | None:
 # --- anonymize ---------------------------------------------------------------
 
 def cmd_anonymize(args) -> int:
-    f, diags = _load(args.input, args.lenient)
+    f, diags = read_file(args.input, lenient=args.lenient)
     for d in diags:
         print(str(d), file=sys.stderr)
     result = anonymize(f, birthday_offset_days=args.birthday_offset)

@@ -430,36 +430,47 @@ def dur_from_sparse_value(value: int | float, gdf_type: int) -> int:
     return int(value) & ((1 << bits) - 1)
 
 
+def _usable_sparse_rows(table: EventTable, channels: Sequence[ChannelInfo],
+                        diags: Diagnostics) -> np.ndarray:
+    """Mask of the 0x7FFF rows of a mode-3 table whose channel is a sparse
+    channel of at most 32 bits; every other 0x7FFF row is reported."""
+    sparse = table.typ == SPARSE_SAMPLE_TYPE
+    if not sparse.any():
+        return sparse
+    ns = len(channels)
+    # indexed by the 1-based channel number; 0 and everything above NS stay False
+    usable = np.zeros(ns + 2, bool)
+    usable[1:ns + 1] = [ch.is_sparse and type_info(ch.gdf_type).size <= 4
+                        for ch in channels]
+    ok = usable[np.minimum(table.chn, ns + 1)]
+    bad = np.flatnonzero(sparse & ~ok)
+    for pos, chn in zip(table.pos[bad].tolist(), table.chn[bad].tolist()):
+        diags.error("event.sparse_channel_invalid",
+                    f"sparse sample at position {pos} references channel {chn}, "
+                    "which is not a sparse channel of at most 32 bits",
+                    section="events")
+    return sparse & ok
+
+
 def extract_sparse_samples(table: EventTable, channels: Sequence[ChannelInfo],
                            diags: Diagnostics | None = None
                            ) -> dict[int, list[SparseSample]]:
     """Collect the sparse-channel samples carried by 0x7FFF rows.
 
     Returns a mapping from 0-based channel index to samples in table order.
-    Rows that point at channel 0 or at a continuous channel are skipped with
-    an error diagnostic.
+    Rows that point at channel 0, beyond NS, at a continuous channel or at a
+    sparse channel wider than 32 bits are skipped with an error diagnostic.
     """
     if table.mode != 3:
         raise DomainError("sparse samples live in mode-3 event tables")
     diags = sink(diags)
     out: dict[int, list[SparseSample]] = {
         i: [] for i, ch in enumerate(channels) if ch.is_sparse}
-    rows = zip(table.pos.tolist(), table.typ.tolist(),
-               table.chn.tolist(), table.dur.tolist())
-    for pos, typ, chn, dur in rows:
-        if typ != SPARSE_SAMPLE_TYPE:
-            continue
-        if chn < 1 or chn > len(channels) or not channels[chn - 1].is_sparse:
-            diags.error("event.sparse_channel_invalid",
-                        f"sparse sample at position {pos} references channel "
-                        f"{chn}, which is not a sparse channel", section="events")
-            continue
+    rows = _usable_sparse_rows(table, channels, diags)
+    for pos, chn, dur in zip(table.pos[rows].tolist(), table.chn[rows].tolist(),
+                             table.dur[rows].tolist()):
         ch = channels[chn - 1]
-        try:
-            raw = sparse_value_from_dur(dur, ch.gdf_type)
-        except DomainError as exc:
-            diags.error("event.sparse_channel_invalid", str(exc), section="events")
-            continue
+        raw = sparse_value_from_dur(dur, ch.gdf_type)
         out[chn - 1].append(SparseSample(pos, raw, ch.cal.scale(raw)))
     return out
 

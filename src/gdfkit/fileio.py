@@ -20,12 +20,13 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from . import tlv as tlvmod
-from .core import GdfTime, type_info
+from .core import GdfTime
 from .diagnostics import Diagnostics, Severity
 from .errors import DiagnosticError, DomainError, GdfError, StructureError, TruncatedDataError
 from .events import (
     EventTable,
     SPARSE_SAMPLE_TYPE,
+    _usable_sparse_rows,
     event_table_size,
     parse_event_table,
     write_event_table,
@@ -35,6 +36,7 @@ from .header import (
     ChannelInfo,
     FIXED_HEADER_SIZE,
     FixedHeader,
+    _check_channel,
     parse_channel_headers,
     parse_fixed_header,
     write_channel_headers,
@@ -75,8 +77,9 @@ def required_header_blocks(ns: int, tlv: Sequence[tlvmod.TlvElement]) -> int:
     return ns + 1 + tlvmod.region_blocks(tlv)
 
 
-def _resolved_header(f: GdfFile) -> FixedHeader:
-    """Fill in derived header fields and check geometry before writing."""
+def _header_sections(f: GdfFile) -> list[bytes]:
+    """Header sections 1-3 as both writers emit them: derived header fields
+    are filled in and the geometry is checked first."""
     h = f.header
     ns = len(f.channels)
     if h.ns not in (0, ns):
@@ -94,7 +97,10 @@ def _resolved_header(f: GdfFile) -> FixedHeader:
     elif h.n_records != f.signals.n_records:
         raise DomainError(f"header says {h.n_records} records but the signal "
                           f"block holds {f.signals.n_records}")
-    return replace(h, ns=ns, header_blocks=blocks)
+    h = replace(h, ns=ns, header_blocks=blocks)
+    return [write_fixed_header(h),
+            write_channel_headers(f.channels, version_minor=h.version_minor),
+            tlvmod.write_tlv_region(f.tlv, 256 * (blocks - ns - 1))]
 
 
 def _open_source(source) -> bytes:
@@ -218,15 +224,8 @@ def write_file(f: GdfFile, sink) -> int:
 
 def to_bytes(f: GdfFile) -> bytes:
     """Serialise the model to bytes."""
-    header = _resolved_header(f)
-    layout = layout_from_channels(f.channels)
-    parts = [
-        write_fixed_header(header),
-        write_channel_headers(f.channels, version_minor=header.version_minor),
-        tlvmod.write_tlv_region(
-            f.tlv, 256 * (header.header_blocks - header.ns - 1)),
-        encode_records(f.signals, layout),
-    ]
+    parts = _header_sections(f)
+    parts.append(encode_records(f.signals, f.layout()))
     if f.events is not None:
         parts.append(write_event_table(f.events))
     return b"".join(parts)
@@ -246,18 +245,12 @@ class StreamWriter:
                  tlv: Sequence[tlvmod.TlvElement] = ()):
         self._own_file = isinstance(sink, (str, os.PathLike))
         self._fh: BinaryIO = open(sink, "wb") if self._own_file else sink
-        self._channels = list(channels)
-        self._tlv = list(tlv)
-        self._layout = layout_from_channels(self._channels)
         skeleton = GdfFile(header=replace(header, n_records=-1),
-                           channels=self._channels, tlv=self._tlv)
-        self._header = _resolved_header(skeleton)
-        self._fh.write(write_fixed_header(self._header))
-        self._fh.write(write_channel_headers(self._channels,
-                                             version_minor=self._header.version_minor))
-        self._fh.write(tlvmod.write_tlv_region(
-            self._tlv, 256 * (self._header.header_blocks - self._header.ns - 1)))
-        self._bytes = 256 * self._header.header_blocks
+                           channels=list(channels), tlv=list(tlv))
+        self._layout = skeleton.layout()
+        sections = _header_sections(skeleton)
+        self._fh.writelines(sections)
+        self._bytes = sum(map(len, sections))
         self._n_records = 0
         self._finalized = False
 
@@ -267,24 +260,14 @@ class StreamWriter:
 
     def append_record(self, samples: Sequence) -> None:
         """Write one record; ``samples[i]`` holds channel i's samples for this
-        record (None or empty for sparse channels)."""
+        record (None or empty for sparse channels, ``(spr, 16)`` byte rows for
+        the 16-byte float type)."""
         if self._finalized:
             raise GdfError("cannot append: the writer is already finalized")
         if len(samples) != len(self._layout.channels):
             raise DomainError(f"record needs {len(self._layout.channels)} channel "
                               f"entries, got {len(samples)}")
-        arrays = []
-        for entry, values in zip(self._layout.channels, samples):
-            if entry.is_sparse:
-                arrays.append(None)
-                continue
-            info = type_info(entry.gdf_type)
-            if info.kind == "opaque":
-                arr = np.asarray(values, dtype=np.uint8).reshape(-1, 16)
-            else:
-                arr = np.asarray(values, dtype=info.dtype)
-            arrays.append(arr)
-        chunk = encode_records(SignalBlock(arrays, 1), self._layout)
+        chunk = encode_records(SignalBlock(list(samples), 1), self._layout)
         self._fh.write(chunk)
         self._bytes += len(chunk)
         self._n_records += 1
@@ -345,44 +328,19 @@ def validate(f: GdfFile) -> Diagnostics:
                     offset=244)
 
     for i, ch in enumerate(f.channels):
-        info = type_info(ch.gdf_type)
-        if info.kind == "int":
-            if not (info.min <= ch.cal.dig_min <= info.max
-                    and info.min <= ch.cal.dig_max <= info.max):
-                diags.error("channel.dig_bounds_exceed_type",
-                            f"channel {i}: digital bounds [{ch.cal.dig_min}, "
-                            f"{ch.cal.dig_max}] exceed the {info.name} range",
-                            section="header2")
-        if ch.cal.dig_min > ch.cal.dig_max:
-            diags.error("channel.dig_bounds_reversed",
-                        f"channel {i}: dig_min > dig_max", section="header2")
-        elif ch.cal.is_degenerate and not ch.is_sparse:
-            diags.error("channel.dig_bounds_degenerate",
-                        f"channel {i}: dig_min == dig_max on a sampled channel",
-                        section="header2")
-        if ch.is_sparse and info.size > 4:
-            diags.error("channel.sparse_type_too_wide",
-                        f"channel {i}: sparse channel type {info.name} exceeds "
-                        "32 bits", section="header2")
+        _check_channel(ch, i, diags)
 
     seen = set()
     for e in f.tlv:
+        # models built in code never pass parse_tlv's duplicate check
         if e.tag in seen:
             diags.error("tlv.duplicate_tag", f"tag {e.tag} occurs more than once",
                         section="header3")
         seen.add(e.tag)
-        if e.tag == tlvmod.TAG_SENSOR_ORIENTATION and len(e.value) != 12 * ns:
-            diags.error("tlv.tag4_bad_length",
-                        f"sensor orientation needs 12*NS = {12 * ns} bytes, "
-                        f"has {len(e.value)}", section="header3")
-        if e.tag == tlvmod.TAG_IP_ADDRESS and len(e.value) not in (4, 16):
-            diags.error("tlv.tag5_bad_length",
-                        f"IP address must be 4 or 16 bytes, has {len(e.value)}",
-                        section="header3")
-        if e.tag == tlvmod.TAG_DEVICE_IDENT and len(e.value) > 128:
-            diags.warning("tlv.tag3_too_long",
-                          f"device identification is {len(e.value)} bytes "
-                          "(limit 128)", section="header3")
+        try:
+            tlvmod.decode_tag_value(e, ns=ns, diags=diags)
+        except StructureError as exc:
+            diags.error(exc.rule, str(exc), section="header3")
 
     if f.signals.n_records != max(h.n_records, 0):
         diags.error("data.length_mismatch",
@@ -422,18 +380,7 @@ def _validate_events(f: GdfFile, diags: Diagnostics) -> None:
             diags.error("event.channel_range",
                         f"{int(bad_chn.sum())} event(s) reference channels "
                         f"beyond NS = {ns}", section="events")
-        for pos, typ, chn in zip(t.pos.tolist(), t.typ.tolist(), t.chn.tolist()):
-            if typ != SPARSE_SAMPLE_TYPE:
-                continue
-            if chn < 1 or chn > ns or not f.channels[chn - 1].is_sparse:
-                diags.error("event.sparse_channel_invalid",
-                            f"sparse sample at position {pos} references channel "
-                            f"{chn}, which is not a sparse channel",
-                            section="events")
-            elif type_info(f.channels[chn - 1].gdf_type).size > 4:
-                diags.error("channel.sparse_type_too_wide",
-                            f"sparse sample at position {pos}: channel type "
-                            "exceeds 32 bits", section="events")
+        _usable_sparse_rows(t, f.channels, diags)
     elif np.any(t.typ == SPARSE_SAMPLE_TYPE):
         diags.error("event.sparse_in_mode1",
                     "sparse sample rows (type 0x7FFF) are only valid in mode 3",

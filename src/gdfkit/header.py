@@ -520,7 +520,6 @@ def parse_channel_headers(buf: bytes, ns: int, *, version_minor: int = 20,
             raise StructureError(f"channel {i}: unknown data type code {code}",
                                  rule="channel.type_unknown",
                                  offset=FIXED_HEADER_SIZE + 220 * ns + 4 * i)
-        info = type_info(code)
 
         def f32(base):
             v = _read_f32(buf, base + 4 * i, diags, "header2")
@@ -550,12 +549,14 @@ def parse_channel_headers(buf: bytes, ns: int, *, version_minor: int = 20,
             position=struct.unpack_from("<3f", buf, 224 * ns + 12 * i),
             sensor_info=sensor,
         )
-        _check_channel(ch, i, info, diags)
+        _check_channel(ch, i, diags)
         channels.append(ch)
     return channels
 
 
-def _check_channel(ch: ChannelInfo, index: int, info, diags: Diagnostics) -> None:
+def _check_channel(ch: ChannelInfo, index: int, diags: Diagnostics) -> None:
+    """The header-2 rules of one channel, shared by parsing and validation."""
+    info = type_info(ch.gdf_type)
     if info.kind == "int":
         if not (info.min <= ch.cal.dig_min <= info.max
                 and info.min <= ch.cal.dig_max <= info.max):

@@ -179,20 +179,24 @@ def encode_records(block: SignalBlock, layout: RecordLayout) -> bytes:
             if rows.size != n * entry.samples_per_record * 16:
                 raise DomainError("opaque samples must be rows of 16 bytes")
             _channel_view(out, layout, entry, n, _OPAQUE)[...] = rows.reshape(*shape, 16)
-        elif info.size == 3:
-            v = np.asarray(samples)
+            continue
+        v = np.asarray(samples)
+        # A 24-bit container holds out-of-range values; other matching dtypes
+        # cannot. min and max + 1 are 0 or powers of two, so they stay exact
+        # against float input, and NaN fails both comparisons.
+        if (info.kind == "int" and (v.dtype != info.dtype or info.size == 3) and v.size
+                and not (v.min() >= info.min and v.max() < info.max + 1)):
+            raise DomainError(f"channel {entry.index}: sample outside {info.name} range")
+        v = v.reshape(shape)
+        if info.size == 3:
             if v.dtype.kind not in "iu":
                 v = v.astype(np.int64)
-            if v.size and (v.min() < info.min or v.max() > info.max):
-                raise DomainError(f"sample outside {info.name} range")
-            v = v.reshape(shape)
             low = _channel_view(out, layout, entry, n, _LOW16)
             high = _channel_view(out, layout, entry, n, _HIGH8[info.min < 0], 2)
             low[...] = v  # the cast keeps the low 16 bits
             np.right_shift(v, 16, out=high, casting="unsafe")
         else:
-            _channel_view(out, layout, entry, n, info.dtype)[...] = \
-                np.asarray(samples, dtype=info.dtype).reshape(shape)
+            _channel_view(out, layout, entry, n, info.dtype)[...] = v
     return out.tobytes()
 
 

@@ -146,16 +146,13 @@ class DeviceIdent(NamedTuple):
     serial: str
 
 
-def _split_strings(value: bytes, what: str) -> list[bytes]:
-    if value and not value.endswith(b"\x00"):
-        raise StructureError(f"{what}: value is not NUL-terminated")
-    return value.split(b"\x00")[:-1] if value else []
-
-
 def decode_event_descriptions(value: bytes) -> list[str]:
     """Tag 1: NUL-terminated strings, list closed by an empty string."""
+    if value and not value.endswith(b"\x00"):
+        raise StructureError("event descriptions: value is not NUL-terminated",
+                             rule="tlv.tag1_malformed")
     out: list[str] = []
-    for part in _split_strings(value, "event descriptions"):
+    for part in value.split(b"\x00")[:-1]:
         if part == b"":
             break
         out.append(part.decode("latin-1"))
@@ -170,16 +167,16 @@ def decode_text(value: bytes) -> str:
 def decode_device_ident(value: bytes, diags: Diagnostics | None = None) -> DeviceIdent:
     """Tag 3: manufacturer, model, version and serial number."""
     diags = sink(diags)
-    parts = _split_strings(value, "device identification")
-    if len(parts) != 4:
+    parts = value.split(b"\x00")
+    if len(parts) != 5 or parts[4]:
         raise StructureError(
-            f"device identification needs exactly 4 strings, found {len(parts)}",
-            rule="tlv.tag3_malformed")
+            "device identification needs exactly 4 NUL-terminated strings, "
+            f"has {len(parts) - 1} NUL bytes", rule="tlv.tag3_malformed")
     if len(value) > 128:
         diags.warning("tlv.tag3_too_long",
                       f"device identification is {len(value)} bytes (limit 128)",
                       section="header3")
-    return DeviceIdent(*(p.decode("latin-1") for p in parts))
+    return DeviceIdent(*(p.decode("latin-1") for p in parts[:4]))
 
 
 def decode_orientation(value: bytes, ns: int) -> list[tuple[float, float, float]]:

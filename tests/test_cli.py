@@ -76,9 +76,10 @@ class TestValidate:
         blob[256 + 128 * ns + 6] = 0xF0
         bad = clean_file.with_name("bad_range.gdf")
         bad.write_bytes(bytes(blob))
-        code, out, _ = run(capsys, "validate", bad)
-        assert code == 2
-        assert "channel.dig_bounds_exceed_type" in out
+        for flags in ((), ("--lenient",)):
+            code, out, _ = run(capsys, "validate", bad, *flags)
+            assert code == 2
+            assert out.count("channel.dig_bounds_exceed_type") == 1
 
     def test_event_pos_zero_fixture(self, clean_file, capsys):
         f, _ = read_file(clean_file)

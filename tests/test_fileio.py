@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gdfkit.core import Calibration, GdfTime, GdfType
+from gdfkit.diagnostics import Diagnostics
 from gdfkit.errors import (
     DiagnosticError,
     DomainError,
@@ -13,7 +14,12 @@ from gdfkit.errors import (
     StructureError,
     TruncatedDataError,
 )
-from gdfkit.events import EventTable, event_table_position
+from gdfkit.events import (
+    SPARSE_SAMPLE_TYPE,
+    EventTable,
+    event_table_position,
+    extract_sparse_samples,
+)
 from gdfkit.fileio import (
     GdfFile,
     StreamWriter,
@@ -339,6 +345,28 @@ class TestValidate:
         assert any(d.rule == "channel.dig_bounds_exceed_type"
                    for d in validate(broken))
 
+    def test_physdim_nonstandard_prefix(self):
+        f = synthesize(SynthSpec(channels=1, events=0))
+        odd = replace(f.channels[0], phys_dim=(f.channels[0].phys_dim & ~0x1F) | 11)
+        broken = GdfFile(header=f.header, channels=[odd], signals=f.signals)
+        assert [d.rule for d in validate(broken)] == ["channel.physdim_nonstandard_prefix"]
+
+    def test_sparse_rows_reported_as_extract_reports_them(self):
+        f = synthesize(SynthSpec(channels=3, records=2, events=0, with_sparse=True))
+        wide = replace(f.channels[2], label="wide", gdf_type=GdfType.FLOAT64)
+        channels = f.channels + [wide]
+        signals = SignalBlock(f.signals.samples + [None], f.signals.n_records)
+        # channel 0, NS + 1, a continuous channel, a sparse float64 channel
+        events = EventTable(3, 16.0, np.arange(1, 5), np.full(4, SPARSE_SAMPLE_TYPE),
+                            np.array([0, 5, 1, 4]), np.ones(4))
+        broken = GdfFile(header=f.header, channels=channels, signals=signals,
+                         events=events)
+        from_validate = [d for d in validate(broken)
+                         if d.rule == "event.sparse_channel_invalid"]
+        extracted = Diagnostics()
+        assert not any(extract_sparse_samples(events, channels, extracted).values())
+        assert len(from_validate) == len(extracted) == 4
+
     def test_event_pos_zero(self):
         f = synthesize(SynthSpec(records=2, events=0))
         events = EventTable(1, 16.0, np.array([0], "<u4"), np.array([3], "<u2"))
@@ -365,12 +393,14 @@ class TestValidate:
     def test_tlv_checks(self):
         f = synthesize(SynthSpec(channels=2, events=0))
         bad_tlv = [tlvmod.TlvElement(4, bytes(10)),  # wrong length for ns=2
-                   tlvmod.TlvElement(5, bytes(5))]
+                   tlvmod.TlvElement(5, bytes(5)),
+                   tlvmod.TlvElement(3, b"Acme\x00M1\x00v2\x00")]  # 3 strings
         broken = GdfFile(header=f.header, channels=f.channels,
                          signals=f.signals, tlv=bad_tlv)
         rules = {d.rule for d in validate(broken)}
         assert "tlv.tag4_bad_length" in rules
         assert "tlv.tag5_bad_length" in rules
+        assert "tlv.tag3_malformed" in rules
 
 
 class TestAnonymize:

@@ -1,3 +1,4 @@
+import io
 import itertools
 import struct
 
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from gdfkit.core import Calibration, GdfType, type_info
 from gdfkit.errors import DomainError, TruncatedDataError
-from gdfkit.header import ChannelInfo
+from gdfkit.fileio import StreamWriter
+from gdfkit.header import ChannelInfo, FixedHeader
 from gdfkit.records import (
     SignalBlock,
     decode_records,
@@ -140,6 +142,21 @@ class TestEncodeRecords:
         with pytest.raises(DomainError):
             encode_records(block, layout)
 
+    @pytest.mark.parametrize("gdf_type, samples", [
+        (GdfType.INT16, [70000]),
+        (GdfType.INT16, np.array([70000])),
+        (GdfType.INT16, np.array([np.nan])),
+        (GdfType.INT24, np.array([np.nan])),
+        (GdfType.INT64, np.array([2.0 ** 63])),
+    ], ids=["int16-list", "int16-from-int64", "int16-nan", "int24-nan", "int64-from-float"])
+    def test_out_of_range_rejected(self, gdf_type, samples):
+        ch = make_channel(gdf_type, spr=1)
+        with pytest.raises(DomainError):
+            encode_records(SignalBlock([samples], 1), layout_from_channels([ch]))
+        writer = StreamWriter(io.BytesIO(), FixedHeader(), [ch])
+        with pytest.raises(DomainError):
+            writer.append_record([samples])
+
 
 ALL_TYPES = [GdfType.INT8, GdfType.UINT8, GdfType.INT16, GdfType.UINT16,
              GdfType.INT32, GdfType.UINT32, GdfType.INT64, GdfType.UINT64,
@@ -193,39 +210,9 @@ def test_round_trip_randomized(n_records, types, seed):
     assert decode_records(data, layout, n_records) == block
 
 
-def _brute_force_samples(data, channels, n_records):
-    """Index-arithmetic oracle: compute each sample's byte offset directly."""
-    fmt = {GdfType.INT8: "<b", GdfType.UINT8: "<B", GdfType.INT16: "<h",
-           GdfType.UINT16: "<H", GdfType.INT32: "<i", GdfType.UINT32: "<I",
-           GdfType.INT64: "<q", GdfType.UINT64: "<Q",
-           GdfType.FLOAT32: "<f", GdfType.FLOAT64: "<d"}
-    sizes = [type_info(ch.gdf_type).size for ch in channels]
-    bpr = sum(ch.samples_per_record * s for ch, s in zip(channels, sizes))
-    out = []
-    for c, ch in enumerate(channels):
-        if ch.is_sparse:
-            out.append(None)
-            continue
-        offset_in_record = sum(channels[j].samples_per_record * sizes[j]
-                               for j in range(c))
-        values = []
-        for r in range(n_records):
-            for s in range(ch.samples_per_record):
-                at = r * bpr + offset_in_record + s * sizes[c]
-                raw = data[at:at + sizes[c]]
-                if ch.gdf_type == GdfType.INT24:
-                    values.append(int.from_bytes(raw, "little", signed=True))
-                elif ch.gdf_type == GdfType.UINT24:
-                    values.append(int.from_bytes(raw, "little", signed=False))
-                else:
-                    values.append(struct.unpack(fmt[ch.gdf_type], raw)[0])
-        out.append(values)
-    return out
-
-
 def test_ordering_against_brute_force():
-    """Decode must agree with per-sample absolute-offset arithmetic on all
-    small instances (up to 3 channels, 3 records, 3 samples per record)."""
+    """Decode must agree with the sequential reference decoder on all small
+    instances (up to 3 channels, 3 records, 3 samples per record)."""
     rng = np.random.default_rng(7)
     type_pool = [GdfType.UINT8, GdfType.INT16, GdfType.INT24, GdfType.FLOAT64]
     per_channel = [(t, spr) for t in type_pool for spr in (1, 2, 3)]
@@ -241,9 +228,9 @@ def test_ordering_against_brute_force():
             for n_records in (0, 1, 2, 3):
                 data = rng.bytes(n_records * layout.bytes_per_record)
                 block = decode_records(data, layout, n_records)
-                expected = _brute_force_samples(data, channels, n_records)
+                expected = _ref_decode(data, channels, n_records)
                 for got, want in zip(block.samples, expected):
-                    assert got.tolist() == want
+                    assert _as_reference(got) == want
                 checked += 1
     assert checked > 500
 
