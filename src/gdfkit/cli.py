@@ -18,7 +18,7 @@ import numpy as np
 from . import tlv as tlvmod
 from .core import Calibration, GdfType, type_info
 from .diagnostics import Severity
-from .errors import DiagnosticError, GdfError
+from .errors import DiagnosticError, GdfError, StructureError
 from .events import EventCodeRegistry, EventTable, default_event_rate
 from .fileio import GdfFile, anonymize, read_file, validate, write_file
 from .header import ChannelInfo, FixedHeader, electrode_impedance, probe_frequency
@@ -126,7 +126,11 @@ def _registry_for(f: GdfFile) -> EventCodeRegistry:
     registry = EventCodeRegistry()
     for e in f.tlv:
         if e.tag == tlvmod.TAG_EVENT_DESCRIPTIONS:
-            registry.add_descriptions(tlvmod.decode_event_descriptions(e.value))
+            try:
+                descriptions = tlvmod.decode_event_descriptions(e.value)
+            except StructureError:
+                continue  # inspect renders the element as malformed
+            registry.add_descriptions(descriptions)
     return registry
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .core import float32_exact, type_info
 from .diagnostics import Diagnostics, sink
 from .errors import CapacityError, DomainError, StructureError
-from .header import ChannelInfo
+from .header import ChannelInfo, _nan_checked
 
 #: Bit or-ed into a mode-1 event type to mark the end of a span.
 END_FLAG = 0x8000
@@ -238,7 +238,7 @@ def parse_event_table(data: bytes, diags: Diagnostics | None = None) -> EventTab
         raise StructureError(f"event table mode must be 1 or 3, got {mode}",
                              rule="event.bad_mode")
     n_events = int.from_bytes(data[1:4], "little")
-    sample_rate = struct.unpack_from("<f", data, 4)[0]
+    sample_rate, = _nan_checked(struct.unpack_from("<f", data, 4), data, 4, diags, "events")
     needed = event_table_size(mode, n_events)
     if len(data) < needed:
         raise StructureError(

@@ -13,7 +13,6 @@ can and reports everything through the returned diagnostics.
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass, field, replace
 from typing import BinaryIO, Sequence
 
@@ -36,6 +35,8 @@ from .header import (
     ChannelInfo,
     FIXED_HEADER_SIZE,
     FixedHeader,
+    _FIXED_LAYOUT,
+    _FIXED_OFFSETS,
     _check_channel,
     parse_channel_headers,
     parse_fixed_header,
@@ -49,9 +50,6 @@ from .records import (
     encode_records,
     layout_from_channels,
 )
-
-_NREC_OFFSET = 236  # record-count field inside the fixed header
-
 
 @dataclass
 class GdfFile:
@@ -103,9 +101,9 @@ def _header_sections(f: GdfFile) -> list[bytes]:
             tlvmod.write_tlv_region(f.tlv, 256 * (blocks - ns - 1))]
 
 
-def _open_source(source) -> bytes:
+def _open_source(source) -> bytes | memoryview:
     if isinstance(source, (bytes, bytearray, memoryview)):
-        return bytes(source)
+        return memoryview(source).cast("B")
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb") as fh:
             return fh.read()
@@ -243,12 +241,12 @@ class StreamWriter:
     def __init__(self, sink, header: FixedHeader,
                  channels: Sequence[ChannelInfo],
                  tlv: Sequence[tlvmod.TlvElement] = ()):
-        self._own_file = isinstance(sink, (str, os.PathLike))
-        self._fh: BinaryIO = open(sink, "wb") if self._own_file else sink
         skeleton = GdfFile(header=replace(header, n_records=-1),
                            channels=list(channels), tlv=list(tlv))
         self._layout = skeleton.layout()
         sections = _header_sections(skeleton)
+        self._own_file = isinstance(sink, (str, os.PathLike))
+        self._fh: BinaryIO = open(sink, "wb") if self._own_file else sink
         self._fh.writelines(sections)
         self._bytes = sum(map(len, sections))
         self._n_records = 0
@@ -281,8 +279,8 @@ class StreamWriter:
             raise GdfError("cannot store an event table: the sink is not "
                            "seekable, so the record count cannot be patched")
         if self._fh.seekable():
-            self._fh.seek(_NREC_OFFSET)
-            self._fh.write(struct.pack("<q", self._n_records))
+            self._fh.seek(_FIXED_OFFSETS["n_records"])
+            self._fh.write(_FIXED_LAYOUT["n_records"].struct.pack(self._n_records))
             self._fh.seek(self._bytes)
         if events is not None:
             blob = write_event_table(events)
@@ -312,12 +310,12 @@ def validate(f: GdfFile) -> Diagnostics:
     if h.ns != ns:
         diags.error("header.ns_mismatch",
                     f"header says {h.ns} channels, model has {ns}",
-                    section="header1", offset=252)
+                    section="header1", offset=_FIXED_OFFSETS["ns"])
     blocks = h.header_blocks or required_header_blocks(ns, f.tlv)
     if blocks < ns + 1:
         diags.error("header.blocks_too_small",
                     f"header length {blocks} blocks is less than NS+1 = {ns + 1}",
-                    section="header1", offset=184)
+                    section="header1", offset=_FIXED_OFFSETS["header_blocks"])
     elif tlvmod.serialized_size(f.tlv) > 256 * (blocks - ns - 1):
         diags.error("header.tlv_overflow",
                     "optional header content does not fit the reserved blocks",
@@ -325,7 +323,7 @@ def validate(f: GdfFile) -> Diagnostics:
     if h.duration_den == 0:
         diags.error("header.duration_zero_denominator",
                     "record duration denominator is zero", section="header1",
-                    offset=244)
+                    offset=_FIXED_OFFSETS["duration"])
 
     for i, ch in enumerate(f.channels):
         _check_channel(ch, i, diags)

@@ -93,6 +93,7 @@ class SignalBlock:
 _OPAQUE = np.dtype((np.uint8, 16))  # one 16-byte float sample as a row of bytes
 _LOW16 = np.dtype("<u2")            # low two bytes of a 24-bit sample
 _HIGH8 = {True: np.dtype("i1"), False: np.dtype("u1")}  # its top byte, by signedness
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _channel_view(buffer, layout: RecordLayout, entry: ChannelLayout, n_records: int,
@@ -187,6 +188,10 @@ def encode_records(block: SignalBlock, layout: RecordLayout) -> bytes:
         if (info.kind == "int" and (v.dtype != info.dtype or info.size == 3) and v.size
                 and not (v.min() >= info.min and v.max() < info.max + 1)):
             raise DomainError(f"channel {entry.index}: sample outside {info.name} range")
+        if (info.kind == "float" and info.size == 4 and v.dtype != info.dtype
+                and v.dtype.kind == "f" and v.size
+                and np.any(np.isfinite(v) & (np.abs(v) > _FLOAT32_MAX))):
+            raise DomainError(f"channel {entry.index}: finite sample outside float32 range")
         v = v.reshape(shape)
         if info.size == 3:
             if v.dtype.kind not in "iu":

@@ -26,6 +26,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def read_csv(path):
+    with path.open() as fh:
+        return list(csv.reader(fh))
+
+
 class TestSynthesize:
     def test_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.gdf", tmp_path / "b.gdf"
@@ -162,6 +167,19 @@ class TestInspect:
         assert code == 0
         assert "manufacturer=Acme|model=M1|version=2.0|serial=SN7" in out
 
+    def test_malformed_event_descriptions_rendered(self, tmp_path, capsys):
+        from gdfkit.fileio import write_file
+        from gdfkit.synth import SynthSpec, synthesize
+        from gdfkit.tlv import TlvElement
+        f = synthesize(SynthSpec(channels=1, events=2,
+                                 tlv=(TlvElement(1, b"left\x00right"),)))
+        path = tmp_path / "tag1.gdf"
+        write_file(f, path)
+        code, out, _ = run(capsys, "inspect", path, "--format", "machine")
+        assert code == 0
+        assert "<malformed, 10 bytes>" in out
+        assert "event.0.description" in out
+
     def test_parse_failure_exits_2(self, tmp_path, capsys):
         path = tmp_path / "junk.gdf"
         path.write_bytes(bytes(256))
@@ -210,7 +228,7 @@ class TestConvertCsv:
               "--events", "0"])
         out_csv = tmp_path / "sig.csv"
         main(["convert", str(src), str(out_csv)])
-        rows = list(csv.reader(out_csv.open()))
+        rows = read_csv(out_csv)
         assert any("" in row for row in rows[1:])  # invalid cells are empty
         back = tmp_path / "back.gdf"
         main(["convert", str(out_csv), str(back)])
@@ -228,7 +246,7 @@ class TestConvertCsv:
         main(["convert", str(src), str(out_csv)])
         sidecar = tmp_path / "sig.events.csv"
         assert sidecar.exists()
-        rows = list(csv.reader(sidecar.open()))
+        rows = read_csv(sidecar)
         assert rows[0] == ["pos", "typ", "chn", "dur", "description"]
         f, _ = read_file(src)
         assert len(rows) - 1 == f.events.n_events
@@ -249,7 +267,7 @@ class TestConvertCsv:
         code, out, err = run(capsys, "convert", src, out_csv)
         assert code == 0
         assert "sidecar" in err
-        header = next(csv.reader(out_csv.open()))
+        header = read_csv(out_csv)[0]
         assert len(header) == 2  # the sparse channel has no column
 
     def test_text_dump(self, tmp_path, clean_file):
@@ -268,7 +286,7 @@ class TestConvertCsv:
               "--events", "0"])
         out_csv = tmp_path / "raw.csv"
         assert main(["convert", str(src), str(out_csv), "--raw"]) == 0
-        rows = list(csv.reader(out_csv.open()))
+        rows = read_csv(out_csv)
         f, _ = read_file(src)
         assert int(rows[1][0]) == int(f.signals.samples[0][0])
 

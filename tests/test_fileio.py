@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,33 @@ class TestMinimalFiles:
         f = GdfFile(header=FixedHeader(n_records=5, ns=2),
                     channels=channels, signals=signals, events=events)
         assert len(to_bytes(f)) == 768 + 30 + 26 == 824
+
+
+class TestBufferSources:
+    def _blob(self):
+        f = synthesize(SynthSpec(channels=64, samples_per_record=1000, records=30,
+                                 events=0))
+        return to_bytes(f)
+
+    def test_bytearray_read_in_place(self):
+        blob = self._blob()
+        expected, _ = read_file(blob)
+        source = bytearray(blob)
+        tracemalloc.start()
+        try:
+            f, _ = read_file(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(blob)
+        assert f.header == expected.header and f.channels == expected.channels
+        assert f.signals == expected.signals
+
+    def test_no_view_of_the_source_kept(self):
+        source = bytearray(to_bytes(synthesize(SynthSpec(seed=4))))
+        f, _ = read_file(source)
+        source.extend(b"x")  # BufferError while a view is exported
+        assert f.header.n_records == 8
 
 
 class TestRoundTrip:
@@ -318,6 +346,13 @@ class TestStreamWriter:
             writer.append_record(rec)
         writer.finalize(f.events)
         assert path.read_bytes() == to_bytes(f)
+
+    def test_bad_geometry_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "existing.gdf"
+        path.write_bytes(b"keep me")
+        with pytest.raises(DomainError):
+            StreamWriter(path, FixedHeader(ns=5), [ChannelInfo(label="a")])
+        assert path.read_bytes() == b"keep me"
 
     def test_close_abandons_without_patching(self, tmp_path):
         f, per_record = self._pieces(SynthSpec(channels=2, records=3, events=0))

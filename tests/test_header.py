@@ -8,8 +8,13 @@ from hypothesis import strategies as st
 
 from gdfkit.core import Calibration, GdfTime, GdfType
 from gdfkit.diagnostics import Diagnostics
+from gdfkit.events import EventTable, parse_event_table, write_event_table
 from gdfkit.errors import DomainError, FormatError, StructureError, VersionError
 from gdfkit.header import (
+    CHANNEL_HEADER_SIZE,
+    FIXED_HEADER_SIZE,
+    _CHANNEL_LAYOUT,
+    _FIXED_STRUCT,
     ChannelInfo,
     FixedHeader,
     Gender,
@@ -387,6 +392,28 @@ def test_noncanonical_nan_diagnosed():
     parsed = parse_channel_headers(bytes(buf), 1, diags=diags)
     assert parsed[0].lowpass_hz is None
     assert any(d.rule == "header.noncanonical_nan" for d in diags)
+
+    ns = 2
+    buf = bytearray(write_channel_headers([ChannelInfo(label="x")] * ns))
+    buf[224 * ns:224 * ns + 4] = b"\x01\x00\x80\x7f"  # signalling NaN, channel 0 x
+    diags = Diagnostics()
+    parsed = parse_channel_headers(bytes(buf), ns, diags=diags)
+    assert math.isnan(parsed[0].position[0])
+    assert [(d.rule, d.section, d.offset) for d in diags] == \
+        [("header.noncanonical_nan", "header2", 224 * ns)]
+
+    table = bytearray(write_event_table(EventTable.empty(1, 1.0)))
+    table[4:8] = b"\x01\x00\x80\x7f"
+    diags = Diagnostics()
+    assert math.isnan(parse_event_table(bytes(table), diags).sample_rate_hz)
+    assert [(d.rule, d.section, d.offset) for d in diags] == \
+        [("header.noncanonical_nan", "events", 4)]
+
+
+def test_field_tables_span_their_sections():
+    assert _FIXED_STRUCT.format == "<8s66s10sBBBB64s16sQQH6sQ6s3H3f3fq2II"
+    assert _FIXED_STRUCT.size == FIXED_HEADER_SIZE
+    assert sum(f.struct.size for f in _CHANNEL_LAYOUT.values()) == CHANNEL_HEADER_SIZE
 
 
 def test_text_after_nul_diagnosed():

@@ -148,7 +148,9 @@ class TestEncodeRecords:
         (GdfType.INT16, np.array([np.nan])),
         (GdfType.INT24, np.array([np.nan])),
         (GdfType.INT64, np.array([2.0 ** 63])),
-    ], ids=["int16-list", "int16-from-int64", "int16-nan", "int24-nan", "int64-from-float"])
+        (GdfType.FLOAT32, np.array([1e300])),
+    ], ids=["int16-list", "int16-from-int64", "int16-nan", "int24-nan", "int64-from-float",
+            "float32-from-float64"])
     def test_out_of_range_rejected(self, gdf_type, samples):
         ch = make_channel(gdf_type, spr=1)
         with pytest.raises(DomainError):
@@ -156,6 +158,12 @@ class TestEncodeRecords:
         writer = StreamWriter(io.BytesIO(), FixedHeader(), [ch])
         with pytest.raises(DomainError):
             writer.append_record([samples])
+
+    def test_float32_takes_nonfinite_float64(self):
+        layout = layout_from_channels([make_channel(GdfType.FLOAT32, spr=4)])
+        samples = np.array([np.nan, np.inf, -np.inf, 1.5])
+        back = decode_records(encode_records(SignalBlock([samples], 1), layout), layout, 1)
+        assert np.array_equal(back.samples[0], samples.astype(np.float32), equal_nan=True)
 
 
 ALL_TYPES = [GdfType.INT8, GdfType.UINT8, GdfType.INT16, GdfType.UINT16,
