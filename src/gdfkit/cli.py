@@ -142,18 +142,6 @@ def _byte_sentinel(value: int, over: str) -> str:
     return str(value)
 
 
-def _enum_name(value) -> str:
-    return value.name.lower()
-
-
-def _notch_text(notch_hz: float | None) -> str:
-    if notch_hz is None:
-        return "unknown"
-    if notch_hz < 0:
-        return "off"
-    return f"{notch_hz:g}"
-
-
 def inspect_lines(f: GdfFile) -> list[tuple[str, str]]:
     """Flat key/value dump of everything the file declares."""
     h, p, r = f.header, f.header.patient, f.header.recording
@@ -171,14 +159,14 @@ def inspect_lines(f: GdfFile) -> list[tuple[str, str]]:
         ("patient.id_code", code),
         ("patient.name", name),
         ("patient.classification", classification),
-        ("patient.gender", _enum_name(p.gender)),
-        ("patient.handedness", _enum_name(p.handedness)),
-        ("patient.visual_impairment", _enum_name(p.visual_impairment)),
-        ("patient.heart_impairment", _enum_name(p.heart_impairment)),
-        ("patient.smoking", _enum_name(p.smoking)),
-        ("patient.alcohol_abuse", _enum_name(p.alcohol_abuse)),
-        ("patient.drug_abuse", _enum_name(p.drug_abuse)),
-        ("patient.medication", _enum_name(p.medication)),
+        ("patient.gender", p.gender.name.lower()),
+        ("patient.handedness", p.handedness.name.lower()),
+        ("patient.visual_impairment", p.visual_impairment.name.lower()),
+        ("patient.heart_impairment", p.heart_impairment.name.lower()),
+        ("patient.smoking", p.smoking.name.lower()),
+        ("patient.alcohol_abuse", p.alcohol_abuse.name.lower()),
+        ("patient.drug_abuse", p.drug_abuse.name.lower()),
+        ("patient.medication", p.medication.name.lower()),
         ("patient.weight_kg", _byte_sentinel(p.weight_kg, ">254")),
         ("patient.height_cm", _byte_sentinel(p.height_cm, ">254")),
         ("patient.birthday", p.birthday.isoformat()),
@@ -209,19 +197,17 @@ def inspect_lines(f: GdfFile) -> list[tuple[str, str]]:
             (f"{key}.dig_range", f"{ch.cal.dig_min:g}..{ch.cal.dig_max:g}"),
             (f"{key}.lowpass_hz", "unknown" if ch.lowpass_hz is None else f"{ch.lowpass_hz:g}"),
             (f"{key}.highpass_hz", "unknown" if ch.highpass_hz is None else f"{ch.highpass_hz:g}"),
-            (f"{key}.notch_hz", _notch_text(ch.notch_hz)),
+            (f"{key}.notch_hz", "unknown" if ch.notch_hz is None
+             else "off" if ch.notch_hz < 0 else f"{ch.notch_hz:g}"),
             (f"{key}.position", ",".join(f"{v:g}" for v in ch.position)),
         ]
-        impedance = electrode_impedance(ch, h.version_minor)
-        if impedance is not None:
-            out.append((f"{key}.impedance_ohm", f"{impedance:g}"))
-        frequency = probe_frequency(ch, h.version_minor)
-        if frequency is not None:
-            out.append((f"{key}.probe_frequency_hz", f"{frequency:g}"))
+        for name, value in (("impedance_ohm", electrode_impedance(ch, h.version_minor)),
+                            ("probe_frequency_hz", probe_frequency(ch, h.version_minor))):
+            if value is not None:
+                out.append((f"{key}.{name}", f"{value:g}"))
     for i, e in enumerate(f.tlv):
-        out.append((f"tlv.{i}.tag", str(e.tag)))
-        out.append((f"tlv.{i}.name", e.name))
-        out.append((f"tlv.{i}.value", _render_tlv(e, f.ns)))
+        out += [(f"tlv.{i}.tag", str(e.tag)), (f"tlv.{i}.name", e.name),
+                (f"tlv.{i}.value", _render_tlv(e, f.ns))]
     registry = _registry_for(f)
     if f.events is not None:
         t = f.events
@@ -230,19 +216,17 @@ def inspect_lines(f: GdfFile) -> list[tuple[str, str]]:
             ("events.count", str(t.n_events)),
             ("events.rate_hz", f"{t.sample_rate_hz:g}"),
         ]
-        times = t.times_seconds() if t.sample_rate_hz > 0 else None
-        for i in range(t.n_events):
+        # plain lists: indexing numpy arrays per event is several times slower
+        times = t.times_seconds().tolist() if t.sample_rate_hz > 0 else None
+        chn, dur = (t.chn.tolist(), t.dur.tolist()) if t.mode == 3 else (None, None)
+        for i, (pos, typ) in enumerate(zip(t.pos.tolist(), t.typ.tolist())):
             key = f"event.{i}"
-            out += [
-                (f"{key}.pos", str(int(t.pos[i]))),
-                (f"{key}.typ", f"0x{int(t.typ[i]):04X}"),
-                (f"{key}.description", registry.describe(int(t.typ[i]))),
-            ]
+            out += [(f"{key}.pos", str(pos)), (f"{key}.typ", f"0x{typ:04X}"),
+                    (f"{key}.description", registry.describe(typ))]
             if times is not None:
                 out.append((f"{key}.time_s", f"{times[i]:g}"))
-            if t.mode == 3:
-                out.append((f"{key}.chn", str(int(t.chn[i]))))
-                out.append((f"{key}.dur", str(int(t.dur[i]))))
+            if chn is not None:
+                out += [(f"{key}.chn", str(chn[i])), (f"{key}.dur", str(dur[i]))]
     return out
 
 
@@ -263,23 +247,24 @@ def _render_tlv(e: tlvmod.TlvElement, ns: int) -> str:
     return str(decoded)
 
 
+def _render(f: GdfFile, machine: bool) -> str:
+    """The :func:`inspect_lines` dump as one text: ``key=value`` lines, or
+    aligned columns for reading."""
+    lines = inspect_lines(f)
+    if machine:
+        return "".join([f"{key}={value}\n" for key, value in lines])
+    width = max(len(key) for key, _ in lines)
+    return "".join([f"{key:<{width}}  {value}\n" for key, value in lines])
+
+
 def cmd_inspect(args) -> int:
     try:
         f, diags = read_file(args.path, lenient=args.lenient)
     except DiagnosticError as exc:
-        for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
+        sys.stderr.writelines(f"{d}\n" for d in exc.diagnostics)
         return FAILURE
-    lines = inspect_lines(f)
-    if args.format == "machine":
-        for key, value in lines:
-            print(f"{key}={value}")
-    else:
-        width = max(len(key) for key, _ in lines)
-        for key, value in lines:
-            print(f"{key:<{width}}  {value}")
-    for d in diags:
-        print(str(d), file=sys.stderr)
+    sys.stdout.write(_render(f, args.format == "machine"))
+    sys.stderr.writelines(f"{d}\n" for d in diags)
     return OK
 
 
@@ -289,8 +274,7 @@ def cmd_validate(args) -> int:
     try:
         f, diags = read_file(args.path, lenient=args.lenient)
     except DiagnosticError as exc:
-        for d in exc.diagnostics:
-            print(str(d))
+        sys.stdout.writelines(f"{d}\n" for d in exc.diagnostics)
         return FAILURE
     except GdfError as exc:
         rule = exc.rule or "file.unreadable"
@@ -305,8 +289,7 @@ def cmd_validate(args) -> int:
                        f"channel {report.channel} ({label}): {report.n_invalid} of "
                        f"{report.n_samples} samples outside the digital bounds "
                        f"(ratio {report.saturation_ratio:.3f})", section="data")
-    for d in diags:
-        print(str(d))
+    sys.stdout.writelines(f"{d}\n" for d in diags)
     worst = diags.worst()
     if worst == Severity.ERROR:
         return FAILURE
@@ -329,12 +312,10 @@ def cmd_convert(args) -> int:
     if direction == "gdf":
         return _convert_csv_to_gdf(args)
     f, diags = read_file(args.input, lenient=args.lenient)
-    for d in diags:
-        print(str(d), file=sys.stderr)
+    sys.stderr.writelines(f"{d}\n" for d in diags)
     if direction == "text":
         with open(args.output, "w", encoding="utf-8") as fh:
-            for key, value in inspect_lines(f):
-                fh.write(f"{key}={value}\n")
+            fh.write(_render(f, machine=True))
         return OK
     return _convert_gdf_to_csv(f, args)
 
@@ -395,11 +376,21 @@ def _sidecar_path(output) -> Path:
     return path.with_name(path.stem + ".events.csv")
 
 
+def _positive_fraction(text: str, what: str) -> Fraction:
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = 0
+    if value <= 0:
+        raise GdfError(f"{what}: {text!r} is not a positive rational number")
+    return value
+
+
 def _parse_column_header(text: str) -> tuple[str, str, Fraction]:
     base, sep, rate_text = text.rpartition("@")
     if not sep or not rate_text.endswith("Hz"):
         raise GdfError(f"column header {text!r} is not 'label [unit] @rateHz'")
-    rate = Fraction(rate_text[:-2])
+    rate = _positive_fraction(rate_text[:-2], f"column header {text!r}")
     base = base.strip()
     if not base.endswith("]") or "[" not in base:
         raise GdfError(f"column header {text!r} is missing the [unit] part")
@@ -488,18 +479,19 @@ def _convert_csv_to_gdf(args) -> int:
         if any(c.strip() for c in cells[expected:]):
             raise GdfError(f"column {label!r}: values beyond the {expected} "
                            "samples its rate allows")
-        values = np.array([np.nan if not c.strip() else float(c)
-                           for c in cells[:expected]])
+        try:
+            values = np.array([np.nan if not c.strip() else float(c)
+                               for c in cells[:expected]])
+        except ValueError as exc:
+            raise GdfError(f"column {label!r}: {exc}") from None
         channel, raw = _column_to_channel(label, unit, values, gdf_type, args.scaled)
         channels.append(channel)
         arrays.append(raw)
 
     header = FixedHeader(
-        header_blocks=len(channels) + 1,
-        n_records=1,  # the whole recording is one record
+        n_records=1,  # the whole recording is one record; ns and header_blocks are filled in
         duration_num=duration.numerator,
         duration_den=duration.denominator,
-        ns=len(channels),
     )
     events = _read_sidecar(args.input, channels, header)
     f = GdfFile(header=header, channels=channels,
@@ -521,14 +513,16 @@ def _read_sidecar(input_path, channels, header) -> EventTable | None:
     pos, typ, chn, dur = [], [], [], []
     has_mode3 = False
     for row in body:
-        pos.append(int(row[0]))
-        typ.append(int(row[1], 0))
-        c = row[2].strip() if len(row) > 2 else ""
-        d = row[3].strip() if len(row) > 3 else ""
-        if c or d:
-            has_mode3 = True
-        chn.append(int(c) if c else 0)
-        dur.append(int(d) if d else 0)
+        try:
+            pos.append(int(row[0]))
+            typ.append(int(row[1], 0))
+            c = row[2].strip() if len(row) > 2 else ""
+            d = row[3].strip() if len(row) > 3 else ""
+            chn.append(int(c) if c else 0)
+            dur.append(int(d) if d else 0)
+        except (ValueError, IndexError) as exc:
+            raise GdfError(f"{sidecar.name}: row {row}: {exc}") from None
+        has_mode3 = has_mode3 or bool(c or d)
     rate = default_event_rate(channels, header.duration_num, header.duration_den)
     if has_mode3:
         return EventTable(3, rate, np.array(pos, "<u4"), np.array(typ, "<u2"),
@@ -540,8 +534,7 @@ def _read_sidecar(input_path, channels, header) -> EventTable | None:
 
 def cmd_anonymize(args) -> int:
     f, diags = read_file(args.input, lenient=args.lenient)
-    for d in diags:
-        print(str(d), file=sys.stderr)
+    sys.stderr.writelines(f"{d}\n" for d in diags)
     result = anonymize(f, birthday_offset_days=args.birthday_offset)
     write_file(result, args.output)
     return OK
@@ -549,18 +542,13 @@ def cmd_anonymize(args) -> int:
 
 # --- synthesize --------------------------------------------------------------
 
-def _parse_duration(text: str) -> tuple[int, int]:
-    frac = Fraction(text)
-    return frac.numerator, frac.denominator
-
-
 def cmd_synthesize(args) -> int:
     spec = SynthSpec(
         channels=args.channels,
         gdf_type=_parse_type(args.type),
         samples_per_record=args.spr,
         records=args.records,
-        duration=_parse_duration(args.duration),
+        duration=_positive_fraction(args.duration, "--duration").as_integer_ratio(),
         events=args.events,
         event_mode=args.event_mode,
         seed=args.seed,

@@ -97,14 +97,14 @@ class GdfTime:
         return cls((days << 32) + _div_round(micros << 32, _US_PER_DAY))
 
     def to_datetime(self) -> datetime:
-        """Naive datetime, rounded to microseconds. Requires year >= 1."""
+        """Naive datetime, rounded to microseconds. Requires years 1..9999."""
         if not self.is_set:
             raise DomainError("timestamp is unset")
-        ordinal = self.days - _ORDINAL_OFFSET
-        if ordinal < 1:
-            raise DomainError("timestamp predates year 1 and has no datetime form")
-        micros = _div_round(self.day_fraction * _US_PER_DAY, _DAY)
-        return datetime.fromordinal(ordinal) + timedelta(microseconds=micros)
+        try:
+            return datetime.fromordinal(self.days - _ORDINAL_OFFSET) + timedelta(
+                microseconds=_div_round(self.day_fraction * _US_PER_DAY, _DAY))
+        except (ValueError, OverflowError):
+            raise DomainError("timestamp lies outside years 1..9999") from None
 
     def shift_days(self, days: int) -> "GdfTime":
         """Return a copy moved by a whole number of days."""

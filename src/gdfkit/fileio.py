@@ -70,32 +70,51 @@ class GdfFile:
 
 
 def required_header_blocks(ns: int, tlv: Sequence[tlvmod.TlvElement]) -> int:
-    """Smallest legal header length: NS+1 blocks plus room for the optional
-    header content and its terminator byte."""
+    """Header length the writers pick when ``header_blocks`` is 0: NS+1
+    blocks plus room for the optional header content and its terminator
+    byte. This is the default layout, not the smallest legal one: content
+    that fills its blocks exactly needs no terminator."""
     return ns + 1 + tlvmod.region_blocks(tlv)
 
 
-def _header_sections(f: GdfFile) -> list[bytes]:
-    """Header sections 1-3 as both writers emit them: derived header fields
-    are filled in and the geometry is checked first."""
+def _check_geometry(f: GdfFile, diags: Diagnostics) -> int:
+    """Check the layout rules shared by :func:`validate` and both writers and
+    return the header length checked. An ``ns`` or ``header_blocks`` of 0 is
+    filled in on write, and ``n_records == -1`` accepts any record count."""
     h = f.header
     ns = len(f.channels)
     if h.ns not in (0, ns):
-        raise DomainError(f"header says {h.ns} channels but the model has {ns}")
-    minimum = required_header_blocks(ns, f.tlv)
-    blocks = h.header_blocks or minimum
-    if blocks < minimum:
-        raise DomainError(f"header_blocks {blocks} cannot hold {ns} channels "
-                          f"plus {tlvmod.serialized_size(f.tlv)} bytes of "
-                          "optional header")
+        diags.error("header.ns_mismatch", f"header says {h.ns} channels, model has {ns}",
+                    section="header1", offset=_FIXED_OFFSETS["ns"])
+    blocks = h.header_blocks or required_header_blocks(ns, f.tlv)
+    if blocks < ns + 1:
+        diags.error("header.blocks_too_small",
+                    f"header length {blocks} blocks is less than NS+1 = {ns + 1}",
+                    section="header1", offset=_FIXED_OFFSETS["header_blocks"])
+    elif tlvmod.serialized_size(f.tlv) > 256 * (blocks - ns - 1):
+        diags.error("header.tlv_overflow", f"{blocks - ns - 1} optional-header blocks "
+                    f"cannot hold {tlvmod.serialized_size(f.tlv)} bytes", section="header3")
     if h.n_records == -1:
         if f.events is not None:
-            raise DomainError("an ongoing recording (n_records == -1) cannot "
-                              "carry an event table")
-    elif h.n_records != f.signals.n_records:
-        raise DomainError(f"header says {h.n_records} records but the signal "
-                          f"block holds {f.signals.n_records}")
-    h = replace(h, ns=ns, header_blocks=blocks)
+            diags.error("event.with_ongoing",
+                        "event table present although the record count is unknown",
+                        section="events")
+    elif f.signals.n_records != h.n_records:
+        diags.error("data.length_mismatch",
+                    f"signal block holds {f.signals.n_records} records, header "
+                    f"says {h.n_records}", section="data")
+    return blocks
+
+
+def _header_sections(f: GdfFile) -> list[bytes]:
+    """Header sections 1-3 as both writers emit them: the geometry is checked
+    first, then derived header fields are filled in."""
+    errors = Diagnostics()
+    blocks = _check_geometry(f, errors)
+    if errors:
+        raise DomainError(errors[0].message, rule=errors[0].rule)
+    ns = len(f.channels)
+    h = replace(f.header, ns=ns, header_blocks=blocks)
     return [write_fixed_header(h),
             write_channel_headers(f.channels, version_minor=h.version_minor),
             tlvmod.write_tlv_region(f.tlv, 256 * (blocks - ns - 1))]
@@ -139,40 +158,30 @@ def read_file(source, *, lenient: bool = False) -> tuple[GdfFile, Diagnostics]:
     layout = layout_from_channels(channels)
     bpr = layout.bytes_per_record
     available = len(data) - header_end
+    complete = available // bpr if bpr else 0
+    remainder = available - complete * bpr
     declared_ongoing = header.n_records == -1
-
-    if header.n_records >= 0:
-        n_records = header.n_records
-        need = n_records * bpr
-        if available < need:
-            complete = available // bpr if bpr else 0
-            message = (f"data section holds {complete} complete records, "
-                       f"header declares {n_records}")
-            if not lenient:
-                raise TruncatedDataError(message, rule="data.truncated",
-                                         complete_records=complete,
-                                         remainder_bytes=available - complete * bpr)
-            diags.warning("data.truncated", message, section="data", offset=header_end)
-            n_records = complete
-            header = replace(header, n_records=n_records)
-        data_end = header_end + n_records * bpr
-    else:
-        # ongoing recording: infer the record count from the file size
-        n_records = available // bpr if bpr else 0
-        remainder = available - n_records * bpr
+    n_records, message = header.n_records, None
+    if declared_ongoing:
+        n_records = complete
         diags.info("data.nrec_inferred",
                    f"record count unknown (ongoing recording); inferred "
                    f"{n_records} records from the file size",
                    section="data", offset=header_end)
         if remainder:
             message = f"{remainder} stray bytes after the last complete record"
-            if not lenient:
-                raise TruncatedDataError(message, rule="data.truncated",
-                                         complete_records=n_records,
-                                         remainder_bytes=remainder)
-            diags.warning("data.truncated", message, section="data")
-        header = replace(header, n_records=n_records)
-        data_end = header_end + n_records * bpr
+    elif available < n_records * bpr:
+        message = (f"data section holds {complete} complete records, "
+                   f"header declares {n_records}")
+        n_records = complete
+    if message:
+        if not lenient:
+            raise TruncatedDataError(message, rule="data.truncated",
+                                     complete_records=complete,
+                                     remainder_bytes=remainder)
+        diags.warning("data.truncated", message, section="data", offset=header_end)
+    header = replace(header, n_records=n_records)
+    data_end = header_end + n_records * bpr
 
     signals = decode_records(memoryview(data)[header_end:data_end], layout, n_records)
 
@@ -304,23 +313,8 @@ class StreamWriter:
 def validate(f: GdfFile) -> Diagnostics:
     """Model-level consistency checks; never raises, returns findings."""
     diags = Diagnostics()
-    h = f.header
-    ns = len(f.channels)
-
-    if h.ns != ns:
-        diags.error("header.ns_mismatch",
-                    f"header says {h.ns} channels, model has {ns}",
-                    section="header1", offset=_FIXED_OFFSETS["ns"])
-    blocks = h.header_blocks or required_header_blocks(ns, f.tlv)
-    if blocks < ns + 1:
-        diags.error("header.blocks_too_small",
-                    f"header length {blocks} blocks is less than NS+1 = {ns + 1}",
-                    section="header1", offset=_FIXED_OFFSETS["header_blocks"])
-    elif tlvmod.serialized_size(f.tlv) > 256 * (blocks - ns - 1):
-        diags.error("header.tlv_overflow",
-                    "optional header content does not fit the reserved blocks",
-                    section="header3")
-    if h.duration_den == 0:
+    _check_geometry(f, diags)
+    if f.header.duration_den == 0:
         diags.error("header.duration_zero_denominator",
                     "record duration denominator is zero", section="header1",
                     offset=_FIXED_OFFSETS["duration"])
@@ -336,14 +330,9 @@ def validate(f: GdfFile) -> Diagnostics:
                         section="header3")
         seen.add(e.tag)
         try:
-            tlvmod.decode_tag_value(e, ns=ns, diags=diags)
+            tlvmod.decode_tag_value(e, ns=f.ns, diags=diags)
         except StructureError as exc:
             diags.error(exc.rule, str(exc), section="header3")
-
-    if f.signals.n_records != max(h.n_records, 0):
-        diags.error("data.length_mismatch",
-                    f"signal block holds {f.signals.n_records} records, header "
-                    f"says {h.n_records}", section="data")
 
     if f.events is not None:
         _validate_events(f, diags)
@@ -353,10 +342,6 @@ def validate(f: GdfFile) -> Diagnostics:
 def _validate_events(f: GdfFile, diags: Diagnostics) -> None:
     t = f.events
     h = f.header
-    if h.n_records < 0:
-        diags.error("event.with_ongoing",
-                    "event table present although the record count is unknown",
-                    section="events")
     if np.any(t.pos == 0):
         diags.error("event.pos_zero",
                     "event positions are one-based; position 0 is invalid",

@@ -119,10 +119,10 @@ def parse_location(chunk: bytes) -> Location | None:
     """Decode the 16 location bytes; absent when the version byte is nonzero."""
     if len(chunk) != 16:
         raise StructureError(f"location field needs 16 bytes, got {len(chunk)}")
-    if chunk[3] != 0:  # RFC1876 version byte; nonzero reclaims the area for text
+    vertical, horizontal, size, version, lat, lon, alt = _LOCATION_STRUCT.unpack(chunk)
+    if version != 0:  # RFC1876 version byte; nonzero reclaims the area for text
         return None
-    lat, lon, alt = struct.unpack_from("<iii", chunk, 4)
-    return Location(chunk[0], chunk[1], chunk[2], lat, lon, alt)
+    return Location(vertical, horizontal, size, lat, lon, alt)
 
 
 @dataclass(frozen=True)
@@ -338,6 +338,13 @@ _CHANNEL_FIELDS = (
 )
 
 
+#: The 16 location bytes (RFC1876) as (field, struct format) rows.
+_LOCATION_FIELDS = (
+    ("vertical_precision", "B"), ("horizontal_precision", "B"), ("size", "B"),
+    ("version", "B"), ("latitude", "i"), ("longitude", "i"), ("altitude_cm", "i"),
+)
+
+
 class _Field(NamedTuple):
     struct: struct.Struct
     start: int  # offset in the record: the summed sizes of the earlier fields
@@ -362,6 +369,23 @@ def _record(fields) -> tuple[struct.Struct, dict[str, _Field]]:
 _FIXED_STRUCT, _FIXED_LAYOUT = _record(_FIXED_FIELDS)
 _FIXED_OFFSETS = {name: f.start for name, f in _FIXED_LAYOUT.items()}
 _CHANNEL_STRUCT, _CHANNEL_LAYOUT = _record(_CHANNEL_FIELDS)
+_LOCATION_STRUCT, _LOCATION_LAYOUT = _record(_LOCATION_FIELDS)
+
+
+def _pack(record: struct.Struct, layout: dict[str, _Field], values: tuple,
+          index: int | None = None) -> bytes:
+    """``record.pack(*values)``, raising a :class:`DomainError` that names the
+    field whose value is out of range; the layout is searched only then."""
+    try:
+        return record.pack(*values)
+    except struct.error:
+        for name, f in layout.items():
+            v = values[f.index]
+            try:
+                f.struct.pack(*v) if isinstance(f.index, slice) else f.struct.pack(v)
+            except struct.error as exc:
+                raise DomainError(f"{_label(name, index)} = {v}: {exc}") from None
+        raise
 
 
 def _columns(version_minor: int) -> list[tuple[int, int]]:
@@ -392,14 +416,18 @@ def _read_text(raw: bytes, offset: int, name: str, diags: Diagnostics,
     return stripped
 
 
-def _pack_text(text: str, size: int, name: str) -> bytes:
+def _label(name: str, index: int | None) -> str:
+    return name if index is None else f"{name}[{index}]"
+
+
+def _pack_text(text: str, size: int, name: str, index: int | None = None) -> bytes:
     try:
         data = text.encode("latin-1")
     except UnicodeEncodeError:
-        raise DomainError(f"{name}: text is not latin-1 encodable") from None
+        raise DomainError(f"{_label(name, index)}: text is not latin-1 encodable") from None
     if len(data) > size:
-        raise DomainError(f"{name}: {len(data)} bytes exceed the {size}-byte field",
-                          rule="header.text_overflow")
+        raise DomainError(f"{_label(name, index)}: {len(data)} bytes exceed the "
+                          f"{size}-byte field", rule="header.text_overflow")
     return data.ljust(size, b"\x00")
 
 
@@ -519,8 +547,8 @@ def write_fixed_header(h: FixedHeader) -> bytes:
     header_blocks = h.header_blocks or (h.ns + 1)
     if header_blocks < h.ns + 1:
         raise DomainError(f"header_blocks {header_blocks} is less than NS+1 = {h.ns + 1}")
-    if not -1 <= h.n_records < 1 << 63:
-        raise DomainError(f"record count {h.n_records} outside int64")
+    if h.n_records < -1:
+        raise DomainError(f"record count {h.n_records} is below -1")
     p, r, loc = h.patient, h.recording, h.recording.location
 
     def text(name, value, label, spill=0):
@@ -528,21 +556,16 @@ def write_fixed_header(h: FixedHeader) -> bytes:
 
     version = text("version", h.version, "version")
     pid = text("pid", p.pid, "patient identification")
-    if not (0 <= p.weight_kg <= 255 and 0 <= p.height_cm <= 255):
-        raise DomainError("weight/height must fit one byte (0=unknown, 255=over 254)")
     if loc is None:
         # an absent location lends its first four bytes to the recording id
         rid = text("rid", r.rid, "recording identification", spill=4)
         rid, location = rid[:-4], rid[-4:]
     else:
         rid = text("rid", r.rid, "recording identification")
-        for name, value in (("vertical", loc.vertical_precision),
-                            ("horizontal", loc.horizontal_precision), ("size", loc.size)):
-            if not 0 <= value <= 255:
-                raise DomainError(f"location {name} precision {value} outside one byte")
-        location = struct.pack("<4B3i", loc.vertical_precision, loc.horizontal_precision,
-                               loc.size, 0, loc.latitude, loc.longitude, loc.altitude_cm)
-    return _FIXED_STRUCT.pack(  # values in _FIXED_FIELDS order
+        location = _pack(_LOCATION_STRUCT, _LOCATION_LAYOUT, (  # _LOCATION_FIELDS order
+            loc.vertical_precision, loc.horizontal_precision, loc.size, 0,
+            loc.latitude, loc.longitude, loc.altitude_cm))
+    return _pack(_FIXED_STRUCT, _FIXED_LAYOUT, (  # _FIXED_FIELDS order
         version, pid, b"", pack_demographics(p.smoking, p.alcohol_abuse, p.drug_abuse,
                                              p.medication),
         p.weight_kg, p.height_cm,
@@ -550,7 +573,7 @@ def write_fixed_header(h: FixedHeader) -> bytes:
         rid, location, r.start_time.raw, p.birthday.raw, header_blocks,
         text("icd", p.icd_code, "ICD classification"), r.equipment_id, b"",
         *p.headsize_mm, *r.reference_position, *r.ground_position,
-        h.n_records, h.duration_num, h.duration_den, h.ns)
+        h.n_records, h.duration_num, h.duration_den, h.ns))
 
 
 # --- variable header ---------------------------------------------------------
@@ -633,30 +656,32 @@ def _check_channel(ch: ChannelInfo, index: int, diags: Diagnostics) -> None:
 def write_channel_headers(channels: list[ChannelInfo], *, version_minor: int = 20) -> bytes:
     """Serialise channel records to the 256-bytes-per-channel layout."""
     rows = np.empty((len(channels), CHANNEL_HEADER_SIZE), np.uint8)
+    flat = memoryview(rows.reshape(-1))
 
     def nan_if_none(v):
         return math.nan if v is None else v
 
-    for i, ch in enumerate(channels):
-        def text(name, value):
-            return _pack_text(value, _CHANNEL_LAYOUT[name].struct.size, f"{name}[{i}]")
+    def text(name, value, i):
+        return _pack_text(value, _CHANNEL_LAYOUT[name].struct.size, name, i)
 
+    for i, ch in enumerate(channels):
         unit = ch.phys_dim_ascii
         if unit is None:
             unit = render_phys_dim_ascii(ch.phys_dim)
         prefilter = ch.prefilter
         if prefilter is None:
             prefilter = render_prefilter(ch.lowpass_hz, ch.highpass_hz, ch.notch_hz)
-        # no * unpacking in the call: on CPython 3.11 that leaves ~200 bytes
-        # per channel allocated until the next full garbage collection
         x, y, z = ch.position
-        _CHANNEL_STRUCT.pack_into(  # values in _CHANNEL_FIELDS order
-            rows, CHANNEL_HEADER_SIZE * i,
-            text("label", ch.label), text("transducer", ch.transducer),
-            text("unit text", unit), ch.phys_dim,
-            ch.cal.phys_min, ch.cal.phys_max, ch.cal.dig_min, ch.cal.dig_max,
-            text("prefilter", prefilter),
-            nan_if_none(ch.lowpass_hz), nan_if_none(ch.highpass_hz), nan_if_none(ch.notch_hz),
-            ch.samples_per_record, int(ch.gdf_type), x, y, z, ch.sensor_info)
+        # not pack_into(rows, offset, *values): on CPython 3.11 that leaves
+        # ~200 bytes per channel allocated until the next full collection
+        flat[CHANNEL_HEADER_SIZE * i:CHANNEL_HEADER_SIZE * (i + 1)] = _pack(
+            _CHANNEL_STRUCT, _CHANNEL_LAYOUT, (  # _CHANNEL_FIELDS order
+                text("label", ch.label, i), text("transducer", ch.transducer, i),
+                text("unit text", unit, i), ch.phys_dim,
+                ch.cal.phys_min, ch.cal.phys_max, ch.cal.dig_min, ch.cal.dig_max,
+                text("prefilter", prefilter, i), nan_if_none(ch.lowpass_hz),
+                nan_if_none(ch.highpass_hz), nan_if_none(ch.notch_hz),
+                ch.samples_per_record, int(ch.gdf_type), x, y, z, ch.sensor_info),
+            i)
     return b"".join(rows[:, start:start + size].tobytes()
                     for start, size in _columns(version_minor))

@@ -202,6 +202,35 @@ class TestInspect:
         assert "end of: Trigger" in out
 
 
+    def test_dates_outside_datetime_range(self, clean_file, capsys):
+        blob = bytearray(clean_file.read_bytes())
+        struct.pack_into("<QQ", blob, 168, 0x37BB4A00000000, 2**64 - 1)
+        clean_file.write_bytes(blob)
+        code, out, _ = run(capsys, "inspect", clean_file, "--format", "machine")
+        assert code == 0
+        lines = dict(line.split("=", 1) for line in out.splitlines())
+        assert lines["recording.start_time"] == "day=3652426+0/2^32"
+        assert lines["patient.birthday"] == "day=4294967295+4294967295/2^32"
+
+
+@pytest.mark.parametrize("argv, files, names", [
+    (["convert", "in.csv", "out.gdf"],
+     {"in.csv": "a [uV] @1Hz\n1\n2\n", "in.events.csv": "pos,typ\nabc,0x0300\n"},
+     "'abc'"),
+    (["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @1Hz\n1\nx\n"}, "column 'a'"),
+    (["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @0Hz\n1\n"}, "@0Hz"),
+    (["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @abcHz\n1\n"}, "@abcHz"),
+    (["synthesize", "out.gdf", "--duration", "abc"], {}, "--duration: 'abc'"),
+], ids=["sidecar-pos", "csv-cell", "zero-rate", "bad-rate", "duration"])
+def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, files, names):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and names in err
+
+
 class TestConvertCsv:
     def test_round_trip_quantization(self, tmp_path, capsys):
         src = tmp_path / "src.gdf"
@@ -275,6 +304,12 @@ class TestConvertCsv:
         assert main(["convert", str(clean_file), str(out_txt)]) == 0
         content = out_txt.read_text()
         assert "file.version=GDF 2.20" in content
+
+    def test_text_dump_equals_machine_inspect(self, tmp_path, clean_file, capsys):
+        out_txt = tmp_path / "dump.txt"
+        assert main(["convert", str(clean_file), str(out_txt), "--to", "text"]) == 0
+        code, out, _ = run(capsys, "inspect", clean_file, "--format", "machine")
+        assert out_txt.read_text() == out
 
     def test_unknown_extension_rejected(self, tmp_path, clean_file, capsys):
         code, out, err = run(capsys, "convert", clean_file, tmp_path / "x.bin")

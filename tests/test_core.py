@@ -84,6 +84,14 @@ class TestGdfTime:
     def test_isoformat_unset(self):
         assert GdfTime(0).isoformat() == "unset"
 
+    @pytest.mark.parametrize("raw", [0x37BB4A00000000, 2**64 - 1, 366 << 32])
+    def test_outside_datetime_range(self, raw):
+        # past 9999-12-31, the largest raw value, and the day before year 1
+        t = GdfTime(raw)
+        with pytest.raises(DomainError):
+            t.to_datetime()
+        assert t.isoformat() == f"day={t.days}+{t.day_fraction}/2^32"
+
 
 class TestGdfType:
     @pytest.mark.parametrize("code,size", [

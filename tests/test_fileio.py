@@ -31,10 +31,28 @@ from gdfkit.fileio import (
     validate,
     write_file,
 )
-from gdfkit.header import ChannelInfo, FixedHeader, PatientInfo
+from gdfkit.header import ChannelInfo, FixedHeader, PatientInfo, write_fixed_header
 from gdfkit.records import SignalBlock
-from gdfkit.synth import SynthSpec, synthesize
+from gdfkit.synth import SynthSpec, corpus_specs, synthesize
 from gdfkit import tlv as tlvmod
+
+GEOMETRY_RULES = ("header.ns_mismatch", "header.blocks_too_small", "header.tlv_overflow",
+                  "event.with_ongoing", "data.length_mismatch")
+
+# one fixed-header value outside its field's struct range, by field name
+FIXED_FIELD_EDITS = {
+    "header_blocks": lambda h: replace(h, header_blocks=70000),
+    "equipment": lambda h: replace(h, recording=replace(h.recording, equipment_id=-1)),
+    "headsize": lambda h: replace(h, patient=replace(h.patient, headsize_mm=(70000, 0, 0))),
+    "duration": lambda h: replace(h, duration_num=-1),
+    "weight": lambda h: replace(h, patient=replace(h.patient, weight_kg=256)),
+    "height": lambda h: replace(h, patient=replace(h.patient, height_cm=-1)),
+    "latitude": lambda h: replace(h, recording=replace(
+        h.recording, location=replace(h.recording.location, latitude=2**40))),
+    "size": lambda h: replace(h, recording=replace(
+        h.recording, location=replace(h.recording.location, size=256))),
+    "n_records": lambda h: replace(h, n_records=1 << 63),
+}
 
 
 class TestMinimalFiles:
@@ -245,6 +263,68 @@ class TestWriteValidation:
         back, diags = read_file(blob)
         assert back.header.header_blocks == 5
         assert to_bytes(back) == blob
+
+    def test_exactly_full_optional_header_round_trips(self):
+        # 4 + 252 bytes fill the one optional-header block with no room for
+        # a terminator byte, which the format does not require
+        f = synthesize(SynthSpec(channels=2, tlv=(tlvmod.free_tlv(bytes(252)),)))
+        full = replace(f, header=replace(f.header, header_blocks=4))
+        assert list(validate(full)) == []
+        blob = to_bytes(full)
+        back, diags = read_file(blob)
+        assert list(diags) == []
+        assert back.tlv == full.tlv
+        assert to_bytes(back) == blob
+
+    @pytest.mark.parametrize("with_events", [True, False])
+    @pytest.mark.parametrize("name", ["events_mode1", "sparse_mode3", "tlv_full",
+                                      "exactly_full"])
+    def test_writers_refuse_what_validate_reports(self, name, with_events):
+        if name == "exactly_full":
+            f = synthesize(SynthSpec(channels=2, tlv=(tlvmod.free_tlv(bytes(508)),)))
+        else:
+            f = synthesize(dict(corpus_specs())[name])
+        assert list(validate(f)) == []
+        n, size = f.ns, tlvmod.serialized_size(f.tlv)
+        nrec = f.signals.n_records
+        exact = n + 1 + -(-size // 256)
+        events = f.events if with_events else None
+        for ns in (0, n, n - 1, n + 1):
+            for blocks in (0, n, n + 1, exact, required_header_blocks(n, f.tlv)):
+                for n_records in (-1, nrec, nrec - 1, nrec + 1):
+                    header = replace(f.header, ns=ns, header_blocks=blocks,
+                                     n_records=n_records)
+                    g = replace(f, header=header, events=events)
+                    found = [d.rule for d in validate(g) if d.rule in GEOMETRY_RULES]
+                    case = (ns, blocks, n_records)
+                    if found:
+                        with pytest.raises(DomainError) as exc:
+                            to_bytes(g)
+                        assert exc.value.rule == found[0], case
+                        continue
+                    blob = to_bytes(g)
+                    back, diags = read_file(blob)
+                    assert not diags.has_errors, case
+                    if n_records != -1:
+                        assert to_bytes(back) == blob, case
+
+    @pytest.mark.parametrize("field", list(FIXED_FIELD_EDITS))
+    def test_out_of_range_fixed_field_named(self, field):
+        f = synthesize(SynthSpec(channels=2, events=0))
+        edit = FIXED_FIELD_EDITS[field]
+        with pytest.raises(DomainError, match=field):
+            write_fixed_header(edit(f.header))
+        if field != "n_records":  # the record count is checked against the data first
+            with pytest.raises(DomainError, match=field):
+                to_bytes(replace(f, header=edit(f.header)))
+
+    @pytest.mark.parametrize("field, value", [("phys_dim", 70000),
+                                              ("samples_per_record", 1 << 32)])
+    def test_out_of_range_channel_field_named(self, field, value):
+        f = synthesize(SynthSpec(channels=2, events=0))
+        channels = [f.channels[0], replace(f.channels[1], **{field: value})]
+        with pytest.raises(DomainError, match=rf"{field}\[1\] = "):
+            to_bytes(replace(f, channels=channels))
 
 
 class TestStreamWriter:
