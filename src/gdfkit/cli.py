@@ -359,11 +359,11 @@ def _convert_gdf_to_csv(f: GdfFile, args) -> int:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["pos", "typ", "chn", "dur", "description"])
             t = f.events
-            for i in range(t.n_events):
-                chn = int(t.chn[i]) if t.mode == 3 else ""
-                dur = int(t.dur[i]) if t.mode == 3 else ""
-                writer.writerow([int(t.pos[i]), f"0x{int(t.typ[i]):04X}", chn, dur,
-                                 registry.describe(int(t.typ[i]))])
+            typ = t.typ.tolist()
+            blank = [""] * len(typ)
+            chn_dur = (t.chn.tolist(), t.dur.tolist()) if t.mode == 3 else (blank, blank)
+            writer.writerows(zip(t.pos.tolist(), [f"0x{c:04X}" for c in typ], *chn_dur,
+                                 map(registry.describe, typ)))
         print(f"events written to {sidecar}", file=sys.stderr)
     if skipped:
         print("note: sparse/opaque channels exported only through the event "
@@ -525,9 +525,8 @@ def _read_sidecar(input_path, channels, header) -> EventTable | None:
         has_mode3 = has_mode3 or bool(c or d)
     rate = default_event_rate(channels, header.duration_num, header.duration_den)
     if has_mode3:
-        return EventTable(3, rate, np.array(pos, "<u4"), np.array(typ, "<u2"),
-                          np.array(chn, "<u2"), np.array(dur, "<u4"))
-    return EventTable(1, rate, np.array(pos, "<u4"), np.array(typ, "<u2"))
+        return EventTable(3, rate, pos, typ, chn, dur)
+    return EventTable(1, rate, pos, typ)
 
 
 # --- anonymize ---------------------------------------------------------------

@@ -270,7 +270,11 @@ def impedance_from_digval(digval: int) -> float | None:
 
 
 def float32_exact(value: float | None) -> float | None:
-    """Round a value to float32 precision (fields stored as float32 on disk)."""
+    """Round a value to float32 precision (fields stored as float32 on disk);
+    a finite value beyond the float32 range raises DomainError."""
     if value is None:
         return None
-    return struct.unpack("<f", struct.pack("<f", value))[0]
+    try:
+        return struct.unpack("<f", struct.pack("<f", value))[0]
+    except OverflowError:
+        raise DomainError(f"{value} is outside the float32 range") from None

@@ -142,12 +142,35 @@ def describe_event(code: int, registry: EventCodeRegistry | None = None) -> str:
     return (registry or _DEFAULT_REGISTRY).describe(code)
 
 
+# The on-disk columns of an event table in file order; a table of mode m
+# stores the first m + 1 of them.
+_COLUMNS = (("pos", "<u4"), ("typ", "<u2"), ("chn", "<u2"), ("dur", "<u4"))
+
+
+def _column(name: str, values, dtype: str) -> np.ndarray:
+    """``values`` as the column's on-disk dtype; a value it cannot hold
+    raises DomainError instead of wrapping."""
+    column = np.asarray(values)
+    if column.dtype == dtype:
+        return column
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            cast = column.astype(dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"event column {name!r}: {exc}") from None
+    wrong = np.flatnonzero(cast != column)
+    if wrong.size:
+        raise DomainError(f"event column {name!r} cannot hold "
+                          f"{column[wrong[0]].item()!r} ({np.dtype(dtype)})")
+    return cast
+
+
 @dataclass(frozen=True)
 class EventTable:
     """Parallel event arrays plus the sample rate their positions refer to.
 
     Mode 1 keeps only positions and types; mode 3 adds per-event channel
-    (0 = all channels) and duration arrays.
+    (0 = all channels) and duration arrays, which default to zeros.
     """
 
     mode: int
@@ -160,25 +183,18 @@ class EventTable:
     def __post_init__(self):
         if self.mode not in (1, 3):
             raise DomainError(f"event table mode must be 1 or 3, got {self.mode}")
+        if self.mode == 1 and (self.chn is not None or self.dur is not None):
+            raise DomainError("chn/dur arrays are only valid in mode 3")
         object.__setattr__(self, "sample_rate_hz",
                            float32_exact(float(self.sample_rate_hz)))
-        pos = np.asarray(self.pos, dtype="<u4")
-        typ = np.asarray(self.typ, dtype="<u2")
-        if len(pos) != len(typ):
-            raise DomainError("pos and typ arrays differ in length")
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "typ", typ)
-        if self.mode == 3:
-            chn = np.zeros(len(pos), "<u2") if self.chn is None \
-                else np.asarray(self.chn, dtype="<u2")
-            dur = np.zeros(len(pos), "<u4") if self.dur is None \
-                else np.asarray(self.dur, dtype="<u4")
-            if len(chn) != len(pos) or len(dur) != len(pos):
-                raise DomainError("chn/dur arrays differ in length from pos")
-            object.__setattr__(self, "chn", chn)
-            object.__setattr__(self, "dur", dur)
-        elif self.chn is not None or self.dur is not None:
-            raise DomainError("chn/dur arrays are only valid in mode 3")
+        n = len(self.pos)
+        for name, dtype in _COLUMNS[:self.mode + 1]:
+            values = getattr(self, name)
+            column = np.zeros(n, dtype) if values is None else _column(name, values, dtype)
+            if len(column) != n:
+                raise DomainError(f"event column {name!r} has {len(column)} rows, "
+                                  f"'pos' has {n}")
+            object.__setattr__(self, name, column)
 
     @property
     def n_events(self) -> int:
@@ -195,16 +211,12 @@ class EventTable:
             return False
         rate_equal = (self.sample_rate_hz == other.sample_rate_hz
                       or (np.isnan(self.sample_rate_hz) and np.isnan(other.sample_rate_hz)))
-        return (rate_equal
-                and np.array_equal(self.pos, other.pos)
-                and np.array_equal(self.typ, other.typ)
-                and (self.mode == 1
-                     or (np.array_equal(self.chn, other.chn)
-                         and np.array_equal(self.dur, other.dur))))
+        return rate_equal and all(np.array_equal(getattr(self, name), getattr(other, name))
+                                  for name, _ in _COLUMNS[:self.mode + 1])
 
     @classmethod
     def empty(cls, mode: int = 1, sample_rate_hz: float = 0.0) -> "EventTable":
-        return cls(mode, sample_rate_hz, np.array([], "<u4"), np.array([], "<u2"))
+        return cls(mode, sample_rate_hz, [], [])
 
 
 def event_table_size(mode: int, n_events: int) -> int:
@@ -244,33 +256,21 @@ def parse_event_table(data: bytes, diags: Diagnostics | None = None) -> EventTab
         raise StructureError(
             f"event table declares {n_events} events ({needed} bytes) but only "
             f"{len(data)} bytes remain", rule="event.truncated")
-    at = _HEADER_SIZE
-    pos = np.frombuffer(data, "<u4", n_events, at).copy()
-    at += 4 * n_events
-    typ = np.frombuffer(data, "<u2", n_events, at).copy()
-    at += 2 * n_events
-    chn = dur = None
-    if mode == 3:
-        chn = np.frombuffer(data, "<u2", n_events, at).copy()
-        at += 2 * n_events
-        dur = np.frombuffer(data, "<u4", n_events, at).copy()
-    return EventTable(mode, sample_rate, pos, typ, chn, dur)
+    columns, at = [], _HEADER_SIZE
+    for _, dtype in _COLUMNS[:mode + 1]:
+        columns.append(np.frombuffer(data, dtype, n_events, at).copy())
+        at += columns[-1].nbytes
+    return EventTable(mode, sample_rate, *columns)
 
 
 def write_event_table(table: EventTable) -> bytes:
     """Serialise; byte-exact inverse of :func:`parse_event_table`."""
     if table.n_events >= 1 << 24:
         raise CapacityError(f"{table.n_events} events exceed the 24-bit count field")
-    out = bytearray(event_table_size(table.mode, table.n_events))
-    out[0] = table.mode
-    out[1:4] = table.n_events.to_bytes(3, "little")
-    struct.pack_into("<f", out, 4, table.sample_rate_hz)
-    at = _HEADER_SIZE
-    for arr in (table.pos, table.typ) + ((table.chn, table.dur) if table.mode == 3 else ()):
-        raw = arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes()
-        out[at:at + len(raw)] = raw
-        at += len(raw)
-    return bytes(out)
+    head = (bytes([table.mode]) + table.n_events.to_bytes(3, "little")
+            + struct.pack("<f", table.sample_rate_hz))
+    return b"".join([head] + [getattr(table, name).tobytes()
+                              for name, _ in _COLUMNS[:table.mode + 1]])
 
 
 # --- span pairing and mode conversion ---------------------------------------
@@ -294,6 +294,34 @@ class PairedEvents:
     orphan_ends: list[tuple[int, int]] = field(default_factory=list)  # (typ, pos)
 
 
+def _pair_rows(pos: list[int], typ: list[int], diags: Diagnostics
+               ) -> tuple[list[int], list[int], list[int]]:
+    """Stack pairing of mode-1 rows: the start rows, the end row of each
+    start (-1 while open) and the rows of ends without a start."""
+    starts, ends, orphans = [], [], []
+    open_starts: dict[int, list[int]] = {}  # code -> indices into starts
+    for row, (p, t) in enumerate(zip(pos, typ)):
+        if t & END_FLAG:
+            stack = open_starts.get(t & 0x7FFF)
+            if stack:
+                ends[stack.pop()] = row
+            else:
+                diags.warning("event.unmatched_end",
+                              f"end marker 0x{t:04X} at position {p} has no "
+                              "open start", section="events")
+                orphans.append(row)
+        else:
+            open_starts.setdefault(t, []).append(len(starts))
+            starts.append(row)
+            ends.append(-1)
+    for start, end in zip(starts, ends):
+        if end < 0:
+            diags.info("event.open_span",
+                       f"event 0x{typ[start]:04X} at position {pos[start]} never ends",
+                       section="events")
+    return starts, ends, orphans
+
+
 def pair_mode1_events(table: EventTable, diags: Diagnostics | None = None) -> PairedEvents:
     """Match end markers (bit 15 set) to the most recent unmatched start.
 
@@ -302,42 +330,11 @@ def pair_mode1_events(table: EventTable, diags: Diagnostics | None = None) -> Pa
     """
     if table.mode != 1:
         raise DomainError("span pairing expects a mode-1 event table")
-    diags = sink(diags)
-    result = PairedEvents()
-    open_spans: dict[int, list[int]] = {}
-    spans: list[list] = []  # [typ, start, end]
-    for pos, typ in zip(table.pos.tolist(), table.typ.tolist()):
-        if typ & END_FLAG:
-            base = typ & 0x7FFF
-            stack = open_spans.get(base)
-            if stack:
-                spans[stack.pop()][2] = pos
-            else:
-                diags.warning("event.unmatched_end",
-                              f"end marker 0x{typ:04X} at position {pos} has no "
-                              "open start", section="events")
-                result.orphan_ends.append((typ, pos))
-        else:
-            open_spans.setdefault(typ, []).append(len(spans))
-            spans.append([typ, pos, None])
-    for typ, start, end in spans:
-        if end is None:
-            diags.info("event.open_span",
-                       f"event 0x{typ:04X} at position {start} never ends",
-                       section="events")
-        result.spans.append(EventSpan(typ, start, end))
-    return result
-
-
-def flatten_spans(paired: PairedEvents) -> list[tuple[int, int]]:
-    """Inverse of pairing: the original multiset of (typ, pos) rows."""
-    out = []
-    for span in paired.spans:
-        out.append((span.typ, span.start))
-        if span.end is not None:
-            out.append((span.typ | END_FLAG, span.end))
-    out.extend(paired.orphan_ends)
-    return out
+    pos, typ = table.pos.tolist(), table.typ.tolist()
+    starts, ends, orphans = _pair_rows(pos, typ, sink(diags))
+    return PairedEvents(
+        [EventSpan(typ[s], pos[s], None if e < 0 else pos[e]) for s, e in zip(starts, ends)],
+        [(typ[o], pos[o]) for o in orphans])
 
 
 def convert_mode(table: EventTable, target_mode: int,
@@ -355,17 +352,21 @@ def convert_mode(table: EventTable, target_mode: int,
         raise DomainError("event table is already in the requested mode")
 
     if target_mode == 3:
-        paired = pair_mode1_events(table, diags)
-        rows = [(span.start, span.typ, 0, span.duration) for span in paired.spans]
-        rows += [(pos, typ, 0, 0) for typ, pos in paired.orphan_ends]
-        rows.sort(key=lambda r: (r[0], r[1]))
-        return EventTable(
-            3, table.sample_rate_hz,
-            np.array([r[0] for r in rows], "<u4"),
-            np.array([r[1] for r in rows], "<u2"),
-            np.array([r[2] for r in rows], "<u2"),
-            np.array([r[3] for r in rows], "<u4"),
-        )
+        starts, ends, orphans = _pair_rows(table.pos.tolist(), table.typ.tolist(), diags)
+        # spans first, then orphan ends, each its own end: duration 0
+        rows = np.array(starts + orphans, np.intp)
+        last = np.array(ends + orphans, np.intp)
+        pos = table.pos[rows].astype(np.int64)
+        dur = np.where(last < 0, pos, table.pos[last]) - pos
+        backwards = np.flatnonzero(dur < 0)
+        if backwards.size:
+            i = backwards[0]
+            raise DomainError(f"span 0x{table.typ[rows[i]]:04X} starting at position "
+                              f"{pos[i]} ends before it, at position {pos[i] + dur[i]}")
+        typ = table.typ[rows]
+        order = np.lexsort((typ, pos))
+        return EventTable(3, table.sample_rate_hz, pos[order], typ[order],
+                          dur=dur[order])
 
     if np.any(table.typ == SPARSE_SAMPLE_TYPE):
         raise DomainError("sparse sample rows (type 0x7FFF) cannot be expressed "
@@ -374,22 +375,17 @@ def convert_mode(table: EventTable, target_mode: int,
         diags.warning("event.channel_dropped",
                       "mode 1 has no channel field; channel associations are lost",
                       section="events")
-    rows = []
-    for pos, typ, dur in zip(table.pos.tolist(), table.typ.tolist(), table.dur.tolist()):
-        rows.append((pos, typ))
-        if dur > 0:
-            end_pos = pos + dur
-            if end_pos >= 1 << 32:
-                raise CapacityError(f"span end {end_pos} exceeds the 32-bit "
-                                    "position field")
-            rows.append((end_pos, typ | END_FLAG))
+    spans = np.flatnonzero(table.dur > 0)
+    end_pos = table.pos[spans].astype(np.int64) + table.dur[spans]
+    too_far = np.flatnonzero(end_pos >= 1 << 32)
+    if too_far.size:
+        raise CapacityError(f"span end {end_pos[too_far[0]]} exceeds the 32-bit "
+                            "position field")
+    pos = np.concatenate([table.pos, end_pos])
+    typ = np.concatenate([table.typ, table.typ[spans] | END_FLAG])
     # at equal positions, ends sort before starts so touching spans re-pair
-    rows.sort(key=lambda r: (r[0], 0 if r[1] & END_FLAG else 1, r[1]))
-    return EventTable(
-        1, table.sample_rate_hz,
-        np.array([r[0] for r in rows], "<u4"),
-        np.array([r[1] for r in rows], "<u2"),
-    )
+    order = np.lexsort((typ, typ < END_FLAG, pos))
+    return EventTable(1, table.sample_rate_hz, pos[order], typ[order])
 
 
 # --- sparse-channel samples ---------------------------------------------------

@@ -153,7 +153,11 @@ def read_file(source, *, lenient: bool = False) -> tuple[GdfFile, Diagnostics]:
     channels = parse_channel_headers(data[FIXED_HEADER_SIZE:h2_end], ns,
                                      version_minor=header.version_minor,
                                      diags=diags)
-    elements = tlvmod.parse_tlv(data[h2_end:header_end], diags=diags, lenient=lenient)
+    try:
+        elements = tlvmod.parse_tlv(data[h2_end:header_end], diags=diags, lenient=lenient)
+    except StructureError as exc:
+        exc.offset += h2_end  # absolute; lenient diagnostics stay section-relative
+        raise
 
     layout = layout_from_channels(channels)
     bpr = layout.bytes_per_record

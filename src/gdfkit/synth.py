@@ -114,39 +114,29 @@ def _channel_samples(rng, ch: ChannelInfo, n_records: int, spec: SynthSpec) -> n
 
 def _make_events(rng, spec: SynthSpec, channels, total_event_samples: int) -> EventTable | None:
     rate = default_event_rate(channels, *spec.duration)
-    sparse_rows = []
+    pos, typ, chn, dur = [], [], [], []
     if spec.with_sparse:
         sparse_index = next(i for i, ch in enumerate(channels) if ch.is_sparse)
         ch = channels[sparse_index]
         for _ in range(max(2, spec.events // 2)):
-            pos = int(rng.integers(1, max(total_event_samples, 2)))
+            pos.append(int(rng.integers(1, max(total_event_samples, 2))))
             raw = int(rng.integers(int(ch.cal.dig_min), int(ch.cal.dig_max) + 1))
-            sparse_rows.append((pos, SPARSE_SAMPLE_TYPE, sparse_index + 1,
-                                dur_from_sparse_value(raw, ch.gdf_type)))
-    n_plain = spec.events
-    if not n_plain and not sparse_rows:
+            typ.append(SPARSE_SAMPLE_TYPE)
+            chn.append(sparse_index + 1)
+            dur.append(dur_from_sparse_value(raw, ch.gdf_type))
+    if spec.event_mode == 1 and pos:
+        raise DomainError("sparse channels need a mode-3 event table")
+    if not spec.events and not pos:
         return None
-    plain_rows = []
-    for _ in range(n_plain):
-        pos = int(rng.integers(1, max(total_event_samples, 2)))
-        typ = int(rng.choice(EVENT_POOL))
-        if spec.event_mode == 3:
-            dur = int(rng.integers(0, max(total_event_samples - pos, 1)))
-            plain_rows.append((pos, typ, 0, dur))
-        else:
-            plain_rows.append((pos, typ, 0, 0))
-    rows = sorted(plain_rows + sparse_rows)
-    if spec.event_mode == 1:
-        if sparse_rows:
-            raise DomainError("sparse channels need a mode-3 event table")
-        return EventTable(1, rate,
-                          np.array([r[0] for r in rows], "<u4"),
-                          np.array([r[1] for r in rows], "<u2"))
-    return EventTable(3, rate,
-                      np.array([r[0] for r in rows], "<u4"),
-                      np.array([r[1] for r in rows], "<u2"),
-                      np.array([r[2] for r in rows], "<u2"),
-                      np.array([r[3] for r in rows], "<u4"))
+    for _ in range(spec.events):
+        pos.append(int(rng.integers(1, max(total_event_samples, 2))))
+        typ.append(int(rng.choice(EVENT_POOL)))
+        chn.append(0)
+        dur.append(int(rng.integers(0, max(total_event_samples - pos[-1], 1)))
+                   if spec.event_mode == 3 else 0)
+    columns = (pos, typ, chn, dur) if spec.event_mode == 3 else (pos, typ)
+    order = np.lexsort(columns[::-1])  # by pos, then typ, chn and dur
+    return EventTable(spec.event_mode, rate, *(np.array(c)[order] for c in columns))
 
 
 def synthesize(spec: SynthSpec = SynthSpec()) -> GdfFile:

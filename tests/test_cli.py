@@ -217,11 +217,21 @@ class TestInspect:
     (["convert", "in.csv", "out.gdf"],
      {"in.csv": "a [uV] @1Hz\n1\n2\n", "in.events.csv": "pos,typ\nabc,0x0300\n"},
      "'abc'"),
+    (["convert", "in.csv", "out.gdf"],
+     {"in.csv": "a [uV] @1Hz\n1\n2\n", "in.events.csv": "pos,typ\n-1,0x0300\n"},
+     "'pos' cannot hold -1"),
+    (["convert", "in.csv", "out.gdf"],
+     {"in.csv": "a [uV] @1Hz\n1\n2\n", "in.events.csv": "pos,typ\n4294967296,0x0300\n"},
+     "'pos' cannot hold 4294967296"),
+    (["convert", "in.csv", "out.gdf"],
+     {"in.csv": "a [uV] @1Hz\n1\n2\n", "in.events.csv": "pos,typ\n1,0x10000\n"},
+     "'typ' cannot hold 65536"),
     (["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @1Hz\n1\nx\n"}, "column 'a'"),
     (["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @0Hz\n1\n"}, "@0Hz"),
     (["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @abcHz\n1\n"}, "@abcHz"),
     (["synthesize", "out.gdf", "--duration", "abc"], {}, "--duration: 'abc'"),
-], ids=["sidecar-pos", "csv-cell", "zero-rate", "bad-rate", "duration"])
+], ids=["sidecar-pos", "sidecar-pos-negative", "sidecar-pos-wide", "sidecar-typ-wide",
+        "csv-cell", "zero-rate", "bad-rate", "duration"])
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, files, names):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

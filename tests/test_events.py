@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdfkit.core import Calibration, GdfType
-from gdfkit.diagnostics import Diagnostics
+from gdfkit.diagnostics import Diagnostics, sink
 from gdfkit.errors import CapacityError, DomainError, StructureError
 from gdfkit.events import (
+    END_FLAG,
     SPARSE_SAMPLE_TYPE,
     EventCodeRegistry,
+    EventSpan,
     EventTable,
+    PairedEvents,
     convert_mode,
     describe_event,
     default_event_rate,
@@ -19,7 +22,6 @@ from gdfkit.events import (
     event_table_position,
     event_table_size,
     extract_sparse_samples,
-    flatten_spans,
     pair_mode1_events,
     parse_event_table,
     sparse_value_from_dur,
@@ -105,6 +107,24 @@ class TestSerialization:
         with pytest.raises(CapacityError):
             write_event_table(oversized)
 
+    def test_values_out_of_range_rejected(self):
+        with pytest.raises(DomainError, match="'pos' cannot hold -1"):
+            EventTable(3, 100.0, np.array([-1, 5]), np.array([70000, 1]),
+                       np.array([0, -2]), [1, 2])
+        for column, values in [("typ", [70000]), ("chn", [-2]), ("dur", [1 << 32]),
+                               ("dur", [1.5]), ("pos", [1 << 64])]:
+            columns = {"pos": [1], "typ": [1], "chn": [0], "dur": [0], column: values}
+            with pytest.raises(DomainError, match=f"'{column}'"):
+                EventTable(3, 100.0, **columns)
+
+    def test_columns_take_their_dtype(self):
+        t = EventTable(3, 100.0, [1, 2], np.array([3, 4], ">u2"), [0, 1], [5.0, 6.0])
+        assert [c.dtype.str for c in (t.pos, t.typ, t.chn, t.dur)] == \
+            ["<u4", "<u2", "<u2", "<u4"]
+        assert t == mode3([1, 2], [3, 4], [0, 1], [5, 6], rate=100.0)
+        with pytest.raises(DomainError, match="'dur' has 1 rows"):
+            EventTable(3, 100.0, [1, 2], [3, 4], dur=[5])
+
     def test_mode1_rejects_chn(self):
         with pytest.raises(DomainError):
             EventTable(1, 1.0, np.array([1], "<u4"), np.array([1], "<u2"),
@@ -157,7 +177,10 @@ class TestPairing:
                               st.integers(0, 0xFFFF)), max_size=40))
     def test_flatten_restores_multiset(self, rows):
         t = mode1([r[0] for r in rows], [r[1] for r in rows])
-        flat = flatten_spans(pair_mode1_events(t))
+        paired = pair_mode1_events(t)
+        flat = [(s.typ, s.start) for s in paired.spans]
+        flat += [(s.typ | END_FLAG, s.end) for s in paired.spans if s.end is not None]
+        flat += paired.orphan_ends
         assert Counter(flat) == Counter((typ, pos) for pos, typ in rows)
 
 
@@ -221,6 +244,132 @@ class TestConvertMode:
         back = convert_mode(convert_mode(t, 3), 1)
         assert Counter(zip(back.pos.tolist(), back.typ.tolist())) == \
             Counter(zip(t.pos.tolist(), t.typ.tolist()))
+
+
+# --- reference: pairing and conversion over tuple rows -------------------------
+# The implementation the column code replaced, kept as the oracle of the
+# differential tests below.
+
+def _ref_pair(table, diags=None):
+    diags = sink(diags)
+    result = PairedEvents()
+    open_spans = {}
+    spans = []  # [typ, start, end]
+    for pos, typ in zip(table.pos.tolist(), table.typ.tolist()):
+        if typ & END_FLAG:
+            base = typ & 0x7FFF
+            stack = open_spans.get(base)
+            if stack:
+                spans[stack.pop()][2] = pos
+            else:
+                diags.warning("event.unmatched_end",
+                              f"end marker 0x{typ:04X} at position {pos} has no "
+                              "open start", section="events")
+                result.orphan_ends.append((typ, pos))
+        else:
+            open_spans.setdefault(typ, []).append(len(spans))
+            spans.append([typ, pos, None])
+    for typ, start, end in spans:
+        if end is None:
+            diags.info("event.open_span",
+                       f"event 0x{typ:04X} at position {start} never ends",
+                       section="events")
+        result.spans.append(EventSpan(typ, start, end))
+    return result
+
+
+def _ref_convert(table, target_mode, diags=None):
+    diags = sink(diags)
+    if target_mode == 3:
+        paired = _ref_pair(table, diags)
+        rows = [(span.start, span.typ, 0, span.duration) for span in paired.spans]
+        rows += [(pos, typ, 0, 0) for typ, pos in paired.orphan_ends]
+        rows.sort(key=lambda r: (r[0], r[1]))
+        return EventTable(
+            3, table.sample_rate_hz,
+            np.array([r[0] for r in rows], "<u4"),
+            np.array([r[1] for r in rows], "<u2"),
+            np.array([r[2] for r in rows], "<u2"),
+            np.array([r[3] for r in rows], "<u4"),
+        )
+    if np.any(table.typ == SPARSE_SAMPLE_TYPE):
+        raise DomainError("sparse sample rows (type 0x7FFF) cannot be expressed "
+                          "in a mode-1 event table")
+    if np.any(table.chn != 0):
+        diags.warning("event.channel_dropped",
+                      "mode 1 has no channel field; channel associations are lost",
+                      section="events")
+    rows = []
+    for pos, typ, dur in zip(table.pos.tolist(), table.typ.tolist(), table.dur.tolist()):
+        rows.append((pos, typ))
+        if dur > 0:
+            end_pos = pos + dur
+            if end_pos >= 1 << 32:
+                raise CapacityError(f"span end {end_pos} exceeds the 32-bit "
+                                    "position field")
+            rows.append((end_pos, typ | END_FLAG))
+    rows.sort(key=lambda r: (r[0], 0 if r[1] & END_FLAG else 1, r[1]))
+    return EventTable(
+        1, table.sample_rate_hz,
+        np.array([r[0] for r in rows], "<u4"),
+        np.array([r[1] for r in rows], "<u2"),
+    )
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args, diags)`` returns or raises, plus every diagnostic."""
+    diags = Diagnostics()
+    try:
+        result = fn(*args, diags)
+    except Exception as exc:  # compared by type and text
+        result = exc
+    return result, [(d.severity, d.rule, d.message, d.section, d.offset) for d in diags]
+
+
+def _same_outcome(ref, new):
+    (want, want_diags), (got, got_diags) = ref, new
+    assert got_diags == want_diags
+    if isinstance(want, OverflowError):
+        # the tuple code failed building an array from a span that ends
+        # before it starts; the column code names that span instead
+        assert isinstance(got, DomainError) and "ends before it" in str(got)
+    elif isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
+
+
+_POSITIONS = st.one_of(st.integers(1, 40), st.integers((1 << 32) - 4, (1 << 32) - 1))
+# few codes, so that spans of one code nest and ends meet other spans' starts
+_CODES = st.sampled_from([0x0000, 0x0300, 0x0411, 0x0412])
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_POSITIONS, _CODES, st.booleans()), max_size=30))
+    def test_mode1(self, rows):
+        t = mode1([p for p, _, _ in rows], [c | END_FLAG if end else c for _, c, end in rows])
+        _same_outcome(_outcome(_ref_pair, t), _outcome(pair_mode1_events, t))
+        _same_outcome(_outcome(_ref_convert, t, 3), _outcome(convert_mode, t, 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 40), st.one_of(_CODES, st.just(0x8411)),
+                              st.integers(0, 2), st.integers(0, 60)), max_size=30),
+           st.sampled_from([0, 0, (1 << 32) - 70]),
+           st.sampled_from([False, False, False, True]))
+    def test_mode3(self, rows, base, sparse):
+        pos, typ, chn, dur = map(list, zip(*rows)) if rows else ([], [], [], [])
+        if sparse and rows:
+            typ[0] = SPARSE_SAMPLE_TYPE
+        t = mode3([base + p for p in pos], typ, chn, dur)
+        _same_outcome(_outcome(_ref_convert, t, 1), _outcome(convert_mode, t, 1))
+
+    def test_unsorted_negative_span(self):
+        t = mode1([50, 10], [0x0411, 0x8411])
+        assert isinstance(_outcome(_ref_convert, t, 3)[0], OverflowError)
+        with pytest.raises(DomainError, match="0x0411 starting at position 50 ends "
+                                              "before it, at position 10"):
+            convert_mode(t, 3)
 
 
 class TestSparseSamples:

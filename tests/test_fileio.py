@@ -220,6 +220,23 @@ class TestStrictness:
         assert diags.has_errors
         assert back.channels[0].cal.dig_max == 40000.0
 
+    @pytest.mark.parametrize("rule", ["tlv.length_overrun", "tlv.duplicate_tag"])
+    def test_tlv_error_offsets(self, rule):
+        # the optional header of a two-channel file starts at byte 768
+        elements = (tlvmod.free_tlv(b"abc"), tlvmod.text_tlv(tlvmod.TAG_LAB, "lab"))
+        blob = bytearray(to_bytes(synthesize(SynthSpec(channels=2, events=0,
+                                                       tlv=elements))))
+        second = 768 + elements[0].size
+        if rule == "tlv.length_overrun":
+            blob[second + 1:second + 4] = (1 << 20).to_bytes(3, "little")
+        else:
+            blob[second] = elements[0].tag
+        with pytest.raises(StructureError) as exc:
+            read_file(bytes(blob))
+        assert (exc.value.rule, exc.value.offset) == (rule, second)
+        _, diags = read_file(bytes(blob), lenient=True)
+        assert [d.offset for d in diags if d.rule == rule] == [second - 768]
+
     def test_trailing_garbage_strict(self):
         blob = to_bytes(synthesize(SynthSpec(channels=1, events=2)))
         with pytest.raises(StructureError):

@@ -423,3 +423,16 @@ def test_text_after_nul_diagnosed():
     h = parse_fixed_header(bytes(buf), diags)
     assert h.patient.pid == "P1"
     assert any(d.rule == "header.text_after_nul" for d in diags)
+
+
+@pytest.mark.parametrize("build", [
+    lambda v: ChannelInfo(lowpass_hz=v),
+    lambda v: RecordingInfo(reference_position=(v, 0.0, 0.0)),
+    lambda v: EventTable(1, v, [1], [1]),
+], ids=["channel-lowpass", "recording-position", "event-rate"])
+def test_float32_fields_reject_finite_overflow(build):
+    for value in (1e300, -1e300):
+        with pytest.raises(DomainError, match="float32 range"):
+            build(value)
+    for value in (math.inf, -math.inf, math.nan, 3.4028234e38):
+        build(value)
