@@ -129,7 +129,7 @@ class EventCodeRegistry:
         return self._user.get(code) or self._builtin.get(code)
 
     def describe(self, code: int) -> str:
-        if code & END_FLAG and code != END_FLAG:
+        if code & END_FLAG:
             return "end of: " + self.describe(code & 0x7FFF)
         known = self.get(code)
         return known if known is not None else f"user-defined (0x{code:04X})"
@@ -343,7 +343,8 @@ def convert_mode(table: EventTable, target_mode: int,
 
     1 -> 3 turns paired begin/end markers into duration rows (channel 0);
     3 -> 1 splits rows with a duration into begin and end markers. Sparse
-    sample rows (type 0x7FFF) have no mode-1 form.
+    sample rows (type 0x7FFF) and rows with a duration whose code is already
+    an end marker have no mode-1 form.
     """
     diags = sink(diags)
     if target_mode not in (1, 3):
@@ -371,6 +372,12 @@ def convert_mode(table: EventTable, target_mode: int,
     if np.any(table.typ == SPARSE_SAMPLE_TYPE):
         raise DomainError("sparse sample rows (type 0x7FFF) cannot be expressed "
                           "in a mode-1 event table")
+    ended = np.flatnonzero((table.typ & END_FLAG != 0) & (table.dur > 0))
+    if ended.size:
+        i = ended[0]
+        raise DomainError(f"event 0x{table.typ[i]:04X} at position {table.pos[i]} has a "
+                          "duration but its code is an end marker (bit 15 set); mode 1 "
+                          "cannot express it")
     if np.any(table.chn != 0):
         diags.warning("event.channel_dropped",
                       "mode 1 has no channel field; channel associations are lost",

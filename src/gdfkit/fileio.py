@@ -235,11 +235,19 @@ def write_file(f: GdfFile, sink) -> int:
 
 def to_bytes(f: GdfFile) -> bytes:
     """Serialise the model to bytes."""
-    parts = _header_sections(f)
-    parts.append(encode_records(f.signals, f.layout()))
-    if f.events is not None:
-        parts.append(write_event_table(f.events))
-    return b"".join(parts)
+    head = b"".join(_header_sections(f))
+    tail = b"" if f.events is None else write_event_table(f.events)
+    layout = f.layout()
+    start = len(head)
+    end = start + f.signals.n_records * layout.bytes_per_record
+    buf = bytearray(end + len(tail))
+    view = memoryview(buf)  # slice assignment through a view copies no temporary
+    view[:start], view[end:] = head, tail
+    # at the peak, only the buffer and its final copy are alive
+    del head, tail
+    encode_records(f.signals, layout, out=view[start:end])
+    del layout
+    return bytes(buf)
 
 
 class StreamWriter:
@@ -278,7 +286,8 @@ class StreamWriter:
         if len(samples) != len(self._layout.channels):
             raise DomainError(f"record needs {len(self._layout.channels)} channel "
                               f"entries, got {len(samples)}")
-        chunk = encode_records(SignalBlock(list(samples), 1), self._layout)
+        chunk = encode_records(SignalBlock(list(samples), 1), self._layout,
+                               out=np.empty(self._layout.bytes_per_record, np.uint8))
         self._fh.write(chunk)
         self._bytes += len(chunk)
         self._n_records += 1

@@ -4,20 +4,23 @@ A record holds ``samples_per_record`` consecutive samples of channel 1, then
 of channel 2, and so on; the data section is the concatenation of all
 records. Sparse channels (samples_per_record == 0) contribute no bytes here.
 Each continuous channel is thus a strided slice of the data section, which
-the codec reads and writes through a zero-copy numpy view. 24-bit integers
-are stored in 3 little-endian bytes and go through two views: the low 16 bits
-and the top byte. The 16-byte float type passes through as opaque bytes and
-is never scaled.
+the codec reads and writes through a zero-copy numpy view. Consecutive
+channels of one type (a run) are one contiguous range of each record, so the
+encoder writes each run at once. 24-bit integers are stored in 3
+little-endian bytes and go through two views: the low 16 bits and the top
+byte. The 16-byte float type passes through as opaque bytes and is never
+scaled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import type_info
+from .core import TypeInfo, type_info
 from .errors import DomainError, TruncatedDataError
 from .header import ChannelInfo
 
@@ -37,9 +40,39 @@ class ChannelLayout:
 
 
 @dataclass(frozen=True)
+class RunLayout:
+    """A maximal sequence of consecutive continuous channels of one data type.
+
+    Its channels' samples lie back to back inside a record (sparse channels
+    have no bytes, so they do not break a run), so a run is placed like one
+    channel whose ``samples_per_record`` is the sum of its members'.
+    """
+
+    offset: int
+    samples_per_record: int
+    gdf_type: int
+    entries: tuple[ChannelLayout, ...]
+
+
+@dataclass(frozen=True)
 class RecordLayout:
     channels: tuple[ChannelLayout, ...]
     bytes_per_record: int
+
+    @cached_property
+    def runs(self) -> tuple[RunLayout, ...]:
+        """The continuous channels grouped into runs; worked out on first use
+        (only the encoder needs them) and kept."""
+        runs: list[list[ChannelLayout]] = []
+        for entry in self.channels:
+            if entry.is_sparse:
+                continue
+            if runs and runs[-1][0].gdf_type == entry.gdf_type:
+                runs[-1].append(entry)
+            else:
+                runs.append([entry])
+        return tuple(RunLayout(run[0].offset, sum(e.samples_per_record for e in run),
+                               run[0].gdf_type, tuple(run)) for run in runs)
 
 
 def layout_from_channels(channels: Sequence[ChannelInfo]) -> RecordLayout:
@@ -96,10 +129,10 @@ _HIGH8 = {True: np.dtype("i1"), False: np.dtype("u1")}  # its top byte, by signe
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
-def _channel_view(buffer, layout: RecordLayout, entry: ChannelLayout, n_records: int,
-                  dtype, skip: int = 0) -> np.ndarray:
-    """Zero-copy (n_records, samples_per_record) view of one channel in a
-    record buffer; ``skip`` shifts it by bytes within each sample."""
+def _channel_view(buffer, layout: RecordLayout, entry: ChannelLayout | RunLayout,
+                  n_records: int, dtype, skip: int = 0) -> np.ndarray:
+    """Zero-copy (n_records, samples_per_record) view of one channel or run in
+    a record buffer; ``skip`` shifts it by bytes within each sample."""
     return np.ndarray((n_records, entry.samples_per_record), dtype, buffer,
                       offset=entry.offset + skip if n_records else 0,
                       strides=(layout.bytes_per_record, type_info(entry.gdf_type).size))
@@ -151,15 +184,35 @@ def decode_records(data: bytes | memoryview, layout: RecordLayout,
     return SignalBlock(samples, n_records)
 
 
-def encode_records(block: SignalBlock, layout: RecordLayout) -> bytes:
-    """Interleave per-channel arrays back into records; inverse of decode."""
+def _range_error(v: np.ndarray, info: TypeInfo) -> str | None:
+    """Why samples ``v`` cannot be stored as ``info``'s type, or None."""
+    # A 24-bit container holds out-of-range values; other matching dtypes
+    # cannot. min and max + 1 are 0 or powers of two, so they stay exact
+    # against float input, and NaN fails both comparisons.
+    if (info.kind == "int" and (v.dtype != info.dtype or info.size == 3) and v.size
+            and not (v.min() >= info.min and v.max() < info.max + 1)):
+        return f"sample outside {info.name} range"
+    if (info.kind == "float" and info.size == 4 and v.dtype != info.dtype
+            and v.dtype.kind == "f" and v.size
+            and np.any(np.isfinite(v) & (np.abs(v) > _FLOAT32_MAX))):
+        return "finite sample outside float32 range"
+    return None
+
+
+def encode_records(block: SignalBlock, layout: RecordLayout, out=None):
+    """Interleave per-channel arrays back into records; inverse of decode.
+
+    ``out``, a writable buffer of exactly ``n_records * bytes_per_record``
+    bytes, is filled in place and returned; without it the records come back
+    as new bytes. Each run of the layout is written at once, split only where
+    the input dtype changes.
+    """
     if len(block.samples) != len(layout.channels):
         raise DomainError(f"block has {len(block.samples)} channels, layout "
                           f"{len(layout.channels)}")
     n = block.n_records
-    for entry in layout.channels:
-        arr = block.samples[entry.index]
-        if entry.is_sparse:
+    for entry, arr in zip(layout.channels, block.samples):
+        if entry.offset is None:  # sparse
             if arr is not None and len(arr) > 0:
                 raise DomainError(f"channel {entry.index} is sparse but carries samples")
             continue
@@ -168,41 +221,77 @@ def encode_records(block: SignalBlock, layout: RecordLayout) -> bytes:
             raise DomainError(
                 f"channel {entry.index} needs {n * entry.samples_per_record} "
                 f"samples for {n} records, has {have}")
-    out = np.empty(n * layout.bytes_per_record, np.uint8)
-    for entry in layout.channels:
-        if entry.is_sparse:
+    size = n * layout.bytes_per_record
+    buffer = bytearray(size) if out is None else out
+    if memoryview(buffer).nbytes != size:
+        raise DomainError(f"output buffer has {memoryview(buffer).nbytes} bytes, "
+                          f"the records need {size}")
+    for run in layout.runs:
+        _encode_run(block.samples, layout, run, n, buffer)
+    return bytes(buffer) if out is None else out
+
+
+# Inputs that need a range check or a cast are staged in chunks of whole
+# records of at most this many bytes, so one min/max covers many channels.
+_STAGING_BYTES = 1 << 20
+
+
+def _encode_run(samples: list, layout: RecordLayout, run: RunLayout, n: int,
+                buffer) -> None:
+    """Write one run's channels into the record buffer, one group of
+    consecutive channels with the same input dtype at a time."""
+    info = type_info(run.gdf_type)
+    opaque = info.kind == "opaque"
+    want = np.uint8 if opaque else None
+    arrays = []
+    cuts = []  # the entry index at which each group starts
+    dtype = None
+    for k, entry in enumerate(run.entries):
+        v = np.asarray(samples[entry.index], want)
+        spr = entry.samples_per_record
+        try:
+            v = v.reshape(n, spr, 16) if opaque else v.reshape(n, spr)
+        except ValueError:
+            raise DomainError(f"channel {entry.index}: samples of shape {v.shape} are not "
+                              f"{n * spr} " + ("rows of 16 bytes" if opaque else "values")
+                              ) from None
+        if dtype is None or v.dtype != dtype:  # np.dtype(None) is float64
+            cuts.append(k)
+            dtype = v.dtype
+        arrays.append(v)
+    cuts.append(len(arrays))
+    if info.size == 3:
+        low = _channel_view(buffer, layout, run, n, _LOW16)
+        high = _channel_view(buffer, layout, run, n, _HIGH8[info.min < 0], 2)
+    else:
+        view = _channel_view(buffer, layout, run, n, _OPAQUE if opaque else info.dtype)
+    for first, last in zip(cuts, cuts[1:]):
+        entries, chunks = run.entries[first:last], arrays[first:last]
+        start = (entries[0].offset - run.offset) // info.size
+        stop = (entries[-1].offset - run.offset) // info.size + entries[-1].samples_per_record
+        if info.size != 3 and chunks[0].dtype == view.dtype:
+            np.concatenate(chunks, axis=1, out=view[:, start:stop])
             continue
-        info = type_info(entry.gdf_type)
-        samples = block.samples[entry.index]
-        shape = (n, entry.samples_per_record)
-        if info.kind == "opaque":
-            rows = np.asarray(samples, dtype=np.uint8)
-            if rows.size != n * entry.samples_per_record * 16:
-                raise DomainError("opaque samples must be rows of 16 bytes")
-            _channel_view(out, layout, entry, n, _OPAQUE)[...] = rows.reshape(*shape, 16)
-            continue
-        v = np.asarray(samples)
-        # A 24-bit container holds out-of-range values; other matching dtypes
-        # cannot. min and max + 1 are 0 or powers of two, so they stay exact
-        # against float input, and NaN fails both comparisons.
-        if (info.kind == "int" and (v.dtype != info.dtype or info.size == 3) and v.size
-                and not (v.min() >= info.min and v.max() < info.max + 1)):
-            raise DomainError(f"channel {entry.index}: sample outside {info.name} range")
-        if (info.kind == "float" and info.size == 4 and v.dtype != info.dtype
-                and v.dtype.kind == "f" and v.size
-                and np.any(np.isfinite(v) & (np.abs(v) > _FLOAT32_MAX))):
-            raise DomainError(f"channel {entry.index}: finite sample outside float32 range")
-        v = v.reshape(shape)
-        if info.size == 3:
-            if v.dtype.kind not in "iu":
-                v = v.astype(np.int64)
-            low = _channel_view(out, layout, entry, n, _LOW16)
-            high = _channel_view(out, layout, entry, n, _HIGH8[info.min < 0], 2)
-            low[...] = v  # the cast keeps the low 16 bits
-            np.right_shift(v, 16, out=high, casting="unsafe")
-        else:
-            _channel_view(out, layout, entry, n, info.dtype)[...] = v
-    return out.tobytes()
+        step = max(1, _STAGING_BYTES // (chunks[0].dtype.itemsize * (stop - start)))
+        for r in range(0, n, step):
+            stage = np.concatenate(chunks if step >= n else [c[r:r + step] for c in chunks],
+                                   axis=1)
+            if _range_error(stage, info):
+                # the first failing channel over all records, as a
+                # channel-by-channel check would find it
+                for entry, chunk in zip(entries, chunks):
+                    reason = _range_error(chunk, info)
+                    if reason:
+                        raise DomainError(f"channel {entry.index}: {reason}")
+            if info.size == 3:
+                if stage.dtype.kind not in "iu":
+                    stage = stage.astype(np.int64)
+                low[r:r + step, start:stop] = stage  # the cast keeps the low 16 bits
+                np.right_shift(stage, 16, out=high[r:r + step, start:stop],
+                               casting="unsafe")
+            else:
+                view[r:r + step, start:stop] = stage
+            del stage  # before the next chunk is staged, so one chunk is alive at a time
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gdfkit import records
 from gdfkit.core import Calibration, GdfType, type_info
 from gdfkit.errors import DomainError, TruncatedDataError
 from gdfkit.fileio import StreamWriter
@@ -44,6 +45,19 @@ class TestLayout:
     def test_no_channels(self):
         layout = layout_from_channels([])
         assert layout.bytes_per_record == 0
+        assert layout.runs == ()
+
+    def test_runs(self):
+        """Consecutive continuous channels of one type form a run; a sparse
+        channel does not break it, another type does."""
+        channels = [make_channel(GdfType.INT16, spr=2), make_channel(GdfType.UINT32, spr=0),
+                    make_channel(GdfType.INT16, spr=3), make_channel(GdfType.INT24, spr=1),
+                    make_channel(GdfType.INT16, spr=1)]
+        layout = layout_from_channels(channels)
+        assert [(r.offset, r.samples_per_record, r.gdf_type, [e.index for e in r.entries])
+                for r in layout.runs] == [(0, 5, GdfType.INT16, [0, 2]),
+                                          (10, 1, GdfType.INT24, [3]),
+                                          (13, 1, GdfType.INT16, [4])]
 
 
 class TestInt24:
@@ -158,6 +172,28 @@ class TestEncodeRecords:
         writer = StreamWriter(io.BytesIO(), FixedHeader(), [ch])
         with pytest.raises(DomainError):
             writer.append_record([samples])
+
+    @pytest.mark.parametrize("gdf_type, samples, match", [
+        (GdfType.INT16, np.zeros((4, 2), np.int16), r"channel 0: samples of shape \(4, 2\)"),
+        (GdfType.FLOAT128, np.zeros((4, 8), np.uint8), "channel 0: .* rows of 16 bytes"),
+    ], ids=["int16-2d", "float128-short-rows"])
+    def test_wrong_shape_rejected(self, gdf_type, samples, match):
+        ch = make_channel(gdf_type, spr=4)
+        with pytest.raises(DomainError, match=match):
+            encode_records(SignalBlock([samples], 1), layout_from_channels([ch]))
+        writer = StreamWriter(io.BytesIO(), FixedHeader(), [ch])
+        with pytest.raises(DomainError, match=match):
+            writer.append_record([samples])
+
+    def test_failed_append_writes_nothing(self):
+        channels = [make_channel(GdfType.INT16, spr=2), make_channel(GdfType.INT24, spr=2)]
+        sink = io.BytesIO()
+        writer = StreamWriter(sink, FixedHeader(), channels)
+        writer.append_record([np.array([1, 2], np.int16), np.array([3, 4])])
+        size = len(sink.getvalue())
+        with pytest.raises(DomainError, match="channel 1: sample outside int24 range"):
+            writer.append_record([np.array([5, 6], np.int16), np.array([7, 1 << 23])])
+        assert (len(sink.getvalue()), writer.records_written) == (size, 1)
 
     def test_float32_takes_nonfinite_float64(self):
         layout = layout_from_channels([make_channel(GdfType.FLOAT32, spr=4)])
@@ -335,6 +371,161 @@ def test_codec_against_reference(case):
             assert got.flags.writeable and got.flags.owndata and got.flags.c_contiguous
             assert _as_reference(got) == values
         assert encode_records(block, layout) == data
+
+
+# Differential test of the run encoder against the channel-by-channel
+# encoder it replaced: same bytes, or the same exception type and text. The
+# reference rejects a wrongly shaped array with numpy's ValueError; the cases
+# below are all shaped right.
+def _channel_encode(block, layout):
+    def view(buffer, entry, dtype, skip=0):
+        return np.ndarray((n, entry.samples_per_record), dtype, buffer,
+                          offset=entry.offset + skip if n else 0,
+                          strides=(layout.bytes_per_record, type_info(entry.gdf_type).size))
+
+    if len(block.samples) != len(layout.channels):
+        raise DomainError(f"block has {len(block.samples)} channels, layout "
+                          f"{len(layout.channels)}")
+    n = block.n_records
+    for entry in layout.channels:
+        arr = block.samples[entry.index]
+        if entry.is_sparse:
+            if arr is not None and len(arr) > 0:
+                raise DomainError(f"channel {entry.index} is sparse but carries samples")
+            continue
+        if arr is None or len(arr) != n * entry.samples_per_record:
+            have = "none" if arr is None else str(len(arr))
+            raise DomainError(
+                f"channel {entry.index} needs {n * entry.samples_per_record} "
+                f"samples for {n} records, has {have}")
+    out = np.empty(n * layout.bytes_per_record, np.uint8)
+    for entry in layout.channels:
+        if entry.is_sparse:
+            continue
+        info = type_info(entry.gdf_type)
+        samples = block.samples[entry.index]
+        shape = (n, entry.samples_per_record)
+        if info.kind == "opaque":
+            rows = np.asarray(samples, dtype=np.uint8)
+            if rows.size != n * entry.samples_per_record * 16:
+                raise DomainError("opaque samples must be rows of 16 bytes")
+            view(out, entry, np.dtype((np.uint8, 16)))[...] = rows.reshape(*shape, 16)
+            continue
+        v = np.asarray(samples)
+        if (info.kind == "int" and (v.dtype != info.dtype or info.size == 3) and v.size
+                and not (v.min() >= info.min and v.max() < info.max + 1)):
+            raise DomainError(f"channel {entry.index}: sample outside {info.name} range")
+        if (info.kind == "float" and info.size == 4 and v.dtype != info.dtype
+                and v.dtype.kind == "f" and v.size
+                and np.any(np.isfinite(v) & (np.abs(v) > float(np.finfo(np.float32).max)))):
+            raise DomainError(f"channel {entry.index}: finite sample outside float32 range")
+        v = v.reshape(shape)
+        if info.size == 3:
+            if v.dtype.kind not in "iu":
+                v = v.astype(np.int64)
+            view(out, entry, "<u2")[...] = v
+            np.right_shift(v, 16, out=view(out, entry, "i1" if info.min < 0 else "u1", 2),
+                           casting="unsafe")
+        else:
+            view(out, entry, info.dtype)[...] = v
+    return out.tobytes()
+
+
+def _encode_outcome(fn, block, layout):
+    try:
+        return bytes(fn(block, layout))
+    except Exception as exc:  # compared by type and text
+        return type(exc), str(exc)
+
+
+# values at and beyond the bounds of every type, and near 2**63 where a
+# shared int64/uint64 staging dtype would round
+_EDGE_INTS = [0, -1, 1 << 7, -(1 << 7) - 1, 1 << 15, 1 << 16, 1 << 23, -(1 << 23) - 1, 1 << 24,
+              1 << 31, 1 << 32, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, -(1 << 63), (1 << 64) - 1]
+_EDGE_FLOATS = [np.nan, np.inf, -np.inf, 1e300, -1e300, 3.5e38, 0.5, -0.5, 2.0 ** 63, 2.0 ** 24]
+_INPUT_KINDS = ["disk", "int64", "uint64", "int32", "float64", "float32", "list"]
+
+
+@st.composite
+def _channel_input(draw, gdf_type, count):
+    """Samples for one channel: in range for its type, or (one channel in
+    five) with values at and beyond its bounds, in one of several dtypes."""
+    info = type_info(gdf_type)
+    if info.kind == "opaque":
+        return np.frombuffer(draw(st.binary(min_size=16 * count, max_size=16 * count)),
+                             np.uint8).reshape(count, 16)
+    lo, hi = (info.min, info.max) if info.kind == "int" else (-(1 << 40), 1 << 40)
+    ints = [st.integers(lo, hi)]
+    floats = [st.integers(lo, hi).map(float), st.floats(float(lo), float(hi))]
+    if draw(st.integers(0, 4)) == 0:
+        ints.append(st.sampled_from(_EDGE_INTS))
+        floats += [st.sampled_from(_EDGE_FLOATS), st.floats()]
+    kind = draw(st.sampled_from(_INPUT_KINDS))
+    dtype = info.dtype if kind == "disk" else np.dtype(kind) if kind != "list" else None
+    if dtype is not None and dtype.kind == "f":
+        wide = np.array(draw(st.lists(st.one_of(floats), min_size=count, max_size=count)),
+                        np.float64)
+        if dtype == np.float32:
+            big = float(np.finfo(np.float32).max)
+            wide = np.where(np.isfinite(wide), np.clip(wide, -big, big), wide)
+        return wide.astype(dtype)
+    values = draw(st.lists(st.one_of(ints), min_size=count, max_size=count))
+    if dtype is None:
+        return values
+    bounds = np.iinfo(dtype)
+    return np.array([min(max(v, bounds.min), bounds.max) for v in values], dtype)
+
+
+@st.composite
+def _encode_cases(draw):
+    """(layout, block): runs of up to four channels of one type, sparse
+    channels inside them, 0-4 records."""
+    spec = []
+    for gdf_type, count in draw(st.lists(st.tuples(st.sampled_from(ALL_TYPES),
+                                                   st.integers(1, 4)), max_size=4)):
+        for _ in range(count):
+            if draw(st.integers(0, 5)) == 0:
+                spec.append((GdfType.UINT32, 0))
+            spec.append((gdf_type, draw(st.integers(1, 3))))
+    n = draw(st.integers(0, 4))
+    channels = [ChannelInfo(label=f"c{i}", gdf_type=t, samples_per_record=spr,
+                            cal=Calibration(0, 1, 0.0, 1.0))
+                for i, (t, spr) in enumerate(spec)]
+    samples = [None if spr == 0 else draw(_channel_input(t, n * spr)) for t, spr in spec]
+    return layout_from_channels(channels), SignalBlock(samples, n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_encode_cases(), st.sampled_from([records._STAGING_BYTES, 1]))
+def test_encoder_against_channel_encoder(case, budget):
+    """A budget of one byte stages one record at a time, so a bad value
+    shows up in a later chunk than another channel's."""
+    layout, block = case
+    want = _encode_outcome(_channel_encode, block, layout)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(records, "_STAGING_BYTES", budget)
+        assert _encode_outcome(encode_records, block, layout) == want
+
+
+def test_encoder_stages_in_chunks():
+    """A block larger than the staging budget, with a bad value in a later
+    channel at an earlier record than the first bad channel's."""
+    spr, n = 1000, 80
+    channels = [make_channel(t, spr=spr) for t in [GdfType.INT24] * 4 + [GdfType.FLOAT32] * 2]
+    layout = layout_from_channels(channels)
+    assert n * 4 * spr * 8 > 2 * records._STAGING_BYTES
+    rng = np.random.default_rng(5)
+    samples = [rng.integers(-(1 << 23), 1 << 23, n * spr) for _ in range(4)]
+    samples += [rng.normal(size=n * spr) * 1e30 for _ in range(2)]
+    block = SignalBlock(samples, n)
+    data = encode_records(block, layout)
+    assert data == _channel_encode(block, layout)
+    samples[3][5] = 1 << 23
+    samples[1][n * spr - 1] = -(1 << 23) - 1
+    samples[5][7] = 1e300
+    assert _encode_outcome(encode_records, block, layout) == \
+        _encode_outcome(_channel_encode, block, layout) == \
+        (DomainError, "channel 1: sample outside int24 range")
 
 
 class TestOverflowScan:
