@@ -269,6 +269,53 @@ def impedance_from_digval(digval: int) -> float | None:
     return 2.0 ** (digval / 8)
 
 
+def _exact_cast(values, dtype: np.dtype) -> np.ndarray | None:
+    """``values`` as ``dtype``, or None when a value does not survive the
+    cast: an integer dtype must hold each value exactly, a float dtype must
+    keep each finite value finite."""
+    try:
+        column = np.asarray(values)
+        if column.dtype == dtype:
+            return column
+        if dtype.kind in "iu" and (column.dtype.kind == "O" or column.dtype.kind == "f"
+                                   and not isinstance(values, np.ndarray)):
+            # numpy builds a list with an int beyond int64 as float64, which
+            # rounds it: compare the list's own numbers instead
+            column = np.asarray(values, object)
+        elif column.dtype.kind not in "biuf":
+            return None
+        if column.dtype.kind != "f":
+            cast = column.astype(dtype)
+        else:  # NaN, or a float beyond the dtype, warns
+            with np.errstate(invalid="ignore", over="ignore"):
+                cast = column.astype(dtype)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    lost = np.isinf(cast) & np.isfinite(column) if dtype.kind == "f" else cast != column
+    return None if np.count_nonzero(lost) else cast
+
+
+def checked_cast(values, dtype, label: str) -> np.ndarray:
+    """``values`` (a scalar, a sequence or an array) as ``dtype``.
+
+    A value the dtype cannot hold (out of range, fractional for an integer
+    dtype, finite but beyond a float dtype's range, not a number) raises
+    DomainError instead of wrapping or rounding. ``label`` names the values
+    in the message; a ``{}`` in it becomes the index of the first bad one.
+    """
+    dtype = np.dtype(dtype)
+    cast = _exact_cast(values, dtype)
+    if cast is not None:
+        return cast
+    items = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(items, (list, tuple)):
+        raise DomainError(f"{label} cannot hold {items!r} ({dtype})")
+    for i, value in enumerate(items):
+        if _exact_cast([value], dtype) is None:
+            raise DomainError(f"{label.format(i)} cannot hold {value!r} ({dtype})")
+    raise DomainError(f"{label.format('')}: values of uneven shape")
+
+
 def float32_exact(value: float | None) -> float | None:
     """Round a value to float32 precision (fields stored as float32 on disk);
     a finite value beyond the float32 range raises DomainError."""

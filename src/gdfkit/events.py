@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import float32_exact, type_info
+from .core import checked_cast, float32_exact, type_info
 from .diagnostics import Diagnostics, sink
 from .errors import CapacityError, DomainError, StructureError
 from .header import ChannelInfo, _nan_checked
@@ -147,24 +147,6 @@ def describe_event(code: int, registry: EventCodeRegistry | None = None) -> str:
 _COLUMNS = (("pos", "<u4"), ("typ", "<u2"), ("chn", "<u2"), ("dur", "<u4"))
 
 
-def _column(name: str, values, dtype: str) -> np.ndarray:
-    """``values`` as the column's on-disk dtype; a value it cannot hold
-    raises DomainError instead of wrapping."""
-    column = np.asarray(values)
-    if column.dtype == dtype:
-        return column
-    try:
-        with np.errstate(invalid="ignore", over="ignore"):
-            cast = column.astype(dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"event column {name!r}: {exc}") from None
-    wrong = np.flatnonzero(cast != column)
-    if wrong.size:
-        raise DomainError(f"event column {name!r} cannot hold "
-                          f"{column[wrong[0]].item()!r} ({np.dtype(dtype)})")
-    return cast
-
-
 @dataclass(frozen=True)
 class EventTable:
     """Parallel event arrays plus the sample rate their positions refer to.
@@ -190,7 +172,8 @@ class EventTable:
         n = len(self.pos)
         for name, dtype in _COLUMNS[:self.mode + 1]:
             values = getattr(self, name)
-            column = np.zeros(n, dtype) if values is None else _column(name, values, dtype)
+            column = np.zeros(n, dtype) if values is None else \
+                checked_cast(values, dtype, f"event column {name!r}")
             if len(column) != n:
                 raise DomainError(f"event column {name!r} has {len(column)} rows, "
                                   f"'pos' has {n}")

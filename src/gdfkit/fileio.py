@@ -35,7 +35,7 @@ from .header import (
     ChannelInfo,
     FIXED_HEADER_SIZE,
     FixedHeader,
-    _FIXED_LAYOUT,
+    _FIXED,
     _FIXED_OFFSETS,
     _check_channel,
     parse_channel_headers,
@@ -302,7 +302,7 @@ class StreamWriter:
                            "seekable, so the record count cannot be patched")
         if self._fh.seekable():
             self._fh.seek(_FIXED_OFFSETS["n_records"])
-            self._fh.write(_FIXED_LAYOUT["n_records"].struct.pack(self._n_records))
+            self._fh.write(np.array(self._n_records, _FIXED["n_records"]).tobytes())
             self._fh.seek(self._bytes)
         if events is not None:
             blob = write_event_table(events)

@@ -16,12 +16,13 @@ import re
 import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import units
-from .core import Calibration, GdfTime, GdfType, float32_exact, is_known_type, type_info
+from .core import (Calibration, GdfTime, GdfType, checked_cast, float32_exact, is_known_type,
+                   type_info)
 from .diagnostics import Diagnostics, sink
 from .errors import DomainError, FormatError, StructureError, VersionError
 
@@ -71,11 +72,21 @@ class HeartImpairment(IntEnum):
     PACEMAKER = 3
 
 
+def _two_bit_fields(**fields: int) -> int:
+    """Pack four 0..3 values into one byte, the first in bits 0-1."""
+    byte = 0
+    for shift, (name, value) in zip((0, 2, 4, 6), fields.items()):
+        if not 0 <= value <= 3:
+            raise DomainError(f"{name} cannot hold {value!r} (two bits, 0..3)")
+        byte |= int(value) << shift
+    return byte
+
+
 def pack_demographics(smoking: TriState, alcohol: TriState,
                       drug: TriState, medication: TriState) -> int:
     """Pack the four lifestyle tri-states into one byte (smoking in bits 0-1)."""
-    return (int(smoking) & 3) | ((int(alcohol) & 3) << 2) \
-        | ((int(drug) & 3) << 4) | ((int(medication) & 3) << 6)
+    return _two_bit_fields(smoking=smoking, alcohol_abuse=alcohol, drug_abuse=drug,
+                           medication=medication)
 
 
 def unpack_demographics(value: int) -> tuple[TriState, TriState, TriState, TriState]:
@@ -86,13 +97,21 @@ def unpack_demographics(value: int) -> tuple[TriState, TriState, TriState, TriSt
 def pack_physio(gender: Gender, handedness: Handedness,
                 visual: VisualImpairment, heart: HeartImpairment) -> int:
     """Pack gender (bits 0-1), handedness, visual and heart impairment."""
-    return (int(gender) & 3) | ((int(handedness) & 3) << 2) \
-        | ((int(visual) & 3) << 4) | ((int(heart) & 3) << 6)
+    return _two_bit_fields(gender=gender, handedness=handedness, visual_impairment=visual,
+                           heart_impairment=heart)
 
 
 def unpack_physio(value: int) -> tuple[Gender, Handedness, VisualImpairment, HeartImpairment]:
     return (Gender(value & 3), Handedness((value >> 2) & 3),
             VisualImpairment((value >> 4) & 3), HeartImpairment((value >> 6) & 3))
+
+
+def _float32_triple(values, name: str) -> tuple[float, float, float]:
+    """An (x, y, z) field rounded to float32 precision."""
+    values = tuple(float32_exact(float(v)) for v in values)
+    if len(values) != 3:
+        raise DomainError(f"{name} needs 3 values, got {len(values)}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -119,7 +138,7 @@ def parse_location(chunk: bytes) -> Location | None:
     """Decode the 16 location bytes; absent when the version byte is nonzero."""
     if len(chunk) != 16:
         raise StructureError(f"location field needs 16 bytes, got {len(chunk)}")
-    vertical, horizontal, size, version, lat, lon, alt = _LOCATION_STRUCT.unpack(chunk)
+    vertical, horizontal, size, version, lat, lon, alt = np.ndarray((), _LOCATION, chunk).item()
     if version != 0:  # RFC1876 version byte; nonzero reclaims the area for text
         return None
     return Location(vertical, horizontal, size, lat, lon, alt)
@@ -149,6 +168,10 @@ class PatientInfo:
     icd_code: str = ""
     headsize_mm: tuple[int, int, int] = (0, 0, 0)
 
+    def __post_init__(self):
+        if len(self.headsize_mm) != 3:
+            raise DomainError(f"headsize_mm needs 3 values, got {len(self.headsize_mm)}")
+
     def pid_subfields(self) -> tuple[str, str, str]:
         """(identification code, name, classification), 'X' when missing."""
         parts = self.pid.split(" ")
@@ -173,9 +196,9 @@ class RecordingInfo:
 
     def __post_init__(self):
         object.__setattr__(self, "reference_position",
-                           tuple(float32_exact(float(v)) for v in self.reference_position))
+                           _float32_triple(self.reference_position, "reference_position"))
         object.__setattr__(self, "ground_position",
-                           tuple(float32_exact(float(v)) for v in self.ground_position))
+                           _float32_triple(self.ground_position, "ground_position"))
 
 
 @dataclass(frozen=True)
@@ -247,8 +270,7 @@ class ChannelInfo:
         object.__setattr__(self, "lowpass_hz", float32_exact(self.lowpass_hz))
         object.__setattr__(self, "highpass_hz", float32_exact(self.highpass_hz))
         object.__setattr__(self, "notch_hz", float32_exact(self.notch_hz))
-        object.__setattr__(self, "position",
-                           tuple(float32_exact(float(v)) for v in self.position))
+        object.__setattr__(self, "position", _float32_triple(self.position, "position"))
         if len(self.sensor_info) != 20:
             raise DomainError("sensor_info must be exactly 20 bytes")
         if self.samples_per_record < 0:
@@ -313,90 +335,49 @@ def render_prefilter(lowpass_hz: float | None, highpass_hz: float | None,
 
 
 # --- field tables ------------------------------------------------------------
+#
+# Each section is described once, as (field, numpy dtype) rows in file order.
+# Text fields are ``S`` (numpy drops their NUL padding on read). Fields whose
+# every byte counts on read (the version, reserved bytes, the location area,
+# the sensor area and the recording id, which an absent location extends) are
+# raw ``V`` bytes.
 
-#: The fixed header as (field, struct format) rows in file order.
 _FIXED_FIELDS = (
-    ("version", "8s"), ("pid", "66s"), ("reserved1", "10s"),
-    ("demographics", "B"), ("weight", "B"), ("height", "B"), ("physio", "B"),
-    ("rid", "64s"), ("location", "16s"), ("start", "Q"), ("birthday", "Q"),
-    ("header_blocks", "H"), ("icd", "6s"), ("equipment", "Q"),
-    ("reserved2", "6s"), ("headsize", "3H"), ("reference", "3f"),
-    ("ground", "3f"), ("n_records", "q"), ("duration", "2I"), ("ns", "I"),
+    ("version", "V8"), ("pid", "S66"), ("reserved1", "V10"),
+    ("demographics", "u1"), ("weight", "u1"), ("height", "u1"), ("physio", "u1"),
+    ("rid", "V64"), ("location", "V16"), ("start", "<u8"), ("birthday", "<u8"),
+    ("header_blocks", "<u2"), ("icd", "S6"), ("equipment", "<u8"),
+    ("reserved2", "V6"), ("headsize", "3<u2"), ("reference", "3<f4"),
+    ("ground", "3<f4"), ("n_records", "<i8"), ("duration", "2<u4"), ("ns", "<u4"),
 )
+_FIXED = np.dtype(list(_FIXED_FIELDS))
+_FIXED_OFFSETS = {name: offset for name, (_, offset) in _FIXED.fields.items()}
 
-#: One channel's 256-byte record as (field, struct format) rows. The variable
-#: header stores the records transposed (struct-of-arrays): the column of a
-#: field holds its value for every channel and starts at ``ns`` times the
-#: summed sizes of the earlier fields.
+#: The 16 location bytes (RFC1876).
+_LOCATION = np.dtype([
+    ("vertical_precision", "u1"), ("horizontal_precision", "u1"), ("size", "u1"),
+    ("version", "u1"), ("latitude", "<i4"), ("longitude", "<i4"), ("altitude_cm", "<i4"),
+])
+
+#: One channel's 256 bytes. The variable header stores them transposed
+#: (struct-of-arrays): the column of a field holds its value for every
+#: channel, so the section is one record whose fields are ``(ns,)`` columns.
 _CHANNEL_FIELDS = (
-    ("label", "16s"), ("transducer", "80s"), ("unit text", "6s"),
-    ("phys_dim", "H"), ("phys_min", "d"), ("phys_max", "d"),
-    ("dig_min", "d"), ("dig_max", "d"), ("prefilter", "68s"),
-    ("lowpass", "f"), ("highpass", "f"), ("notch", "f"),
-    ("samples_per_record", "I"), ("type", "I"), ("position", "3f"),
-    ("sensor", "20s"),
+    ("label", "S16"), ("transducer", "S80"), ("unit text", "S6"),
+    ("phys_dim", "<u2"), ("phys_min", "<f8"), ("phys_max", "<f8"),
+    ("dig_min", "<f8"), ("dig_max", "<f8"), ("prefilter", "S68"),
+    ("lowpass", "<f4"), ("highpass", "<f4"), ("notch", "<f4"),
+    ("samples_per_record", "<u4"), ("type", "<u4"), ("position", "3<f4"),
+    ("sensor", "V20"),
 )
+# before v2.19 the sensor area holds a 1-byte column and a 19-byte column
+_LEGACY_CHANNEL_FIELDS = _CHANNEL_FIELDS[:-1] + (("sensor", "V1"), ("sensor tail", "V19"))
 
 
-#: The 16 location bytes (RFC1876) as (field, struct format) rows.
-_LOCATION_FIELDS = (
-    ("vertical_precision", "B"), ("horizontal_precision", "B"), ("size", "B"),
-    ("version", "B"), ("latitude", "i"), ("longitude", "i"), ("altitude_cm", "i"),
-)
-
-
-class _Field(NamedTuple):
-    struct: struct.Struct
-    start: int  # offset in the record: the summed sizes of the earlier fields
-    index: int | slice  # position of its values in the record's unpacked tuple
-
-    def column(self, ns: int) -> range:
-        """Offsets of the field's values in a variable header of ``ns`` channels."""
-        return range(ns * self.start, ns * (self.start + self.struct.size), self.struct.size)
-
-
-def _record(fields) -> tuple[struct.Struct, dict[str, _Field]]:
-    """The struct of a whole record and the layout of its fields."""
-    layout, start, index = {}, 0, 0
-    for name, fmt in fields:
-        s = struct.Struct("<" + fmt)
-        count = len(s.unpack(bytes(s.size)))
-        layout[name] = _Field(s, start, index if count == 1 else slice(index, index + count))
-        start, index = start + s.size, index + count
-    return struct.Struct("<" + "".join(fmt for _, fmt in fields)), layout
-
-
-_FIXED_STRUCT, _FIXED_LAYOUT = _record(_FIXED_FIELDS)
-_FIXED_OFFSETS = {name: f.start for name, f in _FIXED_LAYOUT.items()}
-_CHANNEL_STRUCT, _CHANNEL_LAYOUT = _record(_CHANNEL_FIELDS)
-_LOCATION_STRUCT, _LOCATION_LAYOUT = _record(_LOCATION_FIELDS)
-
-
-def _pack(record: struct.Struct, layout: dict[str, _Field], values: tuple,
-          index: int | None = None) -> bytes:
-    """``record.pack(*values)``, raising a :class:`DomainError` that names the
-    field whose value is out of range; the layout is searched only then."""
-    try:
-        return record.pack(*values)
-    except struct.error:
-        for name, f in layout.items():
-            v = values[f.index]
-            try:
-                f.struct.pack(*v) if isinstance(f.index, slice) else f.struct.pack(v)
-            except struct.error as exc:
-                raise DomainError(f"{_label(name, index)} = {v}: {exc}") from None
-        raise
-
-
-def _columns(version_minor: int) -> list[tuple[int, int]]:
-    """(start, size) within the channel record of each variable-header
-    column, in file order."""
-    columns = [(f.start, f.struct.size) for f in _CHANNEL_LAYOUT.values()]
-    if version_minor < 19:
-        # the sensor area holds a 1-byte column followed by a 19-byte column
-        start, size = columns.pop()
-        columns += [(start, 1), (start + 1, size - 1)]
-    return columns
+def _variable_header(ns: int, legacy: bool) -> np.dtype:
+    """The variable header of ``ns`` channels as one record of columns."""
+    fields = _LEGACY_CHANNEL_FIELDS if legacy else _CHANNEL_FIELDS
+    return np.dtype([(name, np.dtype(t).base, (ns, *np.dtype(t).shape)) for name, t in fields])
 
 
 # --- field helpers -----------------------------------------------------------
@@ -416,19 +397,24 @@ def _read_text(raw: bytes, offset: int, name: str, diags: Diagnostics,
     return stripped
 
 
-def _label(name: str, index: int | None) -> str:
-    return name if index is None else f"{name}[{index}]"
-
-
-def _pack_text(text: str, size: int, name: str, index: int | None = None) -> bytes:
+def _pack_texts(texts: Sequence[str], size: int, label: str) -> list[bytes]:
+    """Encode texts for a ``size``-byte field (numpy pads them with NULs).
+    The first that is not latin-1 or too long raises DomainError naming
+    ``label``; a ``{}`` in it becomes that text's index."""
     try:
-        data = text.encode("latin-1")
+        data = [text.encode("latin-1") for text in texts]
+        if max(map(len, data), default=0) <= size:
+            return data
     except UnicodeEncodeError:
-        raise DomainError(f"{_label(name, index)}: text is not latin-1 encodable") from None
-    if len(data) > size:
-        raise DomainError(f"{_label(name, index)}: {len(data)} bytes exceed the "
-                          f"{size}-byte field", rule="header.text_overflow")
-    return data.ljust(size, b"\x00")
+        pass
+    for i, text in enumerate(texts):  # find the first bad text
+        try:
+            n = len(text.encode("latin-1"))
+        except UnicodeEncodeError:
+            raise DomainError(f"{label.format(i)}: text is not latin-1 encodable") from None
+        if n > size:
+            raise DomainError(f"{label.format(i)}: {n} bytes exceed the {size}-byte field",
+                              rule="header.text_overflow")
 
 
 def _check_reserved(raw: bytes, offset: int, diags: Diagnostics) -> None:
@@ -463,8 +449,7 @@ def parse_fixed_header(buf: bytes, diags: Diagnostics | None = None) -> FixedHea
     diags = sink(diags)
     if len(buf) != FIXED_HEADER_SIZE:
         raise StructureError(f"fixed header needs {FIXED_HEADER_SIZE} bytes, got {len(buf)}")
-    values = _FIXED_STRUCT.unpack(buf)
-    v = {name: values[f.index] for name, f in _FIXED_LAYOUT.items()}
+    v = dict(zip(_FIXED.names, np.ndarray((), _FIXED, buf).item()))
     at = _FIXED_OFFSETS
     version = v["version"].decode("latin-1")
     if not version.startswith("GDF "):
@@ -503,8 +488,8 @@ def parse_fixed_header(buf: bytes, diags: Diagnostics | None = None) -> FixedHea
 
     icd = _read_text(v["icd"], at["icd"], "ICD classification", diags)
     _check_reserved(v["reserved2"], at["reserved2"], diags)
-    reference = _nan_checked(v["reference"], buf, at["reference"], diags, "header1")
-    ground = _nan_checked(v["ground"], buf, at["ground"], diags, "header1")
+    reference = _nan_checked(v["reference"].tolist(), buf, at["reference"], diags, "header1")
+    ground = _nan_checked(v["ground"].tolist(), buf, at["ground"], diags, "header1")
     header_blocks, n_records, ns32 = v["header_blocks"], v["n_records"], v["ns"]
 
     if ns32 >> 16:
@@ -518,12 +503,13 @@ def parse_fixed_header(buf: bytes, diags: Diagnostics | None = None) -> FixedHea
             f"header length {header_blocks} blocks is less than NS+1 = {ns32 + 1}",
             rule="header.blocks_too_small", offset=at["header_blocks"])
 
+    duration_num, duration_den = v["duration"].tolist()
     patient = PatientInfo(
         pid=pid, smoking=smoking, alcohol_abuse=alcohol, drug_abuse=drug,
         medication=medication, weight_kg=v["weight"], height_cm=v["height"],
         gender=gender, handedness=handedness, visual_impairment=visual,
         heart_impairment=heart, birthday=GdfTime(v["birthday"]),
-        icd_code=icd, headsize_mm=v["headsize"],
+        icd_code=icd, headsize_mm=tuple(v["headsize"].tolist()),
     )
     recording = RecordingInfo(
         rid=rid, location=location, start_time=GdfTime(v["start"]),
@@ -533,7 +519,7 @@ def parse_fixed_header(buf: bytes, diags: Diagnostics | None = None) -> FixedHea
     return FixedHeader(
         version=version, patient=patient, recording=recording,
         header_blocks=header_blocks, n_records=n_records,
-        duration_num=v["duration"][0], duration_den=v["duration"][1], ns=ns32,
+        duration_num=duration_num, duration_den=duration_den, ns=ns32,
     )
 
 
@@ -552,28 +538,34 @@ def write_fixed_header(h: FixedHeader) -> bytes:
     p, r, loc = h.patient, h.recording, h.recording.location
 
     def text(name, value, label, spill=0):
-        return _pack_text(value, _FIXED_LAYOUT[name].struct.size + spill, label)
+        return _pack_texts([value], _FIXED[name].itemsize + spill, label)[0]
 
-    version = text("version", h.version, "version")
-    pid = text("pid", p.pid, "patient identification")
-    if loc is None:
-        # an absent location lends its first four bytes to the recording id
-        rid = text("rid", r.rid, "recording identification", spill=4)
-        rid, location = rid[:-4], rid[-4:]
-    else:
-        rid = text("rid", r.rid, "recording identification")
-        location = _pack(_LOCATION_STRUCT, _LOCATION_LAYOUT, (  # _LOCATION_FIELDS order
-            loc.vertical_precision, loc.horizontal_precision, loc.size, 0,
-            loc.latitude, loc.longitude, loc.altitude_cm))
-    return _pack(_FIXED_STRUCT, _FIXED_LAYOUT, (  # _FIXED_FIELDS order
-        version, pid, b"", pack_demographics(p.smoking, p.alcohol_abuse, p.drug_abuse,
-                                             p.medication),
-        p.weight_kg, p.height_cm,
-        pack_physio(p.gender, p.handedness, p.visual_impairment, p.heart_impairment),
-        rid, location, r.start_time.raw, p.birthday.raw, header_blocks,
-        text("icd", p.icd_code, "ICD classification"), r.equipment_id, b"",
-        *p.headsize_mm, *r.reference_position, *r.ground_position,
-        h.n_records, h.duration_num, h.duration_den, h.ns))
+    # an absent location lends its first four bytes to the recording id
+    rid = text("rid", r.rid, "recording identification", spill=4 if loc is None else 0)
+    if loc is not None:
+        location = np.zeros((), _LOCATION)
+        for name in _LOCATION.names[:3] + _LOCATION.names[4:]:  # the version byte stays 0
+            location[name] = checked_cast(getattr(loc, name), _LOCATION[name], name)
+    values = {  # _FIXED_FIELDS order; reserved bytes stay zero
+        "version": text("version", h.version, "version"),
+        "pid": text("pid", p.pid, "patient identification"),
+        "demographics": pack_demographics(p.smoking, p.alcohol_abuse, p.drug_abuse,
+                                          p.medication),
+        "weight": p.weight_kg, "height": p.height_cm,
+        "physio": pack_physio(p.gender, p.handedness, p.visual_impairment,
+                              p.heart_impairment),
+        "rid": rid[:64], "location": rid[64:] if loc is None else location.tobytes(),
+        "start": r.start_time.raw, "birthday": p.birthday.raw, "header_blocks": header_blocks,
+        "icd": text("icd", p.icd_code, "ICD classification"), "equipment": r.equipment_id,
+        "headsize": p.headsize_mm, "reference": r.reference_position,
+        "ground": r.ground_position, "n_records": h.n_records,
+        "duration": (h.duration_num, h.duration_den), "ns": h.ns,
+    }
+    record = np.zeros((), _FIXED)
+    for name, value in values.items():  # bytes are the texts, checked above
+        record[name] = value if isinstance(value, bytes) else \
+            checked_cast(value, _FIXED[name].base, name)
+    return record.tobytes()
 
 
 # --- variable header ---------------------------------------------------------
@@ -585,29 +577,33 @@ def parse_channel_headers(buf: bytes, ns: int, *, version_minor: int = 20,
     if len(buf) != CHANNEL_HEADER_SIZE * ns:
         raise StructureError(
             f"variable header needs {CHANNEL_HEADER_SIZE * ns} bytes, got {len(buf)}")
-    rows = np.empty((ns, CHANNEL_HEADER_SIZE), np.uint8)
-    data = np.frombuffer(buf, np.uint8)
-    for start, size in _columns(version_minor):
-        rows[:, start:start + size] = data[ns * start:ns * (start + size)].reshape(ns, size)
-    at = {name: f.column(ns) for name, f in _CHANNEL_LAYOUT.items()}
+    layout = _variable_header(ns, version_minor < 19)
+    record = np.ndarray((), layout, buf)
+    columns = {name: record[name].tolist() for name in layout.names}
+    if version_minor < 19:
+        columns["sensor"] = list(map(bytes.__add__, columns["sensor"],
+                                     columns.pop("sensor tail")))
+
+    def at(name, i):  # channel i's value of a field: its column start plus i strides
+        return layout.fields[name][1] + i * layout[name].itemsize // ns
 
     def text(raw, name, i):
-        return _read_text(raw, at[name][i], f"{name}[{i}]", diags, "header2")
+        return _read_text(raw, at(name, i), f"{name}[{i}]", diags, "header2")
 
     def frequency(value, name, i):
         if value == value:
             return value
-        _nan_checked((value,), buf, at[name][i], diags, "header2")
+        _nan_checked((value,), buf, at(name, i), diags, "header2")
         return None
 
     channels = []
     for i, (label, transducer, unit, phys_dim, phys_min, phys_max, dig_min, dig_max,
-            prefilter, lowpass, highpass, notch, spr, code, *position, sensor) \
-            in enumerate(_CHANNEL_STRUCT.iter_unpack(rows)):  # _CHANNEL_FIELDS order
+            prefilter, lowpass, highpass, notch, spr, code, position, sensor) \
+            in enumerate(zip(*columns.values())):  # _CHANNEL_FIELDS order
         if not is_known_type(code):
             raise StructureError(f"channel {i}: unknown data type code {code}",
                                  rule="channel.type_unknown",
-                                 offset=FIXED_HEADER_SIZE + at["type"][i])
+                                 offset=FIXED_HEADER_SIZE + at("type", i))
         ch = ChannelInfo(
             label=text(label, "label", i), transducer=text(transducer, "transducer", i),
             phys_dim_ascii=text(unit, "unit text", i), phys_dim=phys_dim,
@@ -617,7 +613,7 @@ def parse_channel_headers(buf: bytes, ns: int, *, version_minor: int = 20,
             highpass_hz=frequency(highpass, "highpass", i),
             notch_hz=frequency(notch, "notch", i),
             samples_per_record=spr, gdf_type=GdfType(code),
-            position=_nan_checked(position, buf, at["position"][i], diags, "header2"),
+            position=_nan_checked(position, buf, at("position", i), diags, "header2"),
             sensor_info=sensor,
         )
         _check_channel(ch, i, diags)
@@ -655,33 +651,27 @@ def _check_channel(ch: ChannelInfo, index: int, diags: Diagnostics) -> None:
 
 def write_channel_headers(channels: list[ChannelInfo], *, version_minor: int = 20) -> bytes:
     """Serialise channel records to the 256-bytes-per-channel layout."""
-    rows = np.empty((len(channels), CHANNEL_HEADER_SIZE), np.uint8)
-    flat = memoryview(rows.reshape(-1))
-
-    def nan_if_none(v):
-        return math.nan if v is None else v
-
-    def text(name, value, i):
-        return _pack_text(value, _CHANNEL_LAYOUT[name].struct.size, name, i)
-
-    for i, ch in enumerate(channels):
-        unit = ch.phys_dim_ascii
-        if unit is None:
-            unit = render_phys_dim_ascii(ch.phys_dim)
-        prefilter = ch.prefilter
-        if prefilter is None:
-            prefilter = render_prefilter(ch.lowpass_hz, ch.highpass_hz, ch.notch_hz)
-        x, y, z = ch.position
-        # not pack_into(rows, offset, *values): on CPython 3.11 that leaves
-        # ~200 bytes per channel allocated until the next full collection
-        flat[CHANNEL_HEADER_SIZE * i:CHANNEL_HEADER_SIZE * (i + 1)] = _pack(
-            _CHANNEL_STRUCT, _CHANNEL_LAYOUT, (  # _CHANNEL_FIELDS order
-                text("label", ch.label, i), text("transducer", ch.transducer, i),
-                text("unit text", unit, i), ch.phys_dim,
-                ch.cal.phys_min, ch.cal.phys_max, ch.cal.dig_min, ch.cal.dig_max,
-                text("prefilter", prefilter, i), nan_if_none(ch.lowpass_hz),
-                nan_if_none(ch.highpass_hz), nan_if_none(ch.notch_hz),
-                ch.samples_per_record, int(ch.gdf_type), x, y, z, ch.sensor_info),
-            i)
-    return b"".join(rows[:, start:start + size].tobytes()
-                    for start, size in _columns(version_minor))
+    if not channels:
+        return b""
+    layout = _variable_header(len(channels), version_minor < 19)
+    record = np.zeros((), layout)
+    rows = [(ch.label, ch.transducer,  # _CHANNEL_FIELDS order
+             render_phys_dim_ascii(ch.phys_dim) if ch.phys_dim_ascii is None
+             else ch.phys_dim_ascii,
+             ch.phys_dim, ch.cal.phys_min, ch.cal.phys_max, ch.cal.dig_min, ch.cal.dig_max,
+             render_prefilter(ch.lowpass_hz, ch.highpass_hz, ch.notch_hz)
+             if ch.prefilter is None else ch.prefilter,
+             math.nan if ch.lowpass_hz is None else ch.lowpass_hz,
+             math.nan if ch.highpass_hz is None else ch.highpass_hz,
+             math.nan if ch.notch_hz is None else ch.notch_hz,
+             ch.samples_per_record, ch.gdf_type, ch.position, bytes(ch.sensor_info))
+            for ch in channels]
+    columns = list(zip(*rows))
+    if version_minor < 19:
+        sensors = columns.pop()
+        columns += [[s[:1] for s in sensors], [s[1:] for s in sensors]]
+    for name, values in zip(layout.names, columns):  # a column at a time, in file order
+        dtype, label = layout[name].base, name + "[{}]"
+        record[name] = _pack_texts(values, dtype.itemsize, label) if dtype.kind == "S" \
+            else values if dtype.kind == "V" else checked_cast(values, dtype, label)
+    return record.tobytes()

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TypeInfo, type_info
+from .core import TypeInfo, checked_cast, type_info
 from .errors import DomainError, TruncatedDataError
 from .header import ChannelInfo
 
@@ -221,13 +221,24 @@ def encode_records(block: SignalBlock, layout: RecordLayout, out=None):
             raise DomainError(
                 f"channel {entry.index} needs {n * entry.samples_per_record} "
                 f"samples for {n} records, has {have}")
+    samples = block.samples
+    if set(map(type, samples)) - {np.ndarray, type(None)}:  # a list or other sequence
+        samples = list(samples)
+        for entry, arr in zip(layout.channels, block.samples):
+            info = type_info(entry.gdf_type)
+            if (entry.offset is not None and info.kind == "int"
+                    and not isinstance(arr, np.ndarray)
+                    and np.asarray(arr).dtype.kind not in "biu"):
+                # numpy builds a list with a float, or an int beyond int64,
+                # as float64, which rounds: store its own numbers or refuse
+                samples[entry.index] = checked_cast(arr, info.dtype, f"channel {entry.index}")
     size = n * layout.bytes_per_record
     buffer = bytearray(size) if out is None else out
     if memoryview(buffer).nbytes != size:
         raise DomainError(f"output buffer has {memoryview(buffer).nbytes} bytes, "
                           f"the records need {size}")
     for run in layout.runs:
-        _encode_run(block.samples, layout, run, n, buffer)
+        _encode_run(samples, layout, run, n, buffer)
     return bytes(buffer) if out is None else out
 
 

@@ -14,6 +14,7 @@ from gdfkit.core import (
     IMPEDANCE_UNDEFINED,
     TIME_RESOLUTION_S,
     UNIX_EPOCH_DAY,
+    checked_cast,
     impedance_from_digval,
     impedance_to_digval,
     is_known_type,
@@ -206,3 +207,33 @@ class TestImpedance:
 
     def test_oversize_becomes_undefined(self):
         assert impedance_to_digval(1e12) == IMPEDANCE_UNDEFINED
+
+
+class TestCheckedCast:
+    @pytest.mark.parametrize("values, dtype, want", [
+        ([1, 2], "<u2", [1, 2]),
+        ([5.0, 6.0], "<u4", [5, 6]),
+        ([2**63 + 1, 5], "<u8", [2**63 + 1, 5]),  # numpy alone builds float64
+        ([(1.5, 2.0, 3.0)], "<f4", [[1.5, 2.0, 3.0]]),
+        ([math.nan, math.inf], "<f4", [math.nan, math.inf]),
+        (-1, "<i8", -1),
+    ])
+    def test_exact_values_pass(self, values, dtype, want):
+        got = checked_cast(values, dtype, "x").tolist()
+        assert str(got) == str(want)
+
+    @pytest.mark.parametrize("values, dtype, message", [
+        ([1, 70000], "<u2", "x[1] cannot hold 70000 (uint16)"),
+        ([2**62 + 1, 0.5], "<i8", "x[1] cannot hold 0.5 (int64)"),
+        ([1 << 64], "<u4", "x[0] cannot hold 18446744073709551616 (uint32)"),
+        ([0.0, 1e300], "<f4", "x[1] cannot hold 1e+300 (float32)"),
+        (["1.5"], "<f8", "x[0] cannot hold '1.5' (float64)"),
+        ([None], "<f8", "x[0] cannot hold None (float64)"),
+        (np.array([-1, 5]), "<u4", "x[0] cannot hold -1 (uint32)"),
+        (256, "u1", "x cannot hold 256 (uint8)"),
+    ])
+    def test_bad_value_named(self, values, dtype, message):
+        label = "x" if np.ndim(values) == 0 else "x[{}]"
+        with pytest.raises(DomainError) as exc:
+            checked_cast(values, dtype, label)
+        assert str(exc.value) == message

@@ -340,7 +340,7 @@ class TestWriteValidation:
     def test_out_of_range_channel_field_named(self, field, value):
         f = synthesize(SynthSpec(channels=2, events=0))
         channels = [f.channels[0], replace(f.channels[1], **{field: value})]
-        with pytest.raises(DomainError, match=rf"{field}\[1\] = "):
+        with pytest.raises(DomainError, match=rf"{field}\[1\] cannot hold {value} "):
             to_bytes(replace(f, channels=channels))
 
 

@@ -1,20 +1,27 @@
+import functools
 import itertools
 import math
+import re
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdfkit.core import Calibration, GdfTime, GdfType
+from gdfkit.core import Calibration, GdfTime, GdfType, is_known_type
 from gdfkit.diagnostics import Diagnostics
 from gdfkit.events import EventTable, parse_event_table, write_event_table
-from gdfkit.errors import DomainError, FormatError, StructureError, VersionError
+from gdfkit.errors import DomainError, FormatError, GdfError, StructureError, VersionError
 from gdfkit.header import (
     CHANNEL_HEADER_SIZE,
     FIXED_HEADER_SIZE,
-    _CHANNEL_LAYOUT,
-    _FIXED_STRUCT,
+    _FIXED,
+    _LOCATION,
+    _check_channel,
+    _check_reserved,
+    _nan_checked,
+    _read_text,
+    _variable_header,
     ChannelInfo,
     FixedHeader,
     Gender,
@@ -32,6 +39,7 @@ from gdfkit.header import (
     parse_fixed_header,
     parse_location,
     probe_frequency,
+    render_phys_dim_ascii,
     render_prefilter,
     sensor_value_bytes,
     unpack_demographics,
@@ -410,10 +418,59 @@ def test_noncanonical_nan_diagnosed():
         [("header.noncanonical_nan", "events", 4)]
 
 
+# Byte offset and on-disk type of every field, from the GDF 2.x specification
+# (Schlögl, arXiv:cs/0608052); channel offsets are within one channel's
+# 256-byte record and are multiplied by ns in the transposed variable header.
+_SPEC_FIXED = [
+    ("version", 0, "|V8"), ("pid", 8, "|S66"), ("reserved1", 74, "|V10"),
+    ("demographics", 84, "|u1"), ("weight", 85, "|u1"), ("height", 86, "|u1"),
+    ("physio", 87, "|u1"), ("rid", 88, "|V64"), ("location", 152, "|V16"),
+    ("start", 168, "<u8"), ("birthday", 176, "<u8"), ("header_blocks", 184, "<u2"),
+    ("icd", 186, "|S6"), ("equipment", 192, "<u8"), ("reserved2", 200, "|V6"),
+    ("headsize", 206, "<u2", 3), ("reference", 212, "<f4", 3), ("ground", 224, "<f4", 3),
+    ("n_records", 236, "<i8"), ("duration", 244, "<u4", 2), ("ns", 252, "<u4"),
+]
+_SPEC_LOCATION = [
+    ("vertical_precision", 0, "|u1"), ("horizontal_precision", 1, "|u1"), ("size", 2, "|u1"),
+    ("version", 3, "|u1"), ("latitude", 4, "<i4"), ("longitude", 8, "<i4"),
+    ("altitude_cm", 12, "<i4"),
+]
+_SPEC_CHANNEL = [
+    ("label", 0, "|S16"), ("transducer", 16, "|S80"), ("unit text", 96, "|S6"),
+    ("phys_dim", 102, "<u2"), ("phys_min", 104, "<f8"), ("phys_max", 112, "<f8"),
+    ("dig_min", 120, "<f8"), ("dig_max", 128, "<f8"), ("prefilter", 136, "|S68"),
+    ("lowpass", 204, "<f4"), ("highpass", 208, "<f4"), ("notch", 212, "<f4"),
+    ("samples_per_record", 216, "<u4"), ("type", 220, "<u4"), ("position", 224, "<f4", 3),
+    ("sensor", 236, "|V20"),
+]
+
+
+def _field_rows(dtype, ns=None):
+    """(name, offset, base type[, count]) of every field of a record dtype,
+    with the per-channel count of a variable-header column."""
+    rows = []
+    for name, (sub, offset) in dtype.fields.items():
+        shape = sub.shape[1:] if ns is not None else sub.shape
+        rows.append((name, offset, sub.base.str, *shape))
+    return rows
+
+
 def test_field_tables_span_their_sections():
-    assert _FIXED_STRUCT.format == "<8s66s10sBBBB64s16sQQH6sQ6s3H3f3fq2II"
-    assert _FIXED_STRUCT.size == FIXED_HEADER_SIZE
-    assert sum(f.struct.size for f in _CHANNEL_LAYOUT.values()) == CHANNEL_HEADER_SIZE
+    assert _field_rows(_FIXED) == _SPEC_FIXED
+    assert _FIXED.itemsize == FIXED_HEADER_SIZE
+    assert _field_rows(_LOCATION) == _SPEC_LOCATION
+    assert _LOCATION.itemsize == 16
+    for ns in (1, 3):
+        layout = _variable_header(ns, False)
+        assert _field_rows(layout, ns) == [(name, ns * offset, *rest)
+                                           for name, offset, *rest in _SPEC_CHANNEL]
+        assert all(layout[name].shape[0] == ns for name in layout.names)
+        assert layout.itemsize == CHANNEL_HEADER_SIZE * ns
+        legacy = _variable_header(ns, True)
+        assert _field_rows(legacy, ns) == [(name, ns * offset, *rest) for name, offset, *rest
+                                           in _SPEC_CHANNEL[:-1]] + \
+            [("sensor", ns * 236, "|V1"), ("sensor tail", ns * 237, "|V19")]
+        assert legacy.itemsize == CHANNEL_HEADER_SIZE * ns
 
 
 def test_text_after_nul_diagnosed():
@@ -436,3 +493,414 @@ def test_float32_fields_reject_finite_overflow(build):
             build(value)
     for value in (math.inf, -math.inf, math.nan, 3.4028234e38):
         build(value)
+
+
+class TestWrongLengthTuples:
+    def test_channel_position(self):
+        with pytest.raises(DomainError, match="position needs 3 values, got 2"):
+            write_channel_headers([ChannelInfo(position=(1.0, 2.0))])
+
+    def test_reference_position(self):
+        with pytest.raises(DomainError, match="reference_position needs 3 values, got 2"):
+            write_fixed_header(FixedHeader(recording=RecordingInfo(
+                reference_position=(1.0, 2.0))))
+
+    def test_ground_position(self):
+        with pytest.raises(DomainError, match="ground_position needs 3 values, got 4"):
+            write_fixed_header(FixedHeader(recording=RecordingInfo(
+                ground_position=(1.0, 2.0, 3.0, 4.0))))
+
+    def test_headsize(self):
+        with pytest.raises(DomainError, match="headsize_mm needs 3 values, got 4"):
+            write_fixed_header(FixedHeader(patient=PatientInfo(headsize_mm=(1, 2, 3, 4))))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("smoking", 7), ("alcohol_abuse", 4), ("drug_abuse", -1), ("medication", 4),
+    ("gender", 5), ("handedness", 4), ("visual_impairment", 8), ("heart_impairment", -2),
+])
+def test_two_bit_fields_reject_out_of_range(field, value):
+    with pytest.raises(DomainError, match=rf"^{field} cannot hold {value} "):
+        write_fixed_header(FixedHeader(patient=PatientInfo(**{field: value})))
+
+
+# --- differential test against a struct reference ---------------------------
+#
+# A compact reference of the three layouts that unpacks and packs each field
+# with `struct` at offsets it works out itself. Parsing is compared on model,
+# diagnostics and exception; writing on bytes, or on the exception type and
+# the field it names. The variable-header writer renders the default texts
+# channel by channel, then checks its columns in file order, channel by
+# channel within a column.
+
+_REF_FIXED = [
+    ("version", "8s"), ("pid", "66s"), ("reserved1", "10s"), ("demographics", "B"),
+    ("weight", "B"), ("height", "B"), ("physio", "B"), ("rid", "64s"), ("location", "16s"),
+    ("start", "Q"), ("birthday", "Q"), ("header_blocks", "H"), ("icd", "6s"),
+    ("equipment", "Q"), ("reserved2", "6s"), ("headsize", "3H"), ("reference", "3f"),
+    ("ground", "3f"), ("n_records", "q"), ("duration", "2I"), ("ns", "I"),
+]
+_REF_LOCATION = [("vertical_precision", "B"), ("horizontal_precision", "B"), ("size", "B"),
+                 ("version", "B"), ("latitude", "i"), ("longitude", "i"), ("altitude_cm", "i")]
+_REF_CHANNEL = [
+    ("label", "16s"), ("transducer", "80s"), ("unit text", "6s"), ("phys_dim", "H"),
+    ("phys_min", "d"), ("phys_max", "d"), ("dig_min", "d"), ("dig_max", "d"),
+    ("prefilter", "68s"), ("lowpass", "f"), ("highpass", "f"), ("notch", "f"),
+    ("samples_per_record", "I"), ("type", "I"), ("position", "3f"), ("sensor", "20s"),
+]
+
+
+def _ref_table(minor):
+    if minor < 19:
+        return _REF_CHANNEL[:-1] + [("sensor", "1s"), ("sensor tail", "19s")]
+    return _REF_CHANNEL
+
+
+def _ref_unpack(table, buf, ns=1):
+    """name -> [(offset, values)] per channel of a struct-of-arrays section."""
+    fields, at = {}, 0
+    for name, fmt in table:
+        s = struct.Struct("<" + fmt)
+        fields[name] = [(at + i * s.size, s.unpack_from(buf, at + i * s.size))
+                        for i in range(ns)]
+        at += ns * s.size
+    return fields
+
+
+def _ref_pack(table, columns, label):
+    """Pack {name: [value per channel]} column by column. A callable value
+    (a channel's text) is evaluated in that order; a value struct rejects
+    raises DomainError naming the field."""
+    out = []
+    for name, fmt in table:
+        for i, v in enumerate(columns[name]):
+            v = v() if callable(v) else v
+            try:
+                out.append(struct.pack("<" + fmt, *(v if isinstance(v, tuple) else (v,))))
+            except (struct.error, OverflowError):
+                raise DomainError(label(name, i)) from None
+    return b"".join(out)
+
+
+def _ref_parse_fixed(buf, diags):
+    f = {name: col[0] for name, col in _ref_unpack(_REF_FIXED, buf).items()}
+    val = {name: v if len(v) > 1 else v[0] for name, (_, v) in f.items()}
+    at = {name: off for name, (off, _) in f.items()}
+    version = val["version"].decode("latin-1")
+    if not version.startswith("GDF "):
+        raise FormatError(f"not a GDF file (version field {version!r})", rule="header.magic")
+    m = re.match(r"GDF (\d+)\.(\d+)", version)
+    if not m:
+        raise VersionError(f"malformed GDF version field {version!r}", rule="header.version")
+    if int(m.group(1)) != 2:
+        raise VersionError(f"unsupported GDF major version {m.group(1)}",
+                           rule="header.version")
+    pid = _read_text(val["pid"], at["pid"], "patient identification", diags)
+    _check_reserved(val["reserved1"], at["reserved1"], diags)
+    lifestyle = unpack_demographics(val["demographics"])
+    if TriState.RESERVED in lifestyle:
+        diags.warning("demographics.reserved_bits",
+                      "lifestyle byte uses the reserved 0b11 pattern",
+                      section="header1", offset=at["demographics"])
+    physio = unpack_physio(val["physio"])
+    if physio[0] is Gender.RESERVED:
+        diags.warning("demographics.reserved_bits", "gender bits use the reserved 0b11 pattern",
+                      section="header1", offset=at["physio"])
+    loc = dict(zip([n for n, _ in _REF_LOCATION],
+                   struct.unpack("<" + "".join(f for _, f in _REF_LOCATION), val["location"])))
+    if loc.pop("version"):
+        location = None
+        rid = _read_text(val["rid"] + val["location"][:4], at["rid"],
+                         "recording identification", diags)
+        if any(val["location"][4:]):
+            diags.warning("location.absent_data_nonzero",
+                          "location marked absent but coordinate bytes are not zero",
+                          section="header1", offset=at["location"] + 4)
+    else:
+        location = Location(**loc)
+        rid = _read_text(val["rid"], at["rid"], "recording identification", diags)
+    icd = _read_text(val["icd"], at["icd"], "ICD classification", diags)
+    _check_reserved(val["reserved2"], at["reserved2"], diags)
+    reference = _nan_checked(val["reference"], buf, at["reference"], diags, "header1")
+    ground = _nan_checked(val["ground"], buf, at["ground"], diags, "header1")
+    ns, n_records, blocks = val["ns"], val["n_records"], val["header_blocks"]
+    if ns >> 16:
+        raise StructureError(f"channel count field 0x{ns:08x} has its high bits set",
+                             rule="header.ns_range", offset=at["ns"])
+    if n_records < -1:
+        raise StructureError(f"record count {n_records} is invalid",
+                             rule="header.nrec_invalid", offset=at["n_records"])
+    if blocks < ns + 1:
+        raise StructureError(f"header length {blocks} blocks is less than NS+1 = {ns + 1}",
+                             rule="header.blocks_too_small", offset=at["header_blocks"])
+    patient = PatientInfo(pid, *lifestyle, val["weight"], val["height"], *physio,
+                          GdfTime(val["birthday"]), icd, val["headsize"])
+    recording = RecordingInfo(rid, location, GdfTime(val["start"]), val["equipment"],
+                              reference, ground)
+    return FixedHeader(version, patient, recording, blocks, n_records, *val["duration"], ns)
+
+
+def _ref_parse_channels(buf, ns, minor, diags):
+    if len(buf) != 256 * ns:
+        raise StructureError(f"variable header needs {256 * ns} bytes, got {len(buf)}")
+    fields = _ref_unpack(_ref_table(minor), buf, ns)
+    channels = []
+    for i in range(ns):
+        f = {name: col[i] for name, col in fields.items()}
+        val = {name: v if len(v) > 1 else v[0] for name, (_, v) in f.items()}
+        if minor < 19:
+            val["sensor"] += val["sensor tail"]
+        if not is_known_type(val["type"]):
+            raise StructureError(f"channel {i}: unknown data type code {val['type']}",
+                                 rule="channel.type_unknown", offset=256 + f["type"][0])
+
+        def text(name):
+            return _read_text(val[name], f[name][0], f"{name}[{i}]", diags, "header2")
+
+        def frequency(name):
+            if val[name] == val[name]:
+                return val[name]
+            _nan_checked((val[name],), buf, f[name][0], diags, "header2")
+            return None
+
+        ch = ChannelInfo(
+            text("label"), text("transducer"), text("unit text"), val["phys_dim"],
+            Calibration(val["phys_min"], val["phys_max"], val["dig_min"], val["dig_max"]),
+            text("prefilter"), frequency("lowpass"), frequency("highpass"),
+            frequency("notch"), val["samples_per_record"], GdfType(val["type"]),
+            _nan_checked(val["position"], buf, f["position"][0], diags, "header2"),
+            val["sensor"])
+        _check_channel(ch, i, diags)
+        channels.append(ch)
+    return channels
+
+
+def _ref_two_bits(**fields):
+    for name, v in fields.items():
+        if not 0 <= v <= 3:
+            raise DomainError(name)
+    return sum(int(v) << (2 * k) for k, v in enumerate(fields.values()))
+
+
+def _ref_text(text, size, label):
+    try:
+        data = text.encode("latin-1")
+    except UnicodeEncodeError:
+        raise DomainError(f"{label}: text is not latin-1 encodable") from None
+    if len(data) > size:
+        raise DomainError(f"{label}: {len(data)} bytes exceed the {size}-byte field")
+    return data
+
+
+def _ref_write_fixed(h):
+    """Checks the recording id, the location, the other texts and the bit
+    fields, then the numbers, each group in file order."""
+    p, r, loc = h.patient, h.recording, h.recording.location
+    rid = _ref_text(r.rid, 64 if loc else 68, "recording identification")
+    location = rid[64:] if loc is None else _ref_pack(_REF_LOCATION, {
+        name: [0 if name == "version" else getattr(loc, name)] for name, _ in _REF_LOCATION},
+        lambda name, i: name)
+    fields = {
+        "version": _ref_text(h.version, 8, "version"),
+        "pid": _ref_text(p.pid, 66, "patient identification"), "reserved1": b"",
+        "demographics": _ref_two_bits(smoking=p.smoking, alcohol_abuse=p.alcohol_abuse,
+                                      drug_abuse=p.drug_abuse, medication=p.medication),
+        "weight": p.weight_kg, "height": p.height_cm,
+        "physio": _ref_two_bits(gender=p.gender, handedness=p.handedness,
+                                visual_impairment=p.visual_impairment,
+                                heart_impairment=p.heart_impairment),
+        "rid": rid[:64], "location": location,
+        "start": r.start_time.raw, "birthday": p.birthday.raw,
+        "header_blocks": h.header_blocks or h.ns + 1,
+        "icd": _ref_text(p.icd_code, 6, "ICD classification"),
+        "equipment": r.equipment_id, "reserved2": b"", "headsize": tuple(p.headsize_mm),
+        "reference": r.reference_position, "ground": r.ground_position,
+        "n_records": h.n_records, "duration": (h.duration_num, h.duration_den), "ns": h.ns,
+    }
+    return _ref_pack(_REF_FIXED, {k: [v] for k, v in fields.items()}, lambda name, i: name)
+
+
+def _ref_write_channels(channels, minor):
+    def text(name, value, i):
+        size = struct.calcsize(dict(_REF_CHANNEL)[name])
+        return lambda: _ref_text(value, size, f"{name}[{i}]")
+
+    def nan(v):
+        return math.nan if v is None else v
+
+    columns = {name: [] for name, _ in _ref_table(minor)}
+    for i, ch in enumerate(channels):
+        for name, value in [
+            ("label", text("label", ch.label, i)),
+            ("transducer", text("transducer", ch.transducer, i)),
+            ("unit text", text("unit text", render_phys_dim_ascii(ch.phys_dim)
+                               if ch.phys_dim_ascii is None else ch.phys_dim_ascii, i)),
+            ("phys_dim", ch.phys_dim), ("phys_min", ch.cal.phys_min),
+            ("phys_max", ch.cal.phys_max), ("dig_min", ch.cal.dig_min),
+            ("dig_max", ch.cal.dig_max),
+            ("prefilter", text("prefilter", render_prefilter(
+                ch.lowpass_hz, ch.highpass_hz, ch.notch_hz)
+                if ch.prefilter is None else ch.prefilter, i)),
+            ("lowpass", nan(ch.lowpass_hz)), ("highpass", nan(ch.highpass_hz)),
+            ("notch", nan(ch.notch_hz)), ("samples_per_record", ch.samples_per_record),
+            ("type", int(ch.gdf_type)), ("position", tuple(ch.position)),
+        ]:
+            columns[name].append(value)
+        if minor < 19:
+            columns["sensor"].append(ch.sensor_info[:1])
+            columns["sensor tail"].append(ch.sensor_info[1:])
+        else:
+            columns["sensor"].append(ch.sensor_info)
+    return _ref_pack(_ref_table(minor), columns, lambda name, i: f"{name}[{i}]")
+
+
+def _write_outcome(fn, *args, **kw):
+    try:
+        return fn(*args, **kw)
+    except DomainError as exc:
+        return DomainError, str(exc)
+
+
+def _same_write(got, want):
+    """Same bytes, or a DomainError naming the same field."""
+    if isinstance(want, bytes) or isinstance(got, bytes):
+        return got == want
+    return got == want or got[1].startswith(want[1] + " cannot hold ")
+
+
+def _parse_outcome(fn, *args):
+    diags = Diagnostics()
+    try:
+        model = fn(*args, diags)
+    except GdfError as exc:
+        return type(exc), str(exc), exc.rule, exc.offset, list(diags)
+    return repr(model), list(diags), model
+
+
+def _small(bits, signed=False, bad=False):
+    """Integers of a field: in range and at its bounds, or (when ``bad``)
+    sometimes just beyond it."""
+    lo, hi = (-(1 << bits - 1), (1 << bits - 1) - 1) if signed else (0, (1 << bits) - 1)
+    edges = [lo, hi, lo - 1, hi + 1] if bad else [lo, hi]
+    return st.one_of(st.integers(lo, hi), st.integers(lo, hi), st.sampled_from(edges))
+
+
+def _texts(bad=False, size=8):
+    """Texts that fit ``size`` bytes, some space-padded; when ``bad``, some
+    too long or not latin-1."""
+    return st.text(st.characters(min_codepoint=1, max_codepoint=300 if bad else 255),
+                   max_size=size - 1 + 2 * bad).map(lambda t: t + " " * (len(t) % 3 == 0))
+
+
+_f32 = st.floats(width=32)
+_triples = st.tuples(_f32, _f32, _f32)
+
+
+@st.composite
+def _fixed_headers(draw):
+    """One header in four may hold values its fields cannot."""
+    bad = draw(st.integers(0, 3)) == 0
+    ns = draw(st.integers(0, 3))
+    texts, small = _texts(bad, 6), functools.partial(_small, bad=bad)
+    bits = st.one_of(st.integers(0, 3), st.sampled_from([-1, 4, 7] if bad else [3]))
+    location = draw(st.one_of(st.none(), st.builds(
+        Location, small(8), small(8), small(8), small(32, True), small(32, True),
+        small(32, True))))
+    return FixedHeader(
+        version=draw(st.sampled_from(["GDF 2.20", "GDF 2.1"] + ["GDF 2.10x"] * bad)),
+        patient=PatientInfo(
+            draw(st.one_of(texts, st.just("x" * (66 + bad)))),
+            *(draw(bits) for _ in range(4)), draw(small(8)), draw(small(8)),
+            *(draw(bits) for _ in range(4)),
+            GdfTime(draw(st.integers(0, (1 << 64) - 1))), draw(texts),
+            draw(st.tuples(small(16), small(16), small(16)))),
+        recording=RecordingInfo(
+            draw(st.one_of(texts, st.just("r" * (64 + bad + 4 * (location is None))))),
+            location,
+            GdfTime(draw(st.integers(0, (1 << 64) - 1))), draw(small(64)),
+            draw(_triples), draw(_triples)),
+        header_blocks=draw(st.sampled_from([0, ns + 1, 0xFFFF] + [0x10000] * bad)),
+        n_records=draw(st.sampled_from([-1, 0, 7, (1 << 63) - 1] + [1 << 63] * bad)),
+        duration_num=draw(small(32)), duration_den=draw(small(32)), ns=ns)
+
+
+@st.composite
+def _channels(draw, bad):
+    texts = _texts(bad)
+    return ChannelInfo(
+        draw(texts), draw(texts), draw(st.one_of(st.none(), _texts(bad, 6))),
+        draw(_small(16, bad=bad)),
+        Calibration(*(draw(st.floats()) for _ in range(4))),
+        draw(st.one_of(st.none(), texts)),
+        *(draw(st.one_of(st.none(), _f32)) for _ in range(3)),
+        draw(st.one_of(st.integers(0, (1 << 32) - 1), st.just((1 << 32) - 1 + bad))),
+        draw(st.sampled_from(list(GdfType))), draw(_triples),
+        draw(st.binary(min_size=20, max_size=20)))
+
+
+# byte strings the parse mutations write: padding, text after a NUL, NaN
+# payloads, a nonzero location version byte, type codes known and unknown
+_PATCHES = [b" ", b"  ", b"\x00", b"\x00x", b"x", b"\xe9", b"\x01", b"\x03", b"\xff",
+            b"\x01\x00\xc0\x7f", b"\x00\x00\x80\x7f", b"\xff\xff\xff\xff",
+            b"\x00\x00\xc0\x7f", b"\x63\x00\x00\x00", b"\x17\x01\x00\x00",
+            b"\x11\x00\x00\x00", b"GDF 2.", b"GDF 3.0", b"EDF"]
+
+
+def _patched(draw, buf, starts):
+    """``buf`` with a few patches, each at or near the start of a field."""
+    buf = bytearray(buf)
+    for _ in range(draw(st.integers(0, 6))):
+        at = draw(st.sampled_from(starts)) + draw(st.sampled_from([0, 0, 1, 3, -1, -2]))
+        payload = draw(st.one_of(st.sampled_from(_PATCHES), st.binary(min_size=1, max_size=4)))
+        at = min(max(at, 0), len(buf) - len(payload))
+        if at >= 0:
+            buf[at:at + len(payload)] = payload
+    return bytes(buf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fixed_header_against_struct_reference(data):
+    h = data.draw(_fixed_headers())
+    want = _write_outcome(_ref_write_fixed, h)
+    assert _same_write(_write_outcome(write_fixed_header, h), want)
+    if not isinstance(want, bytes):
+        return
+    starts = [at for _, at, *_ in _SPEC_FIXED] + [152 + k for k in range(16)] \
+        + list(range(212, 236, 4)) + [36, 72, 120, 148, 154, 155]
+    buf = _patched(data.draw, want, starts)
+    got, ref = _parse_outcome(parse_fixed_header, buf), _parse_outcome(_ref_parse_fixed, buf)
+    assert got[:-1] == ref[:-1] if len(got) == 3 else got == ref
+    if len(got) == 3:
+        assert _same_write(_write_outcome(write_fixed_header, got[2]),
+                           _write_outcome(_ref_write_fixed, ref[2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_channel_headers_against_struct_reference(data):
+    # one list in four may hold values its fields cannot
+    channels = data.draw(st.lists(_channels(data.draw(st.integers(0, 3)) == 0), max_size=4))
+    minor = data.draw(st.sampled_from([10, 20]))
+    want = _write_outcome(_ref_write_channels, channels, minor)
+    assert _same_write(_write_outcome(write_channel_headers, channels, version_minor=minor),
+                       want)
+    if not isinstance(want, bytes) or not channels:
+        return
+    ns = len(channels)
+    starts = [ns * at + i * struct.calcsize(fmt)
+              for (_, fmt), (_, at, *_) in zip(_REF_CHANNEL, _SPEC_CHANNEL)
+              for i in range(ns)] + [ns * 237]
+    buf = _patched(data.draw, want, starts)
+
+    def parse(reference):
+        if reference:
+            return lambda b, d: _ref_parse_channels(b, ns, minor, d)
+        return lambda b, d: parse_channel_headers(b, ns, version_minor=minor, diags=d)
+
+    got, ref = _parse_outcome(parse(False), buf), _parse_outcome(parse(True), buf)
+    assert got[:-1] == ref[:-1] if len(got) == 3 else got == ref
+    if len(got) == 3:
+        assert _same_write(
+            _write_outcome(write_channel_headers, got[2], version_minor=minor),
+            _write_outcome(_ref_write_channels, ref[2], minor))

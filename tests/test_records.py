@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdfkit import records
-from gdfkit.core import Calibration, GdfType, type_info
+from gdfkit.core import Calibration, GdfType, checked_cast, type_info
 from gdfkit.errors import DomainError, TruncatedDataError
 from gdfkit.fileio import StreamWriter
 from gdfkit.header import ChannelInfo, FixedHeader
@@ -194,6 +194,23 @@ class TestEncodeRecords:
         with pytest.raises(DomainError, match="channel 1: sample outside int24 range"):
             writer.append_record([np.array([5, 6], np.int16), np.array([7, 1 << 23])])
         assert (len(sink.getvalue()), writer.records_written) == (size, 1)
+
+    def test_list_samples_stored_exactly(self):
+        """numpy builds both lists as float64, which rounds 2**63 + 1 and
+        2**62 + 1 and truncates 0.5."""
+        ch = make_channel(GdfType.UINT64, spr=2)
+        values = [2**63 + 1, 5]
+        data = encode_records(SignalBlock([values], 1), layout_from_channels([ch]))
+        assert np.frombuffer(data, "<u8").tolist() == values
+        sink = io.BytesIO()
+        writer = StreamWriter(sink, FixedHeader(), [ch])
+        writer.append_record([values])
+        assert sink.getvalue()[-16:] == data
+        ch = make_channel(GdfType.INT64, spr=2)
+        with pytest.raises(DomainError, match=r"channel 0 cannot hold 0\.5 \(int64\)"):
+            encode_records(SignalBlock([[2**62 + 1, 0.5]], 1), layout_from_channels([ch]))
+        with pytest.raises(DomainError, match=r"channel 0 cannot hold 0\.5 \(int64\)"):
+            StreamWriter(io.BytesIO(), FixedHeader(), [ch]).append_record([[2**62 + 1, 0.5]])
 
     def test_float32_takes_nonfinite_float64(self):
         layout = layout_from_channels([make_channel(GdfType.FLOAT32, spr=4)])
@@ -398,20 +415,28 @@ def _channel_encode(block, layout):
             raise DomainError(
                 f"channel {entry.index} needs {n * entry.samples_per_record} "
                 f"samples for {n} records, has {have}")
+    # the list contract (see test_list_samples_stored_exactly), checked up front
+    samples = list(block.samples)
+    for entry in layout.channels:
+        info = type_info(entry.gdf_type)
+        arr = samples[entry.index]
+        if (not entry.is_sparse and isinstance(arr, list) and info.kind == "int"
+                and np.asarray(arr).dtype.kind not in "biu"):
+            samples[entry.index] = checked_cast(arr, info.dtype, f"channel {entry.index}")
     out = np.empty(n * layout.bytes_per_record, np.uint8)
     for entry in layout.channels:
         if entry.is_sparse:
             continue
         info = type_info(entry.gdf_type)
-        samples = block.samples[entry.index]
+        channel = samples[entry.index]
         shape = (n, entry.samples_per_record)
         if info.kind == "opaque":
-            rows = np.asarray(samples, dtype=np.uint8)
+            rows = np.asarray(channel, dtype=np.uint8)
             if rows.size != n * entry.samples_per_record * 16:
                 raise DomainError("opaque samples must be rows of 16 bytes")
             view(out, entry, np.dtype((np.uint8, 16)))[...] = rows.reshape(*shape, 16)
             continue
-        v = np.asarray(samples)
+        v = np.asarray(channel)
         if (info.kind == "int" and (v.dtype != info.dtype or info.size == 3) and v.size
                 and not (v.min() >= info.min and v.max() < info.max + 1)):
             raise DomainError(f"channel {entry.index}: sample outside {info.name} range")
