@@ -269,32 +269,6 @@ def impedance_from_digval(digval: int) -> float | None:
     return 2.0 ** (digval / 8)
 
 
-def _exact_cast(values, dtype: np.dtype) -> np.ndarray | None:
-    """``values`` as ``dtype``, or None when a value does not survive the
-    cast: an integer dtype must hold each value exactly, a float dtype must
-    keep each finite value finite."""
-    try:
-        column = np.asarray(values)
-        if column.dtype == dtype:
-            return column
-        if dtype.kind in "iu" and (column.dtype.kind == "O" or column.dtype.kind == "f"
-                                   and not isinstance(values, np.ndarray)):
-            # numpy builds a list with an int beyond int64 as float64, which
-            # rounds it: compare the list's own numbers instead
-            column = np.asarray(values, object)
-        elif column.dtype.kind not in "biuf":
-            return None
-        if column.dtype.kind != "f":
-            cast = column.astype(dtype)
-        else:  # NaN, or a float beyond the dtype, warns
-            with np.errstate(invalid="ignore", over="ignore"):
-                cast = column.astype(dtype)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    lost = np.isinf(cast) & np.isfinite(column) if dtype.kind == "f" else cast != column
-    return None if np.count_nonzero(lost) else cast
-
-
 def checked_cast(values, dtype, label: str) -> np.ndarray:
     """``values`` (a scalar, a sequence or an array) as ``dtype``.
 
@@ -304,15 +278,33 @@ def checked_cast(values, dtype, label: str) -> np.ndarray:
     in the message; a ``{}`` in it becomes the index of the first bad one.
     """
     dtype = np.dtype(dtype)
-    cast = _exact_cast(values, dtype)
-    if cast is not None:
-        return cast
-    items = values.tolist() if isinstance(values, np.ndarray) else values
-    if not isinstance(items, (list, tuple)):
-        raise DomainError(f"{label} cannot hold {items!r} ({dtype})")
-    for i, value in enumerate(items):
-        if _exact_cast([value], dtype) is None:
-            raise DomainError(f"{label.format(i)} cannot hold {value!r} ({dtype})")
+    scalar = False
+    try:
+        column = np.asarray(values)
+        scalar = column.ndim == 0
+        if column.dtype == dtype:
+            return column
+        if dtype.kind in "iu" and column.dtype.kind in "fO" and not isinstance(values, np.ndarray):
+            column = np.asarray(values, object)  # float64 would round an int beyond int64
+        if column.dtype.kind in "biufO":  # not text, complex or dates
+            with np.errstate(invalid="ignore", over="ignore"):  # NaN, or beyond the dtype
+                cast = column.astype(dtype)
+            lost = np.isinf(cast) & np.isfinite(column) if dtype.kind == "f" else cast != column
+            if not np.count_nonzero(lost):
+                return cast
+            if not scalar:  # the first row with a lost value
+                i = np.argwhere(lost)[0][0]
+                value = values[i].tolist() if isinstance(values, np.ndarray) else values[i]
+                raise DomainError(f"{label.format(i)} cannot hold {value!r} ({dtype})")
+    except (TypeError, ValueError, OverflowError):  # not a number, or uneven rows
+        pass
+    if scalar:
+        raise DomainError(f"{label} cannot hold {values!r} ({dtype})")
+    for i, value in enumerate(values.tolist() if isinstance(values, np.ndarray) else values):
+        try:  # a value numpy cannot cast: the first item that fails alone
+            checked_cast(value, dtype, label)
+        except DomainError:
+            raise DomainError(f"{label.format(i)} cannot hold {value!r} ({dtype})") from None
     raise DomainError(f"{label.format('')}: values of uneven shape")
 
 

@@ -11,6 +11,7 @@ because re-serialisation normalises it away).
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import struct
@@ -374,6 +375,7 @@ _CHANNEL_FIELDS = (
 _LEGACY_CHANNEL_FIELDS = _CHANNEL_FIELDS[:-1] + (("sensor", "V1"), ("sensor tail", "V19"))
 
 
+@functools.lru_cache
 def _variable_header(ns: int, legacy: bool) -> np.dtype:
     """The variable header of ``ns`` channels as one record of columns."""
     fields = _LEGACY_CHANNEL_FIELDS if legacy else _CHANNEL_FIELDS
@@ -415,6 +417,45 @@ def _pack_texts(texts: Sequence[str], size: int, label: str) -> list[bytes]:
         if n > size:
             raise DomainError(f"{label.format(i)}: {n} bytes exceed the {size}-byte field",
                               rule="header.text_overflow")
+
+
+def _cast(values, dtype: np.dtype, label: str) -> np.ndarray:
+    """:func:`checked_cast` for a header number. An integer field takes
+    integers only: numpy would store 2.0 as 2, the writers never have."""
+    column = np.asarray(values) if dtype.kind in "iu" else None
+    if column is not None and column.dtype.kind not in "biu":
+        for i, value in enumerate(values if column.ndim else [values]):
+            if not hasattr(value, "__index__"):
+                raise DomainError(f"{label.format(i)} cannot hold {value!r} ({dtype})")
+            checked_cast(value, dtype, label.format(i))  # an earlier bad integer first
+    return checked_cast(values if column is None else column, dtype, label)
+
+
+def _kept(stored, given) -> bool:
+    """Whether a record field holds ``given`` as ``stored``: bytes, or the
+    same number (an integer field only takes integers)."""
+    kind = type(stored)
+    if kind is int:
+        return stored == given and hasattr(given, "__index__")
+    if kind is float:
+        return stored == given or stored != stored and given != given
+    return kind is bytes or all(map(_kept, stored.tolist(), given))  # bytes, or an array
+
+
+def _section_bytes(dtype: np.dtype, values: Sequence) -> bytes:
+    """One record of ``dtype`` from a value per field, in field order. Bytes
+    go in as they are (texts are checked before); a number the field cannot
+    hold raises DomainError naming the field."""
+    record = np.zeros((), dtype)
+    try:  # one assignment, then a check that numpy kept every number as given
+        record[()] = tuple(values)
+        if all(map(_kept, record.item(), values)):
+            return record.tobytes()
+    except (OverflowError, TypeError, ValueError):
+        pass
+    for name, value in zip(dtype.names, values):  # a field at a time, to name the bad one
+        record[name] = value if isinstance(value, bytes) else _cast(value, dtype[name].base, name)
+    return record.tobytes()
 
 
 def _check_reserved(raw: bytes, offset: int, diags: Diagnostics) -> None:
@@ -542,30 +583,18 @@ def write_fixed_header(h: FixedHeader) -> bytes:
 
     # an absent location lends its first four bytes to the recording id
     rid = text("rid", r.rid, "recording identification", spill=4 if loc is None else 0)
-    if loc is not None:
-        location = np.zeros((), _LOCATION)
-        for name in _LOCATION.names[:3] + _LOCATION.names[4:]:  # the version byte stays 0
-            location[name] = checked_cast(getattr(loc, name), _LOCATION[name], name)
-    values = {  # _FIXED_FIELDS order; reserved bytes stay zero
-        "version": text("version", h.version, "version"),
-        "pid": text("pid", p.pid, "patient identification"),
-        "demographics": pack_demographics(p.smoking, p.alcohol_abuse, p.drug_abuse,
-                                          p.medication),
-        "weight": p.weight_kg, "height": p.height_cm,
-        "physio": pack_physio(p.gender, p.handedness, p.visual_impairment,
-                              p.heart_impairment),
-        "rid": rid[:64], "location": rid[64:] if loc is None else location.tobytes(),
-        "start": r.start_time.raw, "birthday": p.birthday.raw, "header_blocks": header_blocks,
-        "icd": text("icd", p.icd_code, "ICD classification"), "equipment": r.equipment_id,
-        "headsize": p.headsize_mm, "reference": r.reference_position,
-        "ground": r.ground_position, "n_records": h.n_records,
-        "duration": (h.duration_num, h.duration_den), "ns": h.ns,
-    }
-    record = np.zeros((), _FIXED)
-    for name, value in values.items():  # bytes are the texts, checked above
-        record[name] = value if isinstance(value, bytes) else \
-            checked_cast(value, _FIXED[name].base, name)
-    return record.tobytes()
+    location = rid[64:] if loc is None else _section_bytes(  # the version byte stays 0
+        _LOCATION, [getattr(loc, name, 0) for name in _LOCATION.names])
+    return _section_bytes(_FIXED, [  # _FIXED_FIELDS order; reserved bytes stay zero
+        text("version", h.version, "version"), text("pid", p.pid, "patient identification"),
+        b"", pack_demographics(p.smoking, p.alcohol_abuse, p.drug_abuse, p.medication),
+        p.weight_kg, p.height_cm,
+        pack_physio(p.gender, p.handedness, p.visual_impairment, p.heart_impairment),
+        rid[:64], location, r.start_time.raw, p.birthday.raw, header_blocks,
+        text("icd", p.icd_code, "ICD classification"), r.equipment_id, b"", p.headsize_mm,
+        r.reference_position, r.ground_position, h.n_records,
+        (h.duration_num, h.duration_den), h.ns,
+    ])
 
 
 # --- variable header ---------------------------------------------------------
@@ -655,17 +684,18 @@ def write_channel_headers(channels: list[ChannelInfo], *, version_minor: int = 2
         return b""
     layout = _variable_header(len(channels), version_minor < 19)
     record = np.zeros((), layout)
+    # the unit codes first: a default unit text is rendered from its code
+    codes = _cast([ch.phys_dim for ch in channels], layout["phys_dim"].base, "phys_dim[{}]")
     rows = [(ch.label, ch.transducer,  # _CHANNEL_FIELDS order
-             render_phys_dim_ascii(ch.phys_dim) if ch.phys_dim_ascii is None
-             else ch.phys_dim_ascii,
-             ch.phys_dim, ch.cal.phys_min, ch.cal.phys_max, ch.cal.dig_min, ch.cal.dig_max,
+             render_phys_dim_ascii(code) if ch.phys_dim_ascii is None else ch.phys_dim_ascii,
+             code, ch.cal.phys_min, ch.cal.phys_max, ch.cal.dig_min, ch.cal.dig_max,
              render_prefilter(ch.lowpass_hz, ch.highpass_hz, ch.notch_hz)
              if ch.prefilter is None else ch.prefilter,
              math.nan if ch.lowpass_hz is None else ch.lowpass_hz,
              math.nan if ch.highpass_hz is None else ch.highpass_hz,
              math.nan if ch.notch_hz is None else ch.notch_hz,
              ch.samples_per_record, ch.gdf_type, ch.position, bytes(ch.sensor_info))
-            for ch in channels]
+            for ch, code in zip(channels, codes.tolist())]
     columns = list(zip(*rows))
     if version_minor < 19:
         sensors = columns.pop()
@@ -673,5 +703,5 @@ def write_channel_headers(channels: list[ChannelInfo], *, version_minor: int = 2
     for name, values in zip(layout.names, columns):  # a column at a time, in file order
         dtype, label = layout[name].base, name + "[{}]"
         record[name] = _pack_texts(values, dtype.itemsize, label) if dtype.kind == "S" \
-            else values if dtype.kind == "V" else checked_cast(values, dtype, label)
+            else values if dtype.kind == "V" else _cast(values, dtype, label)
     return record.tobytes()

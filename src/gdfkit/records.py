@@ -223,14 +223,10 @@ def encode_records(block: SignalBlock, layout: RecordLayout, out=None):
                 f"samples for {n} records, has {have}")
     samples = block.samples
     if set(map(type, samples)) - {np.ndarray, type(None)}:  # a list or other sequence
-        samples = list(samples)
+        samples = list(samples)  # a list for an integer channel is stored exactly or refused
         for entry, arr in zip(layout.channels, block.samples):
             info = type_info(entry.gdf_type)
-            if (entry.offset is not None and info.kind == "int"
-                    and not isinstance(arr, np.ndarray)
-                    and np.asarray(arr).dtype.kind not in "biu"):
-                # numpy builds a list with a float, or an int beyond int64,
-                # as float64, which rounds: store its own numbers or refuse
+            if not isinstance(arr, np.ndarray) and entry.offset is not None and info.kind == "int":
                 samples[entry.index] = checked_cast(arr, info.dtype, f"channel {entry.index}")
     size = n * layout.bytes_per_record
     buffer = bytearray(size) if out is None else out

@@ -230,6 +230,8 @@ class TestCheckedCast:
         (["1.5"], "<f8", "x[0] cannot hold '1.5' (float64)"),
         ([None], "<f8", "x[0] cannot hold None (float64)"),
         (np.array([-1, 5]), "<u4", "x[0] cannot hold -1 (uint32)"),
+        ([(1.0, 2.0, 3.0), (1.0, 1e300, 0.0)], "<f4", "x[1] cannot hold (1.0, 1e+300, 0.0) (float32)"),
+        (np.array([[1.0, 2.0], [0.5, 3.0]]), "<i4", "x[1] cannot hold [0.5, 3.0] (int32)"),
         (256, "u1", "x cannot hold 256 (uint8)"),
     ])
     def test_bad_value_named(self, values, dtype, message):

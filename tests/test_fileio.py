@@ -335,13 +335,19 @@ class TestWriteValidation:
             with pytest.raises(DomainError, match=field):
                 to_bytes(replace(f, header=edit(f.header)))
 
-    @pytest.mark.parametrize("field, value", [("phys_dim", 70000),
-                                              ("samples_per_record", 1 << 32)])
+    @pytest.mark.parametrize("field, value", [
+        ("phys_dim", 70000), ("samples_per_record", 1 << 32),
+        ("phys_dim", 3.0), ("samples_per_record", 2.0),  # numpy would store 2.0 as 2
+    ])
     def test_out_of_range_channel_field_named(self, field, value):
         f = synthesize(SynthSpec(channels=2, events=0))
         channels = [f.channels[0], replace(f.channels[1], **{field: value})]
         with pytest.raises(DomainError, match=rf"{field}\[1\] cannot hold {value} "):
             to_bytes(replace(f, channels=channels))
+        sink = io.BytesIO()
+        with pytest.raises(DomainError, match=rf"{field}\[1\] cannot hold {value} "):
+            StreamWriter(sink, f.header, channels)
+        assert sink.getvalue() == b""
 
 
 class TestStreamWriter:

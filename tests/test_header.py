@@ -524,14 +524,35 @@ def test_two_bit_fields_reject_out_of_range(field, value):
         write_fixed_header(FixedHeader(patient=PatientInfo(**{field: value})))
 
 
+@pytest.mark.parametrize("field, header", [
+    ("weight", FixedHeader(patient=PatientInfo(weight_kg=70.0))),
+    ("headsize", FixedHeader(patient=PatientInfo(headsize_mm=(1, 2.0, 3)))),
+    ("latitude", FixedHeader(recording=RecordingInfo(location=Location(latitude=5.0)))),
+    ("n_records", FixedHeader(n_records=7.0)),
+    ("duration", FixedHeader(duration_den=1.0)),
+    ("ns", FixedHeader(header_blocks=1, ns=0.0)),
+])
+def test_integral_float_fixed_field_refused(field, header):
+    """numpy would store 7.0 as 7; an integer field takes integers only."""
+    with pytest.raises(DomainError, match=rf"^{field} cannot hold "):
+        write_fixed_header(header)
+
+
+@pytest.mark.parametrize("code", [3.0, 70000])
+def test_unit_code_checked_before_default_unit_text(code):
+    """The default unit text is rendered from the code, so the code comes first."""
+    with pytest.raises(DomainError, match=rf"^phys_dim\[1\] cannot hold {code} "):
+        write_channel_headers([ChannelInfo(), ChannelInfo(phys_dim=code)])
+
+
 # --- differential test against a struct reference ---------------------------
 #
 # A compact reference of the three layouts that unpacks and packs each field
 # with `struct` at offsets it works out itself. Parsing is compared on model,
 # diagnostics and exception; writing on bytes, or on the exception type and
-# the field it names. The variable-header writer renders the default texts
-# channel by channel, then checks its columns in file order, channel by
-# channel within a column.
+# the field it names. The variable-header writer checks the unit codes,
+# renders the default texts channel by channel, then checks its columns in
+# file order, channel by channel within a column.
 
 _REF_FIXED = [
     ("version", "8s"), ("pid", "66s"), ("reserved1", "10s"), ("demographics", "B"),
@@ -728,6 +749,8 @@ def _ref_write_channels(channels, minor):
     def nan(v):
         return math.nan if v is None else v
 
+    for i, ch in enumerate(channels):  # the unit codes first: the default unit text needs them
+        _ref_pack([("phys_dim", "H")], {"phys_dim": [ch.phys_dim]}, lambda name, _: f"{name}[{i}]")
     columns = {name: [] for name, _ in _ref_table(minor)}
     for i, ch in enumerate(channels):
         for name, value in [
@@ -779,9 +802,9 @@ def _parse_outcome(fn, *args):
 
 def _small(bits, signed=False, bad=False):
     """Integers of a field: in range and at its bounds, or (when ``bad``)
-    sometimes just beyond it."""
+    sometimes just beyond it or an integral float."""
     lo, hi = (-(1 << bits - 1), (1 << bits - 1) - 1) if signed else (0, (1 << bits) - 1)
-    edges = [lo, hi, lo - 1, hi + 1] if bad else [lo, hi]
+    edges = [lo, hi, lo - 1, hi + 1, float(lo)] if bad else [lo, hi]
     return st.one_of(st.integers(lo, hi), st.integers(lo, hi), st.sampled_from(edges))
 
 
@@ -819,8 +842,8 @@ def _fixed_headers(draw):
             location,
             GdfTime(draw(st.integers(0, (1 << 64) - 1))), draw(small(64)),
             draw(_triples), draw(_triples)),
-        header_blocks=draw(st.sampled_from([0, ns + 1, 0xFFFF] + [0x10000] * bad)),
-        n_records=draw(st.sampled_from([-1, 0, 7, (1 << 63) - 1] + [1 << 63] * bad)),
+        header_blocks=draw(st.sampled_from([0, ns + 1, 0xFFFF] + [0x10000, ns + 1.0] * bad)),
+        n_records=draw(st.sampled_from([-1, 0, 7, (1 << 63) - 1] + [1 << 63, 7.0] * bad)),
         duration_num=draw(small(32)), duration_den=draw(small(32)), ns=ns)
 
 
@@ -833,7 +856,8 @@ def _channels(draw, bad):
         Calibration(*(draw(st.floats()) for _ in range(4))),
         draw(st.one_of(st.none(), texts)),
         *(draw(st.one_of(st.none(), _f32)) for _ in range(3)),
-        draw(st.one_of(st.integers(0, (1 << 32) - 1), st.just((1 << 32) - 1 + bad))),
+        draw(st.one_of(st.integers(0, (1 << 32) - 1),
+                       st.sampled_from([(1 << 32) - 1 + bad] + [2.0] * bad))),
         draw(st.sampled_from(list(GdfType))), draw(_triples),
         draw(st.binary(min_size=20, max_size=20)))
 

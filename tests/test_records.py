@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdfkit import records
-from gdfkit.core import Calibration, GdfType, checked_cast, type_info
+from gdfkit.core import Calibration, GdfType, type_info
 from gdfkit.errors import DomainError, TruncatedDataError
 from gdfkit.fileio import StreamWriter
 from gdfkit.header import ChannelInfo, FixedHeader
@@ -415,14 +415,18 @@ def _channel_encode(block, layout):
             raise DomainError(
                 f"channel {entry.index} needs {n * entry.samples_per_record} "
                 f"samples for {n} records, has {have}")
-    # the list contract (see test_list_samples_stored_exactly), checked up front
+    # a sequence for an integer channel holds integers its container dtype
+    # holds, built from the Python numbers (see test_list_samples_stored_exactly)
     samples = list(block.samples)
     for entry in layout.channels:
-        info = type_info(entry.gdf_type)
-        arr = samples[entry.index]
-        if (not entry.is_sparse and isinstance(arr, list) and info.kind == "int"
-                and np.asarray(arr).dtype.kind not in "biu"):
-            samples[entry.index] = checked_cast(arr, info.dtype, f"channel {entry.index}")
+        info, arr = type_info(entry.gdf_type), samples[entry.index]
+        if not entry.is_sparse and info.kind == "int" and not isinstance(arr, np.ndarray):
+            bounds = np.iinfo(info.dtype)
+            for v in arr:
+                if not ((isinstance(v, int) or isinstance(v, float) and v.is_integer())
+                        and bounds.min <= v <= bounds.max):
+                    raise DomainError(f"channel {entry.index} cannot hold {v!r} ({info.dtype})")
+            samples[entry.index] = np.array([int(v) for v in arr], info.dtype)
     out = np.empty(n * layout.bytes_per_record, np.uint8)
     for entry in layout.channels:
         if entry.is_sparse:
@@ -468,7 +472,7 @@ def _encode_outcome(fn, block, layout):
 _EDGE_INTS = [0, -1, 1 << 7, -(1 << 7) - 1, 1 << 15, 1 << 16, 1 << 23, -(1 << 23) - 1, 1 << 24,
               1 << 31, 1 << 32, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, -(1 << 63), (1 << 64) - 1]
 _EDGE_FLOATS = [np.nan, np.inf, -np.inf, 1e300, -1e300, 3.5e38, 0.5, -0.5, 2.0 ** 63, 2.0 ** 24]
-_INPUT_KINDS = ["disk", "int64", "uint64", "int32", "float64", "float32", "list"]
+_INPUT_KINDS = ["disk", "int64", "uint64", "int32", "float64", "float32", "list", "tuple"]
 
 
 @st.composite
@@ -486,7 +490,11 @@ def _channel_input(draw, gdf_type, count):
         ints.append(st.sampled_from(_EDGE_INTS))
         floats += [st.sampled_from(_EDGE_FLOATS), st.floats()]
     kind = draw(st.sampled_from(_INPUT_KINDS))
-    dtype = info.dtype if kind == "disk" else np.dtype(kind) if kind != "list" else None
+    if kind in ("list", "tuple"):  # Python ints, with floats among them in one list in four
+        pool = ints + (floats[:1] + floats[2:] if draw(st.integers(0, 3)) == 0 else [])
+        values = draw(st.lists(st.one_of(pool), min_size=count, max_size=count))
+        return values if kind == "list" else tuple(values)
+    dtype = info.dtype if kind == "disk" else np.dtype(kind)
     if dtype is not None and dtype.kind == "f":
         wide = np.array(draw(st.lists(st.one_of(floats), min_size=count, max_size=count)),
                         np.float64)
@@ -495,8 +503,6 @@ def _channel_input(draw, gdf_type, count):
             wide = np.where(np.isfinite(wide), np.clip(wide, -big, big), wide)
         return wide.astype(dtype)
     values = draw(st.lists(st.one_of(ints), min_size=count, max_size=count))
-    if dtype is None:
-        return values
     bounds = np.iinfo(dtype)
     return np.array([min(max(v, bounds.min), bounds.max) for v in values], dtype)
 
