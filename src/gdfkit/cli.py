@@ -24,7 +24,7 @@ from .fileio import GdfFile, anonymize, read_file, validate, write_file
 from .header import ChannelInfo, FixedHeader, electrode_impedance, probe_frequency
 from .records import SignalBlock, overflow_scan
 from .synth import SynthSpec, synthesize
-from .units import BASE_SYMBOLS, PREFIXES, unit_symbol
+from .units import _CODE_BY_SYMBOL, unit_symbol
 
 OK, WARNINGS, FAILURE = 0, 1, 2
 
@@ -398,14 +398,6 @@ def _parse_column_header(text: str) -> tuple[str, str, Fraction]:
     return label.strip(), unit.strip(), rate
 
 
-def _unit_code_from_symbol(symbol: str) -> int:
-    for base, base_symbol in BASE_SYMBOLS.items():
-        for p in PREFIXES.values():
-            if p.symbol + base_symbol == symbol:
-                return base + p.code
-    return 0
-
-
 def _column_to_channel(label: str, unit: str, values: np.ndarray,
                        gdf_type: GdfType, scaled: bool) -> tuple[ChannelInfo, np.ndarray]:
     """Turn one CSV column (NaN = invalid cell) into a channel and raw samples.
@@ -439,7 +431,7 @@ def _column_to_channel(label: str, unit: str, values: np.ndarray,
         raw = digital.astype(info.dtype)
     channel = ChannelInfo(
         label=label,
-        phys_dim=_unit_code_from_symbol(unit),
+        phys_dim=_CODE_BY_SYMBOL.get(unit, 0),
         phys_dim_ascii=unit[:6],
         cal=cal,
         samples_per_record=len(values),

@@ -222,9 +222,9 @@ class Calibration:
         if self.is_degenerate:
             raise DomainError("degenerate calibration: dig_min == dig_max")
         x = np.asarray(raw, dtype=np.float64)
-        w = (x - self.dig_min) / (self.dig_max - self.dig_min)
-        out = self.phys_min * (1.0 - w) + self.phys_max * w
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf, as scale gives them
+            w = (x - self.dig_min) / (self.dig_max - self.dig_min)
+            out = self.phys_min * (1.0 - w) + self.phys_max * w
             invalid = ~((x >= self.dig_min) & (x <= self.dig_max))
         out[invalid] = np.nan
         return out

@@ -10,7 +10,6 @@ a sparse channel in the duration field.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -20,6 +19,7 @@ from .core import checked_cast, float32_exact, type_info
 from .diagnostics import Diagnostics, sink
 from .errors import CapacityError, DomainError, StructureError
 from .header import ChannelInfo, _nan_checked
+from .records import ChannelLayout, RecordLayout, SignalBlock, decode_records, encode_records
 
 #: Bit or-ed into a mode-1 event type to mark the end of a span.
 END_FLAG = 0x8000
@@ -119,9 +119,7 @@ class EventCodeRegistry:
 
     def add_descriptions(self, descriptions: Sequence[str]) -> None:
         """Register a description list: list index i maps to code i (1-based)."""
-        for i, description in enumerate(descriptions, start=1):
-            if i > 255:
-                break
+        for i, description in enumerate(descriptions[:255], start=1):
             if description:
                 self._user[i] = description
 
@@ -233,7 +231,7 @@ def parse_event_table(data: bytes, diags: Diagnostics | None = None) -> EventTab
         raise StructureError(f"event table mode must be 1 or 3, got {mode}",
                              rule="event.bad_mode")
     n_events = int.from_bytes(data[1:4], "little")
-    sample_rate, = _nan_checked(struct.unpack_from("<f", data, 4), data, 4, diags, "events")
+    sample_rate, = _nan_checked(np.ndarray(1, "<f4", data, 4).tolist(), data, 4, diags, "events")
     needed = event_table_size(mode, n_events)
     if len(data) < needed:
         raise StructureError(
@@ -251,7 +249,7 @@ def write_event_table(table: EventTable) -> bytes:
     if table.n_events >= 1 << 24:
         raise CapacityError(f"{table.n_events} events exceed the 24-bit count field")
     head = (bytes([table.mode]) + table.n_events.to_bytes(3, "little")
-            + struct.pack("<f", table.sample_rate_hz))
+            + np.array(table.sample_rate_hz, "<f4").tobytes())
     return b"".join([head] + [getattr(table, name).tobytes()
                               for name, _ in _COLUMNS[:table.mode + 1]])
 
@@ -389,31 +387,32 @@ class SparseSample:
     physical: float
 
 
-def sparse_value_from_dur(dur: int, gdf_type: int) -> int | float:
-    """Reinterpret the 32-bit duration field as a sample of the given type."""
+def _sparse_layout(gdf_type: int) -> RecordLayout:
+    """Duration words as a data section: 4-byte records with one sample each."""
     info = type_info(gdf_type)
     if info.size > 4:
         raise DomainError(f"sparse samples cannot use {info.name}: wider than 32 bits")
-    if info.kind == "float":
-        return struct.unpack("<f", struct.pack("<I", dur))[0]
-    bits = info.size * 8
-    value = dur & ((1 << bits) - 1)
-    if info.min < 0 and value >= 1 << (bits - 1):
-        value -= 1 << bits
-    return value
+    return RecordLayout((ChannelLayout(0, 1, int(gdf_type), 0),), 4)
+
+
+def _encode_sparse(values, gdf_type: int) -> np.ndarray:
+    """Duration words (zero-extended) from samples of the given type."""
+    layout = _sparse_layout(gdf_type)  # a type over 32 bits is refused first
+    values = checked_cast(values, type_info(gdf_type).dtype, "sparse sample")
+    return np.frombuffer(encode_records(SignalBlock([values], len(values)), layout), "<u4")
+
+
+def sparse_value_from_dur(dur: int, gdf_type: int) -> int | float:
+    """Reinterpret the 32-bit duration field as a sample of the given type."""
+    layout = _sparse_layout(gdf_type)
+    word = checked_cast([dur], "<u4", "duration word").tobytes()
+    return decode_records(word, layout, 1).samples[0].item()
 
 
 def dur_from_sparse_value(value: int | float, gdf_type: int) -> int:
-    """Inverse of :func:`sparse_value_from_dur` (zero-extended)."""
-    info = type_info(gdf_type)
-    if info.size > 4:
-        raise DomainError(f"sparse samples cannot use {info.name}: wider than 32 bits")
-    if info.kind == "float":
-        return struct.unpack("<I", struct.pack("<f", value))[0]
-    if not info.min <= value <= info.max:
-        raise DomainError(f"{value} outside the {info.name} range")
-    bits = info.size * 8
-    return int(value) & ((1 << bits) - 1)
+    """Inverse of :func:`sparse_value_from_dur` (zero-extended); a value the
+    type cannot hold raises DomainError."""
+    return int(_encode_sparse([value], gdf_type)[0])
 
 
 def _usable_sparse_rows(table: EventTable, channels: Sequence[ChannelInfo],
@@ -452,12 +451,15 @@ def extract_sparse_samples(table: EventTable, channels: Sequence[ChannelInfo],
     diags = sink(diags)
     out: dict[int, list[SparseSample]] = {
         i: [] for i, ch in enumerate(channels) if ch.is_sparse}
-    rows = _usable_sparse_rows(table, channels, diags)
-    for pos, chn, dur in zip(table.pos[rows].tolist(), table.chn[rows].tolist(),
-                             table.dur[rows].tolist()):
-        ch = channels[chn - 1]
-        raw = sparse_value_from_dur(dur, ch.gdf_type)
-        out[chn - 1].append(SparseSample(pos, raw, ch.cal.scale(raw)))
+    usable = _usable_sparse_rows(table, channels, diags)
+    for i in out:
+        group = np.flatnonzero(usable & (table.chn == i + 1))
+        if group.size:  # a degenerate calibration raises only once there are samples
+            ch = channels[i]
+            raw = decode_records(table.dur[group].tobytes(), _sparse_layout(ch.gdf_type),
+                                 len(group)).samples[0]
+            out[i] = list(map(SparseSample, table.pos[group].tolist(), raw.tolist(),
+                              ch.cal.scale_array(raw).tolist()))
     return out
 
 

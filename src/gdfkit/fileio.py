@@ -26,6 +26,7 @@ from .events import (
     EventTable,
     SPARSE_SAMPLE_TYPE,
     _usable_sparse_rows,
+    event_table_position,
     event_table_size,
     parse_event_table,
     write_event_table,
@@ -184,14 +185,16 @@ def read_file(source, *, lenient: bool = False) -> tuple[GdfFile, Diagnostics]:
                                      complete_records=complete,
                                      remainder_bytes=remainder)
         diags.warning("data.truncated", message, section="data", offset=header_end)
+    # the event table follows all declared records: a file cut before that has none
+    tail = b"" if declared_ongoing else \
+        data[event_table_position(header.header_blocks, header.n_records, bpr):]
     header = replace(header, n_records=n_records)
     data_end = header_end + n_records * bpr
 
     signals = decode_records(memoryview(data)[header_end:data_end], layout, n_records)
 
     events = None
-    tail = data[data_end:]
-    if tail and not declared_ongoing:
+    if tail:
         try:
             events = parse_event_table(tail, diags)
         except StructureError as exc:

@@ -581,8 +581,10 @@ def write_fixed_header(h: FixedHeader) -> bytes:
     def text(name, value, label, spill=0):
         return _pack_texts([value], _FIXED[name].itemsize + spill, label)[0]
 
-    # an absent location lends its first four bytes to the recording id
+    # an absent location lends its first four bytes to the recording id, whose
+    # space padding keeps the location's version byte nonzero
     rid = text("rid", r.rid, "recording identification", spill=4 if loc is None else 0)
+    rid = rid.ljust(68, b" ") if loc is None else rid
     location = rid[64:] if loc is None else _section_bytes(  # the version byte stays 0
         _LOCATION, [getattr(loc, name, 0) for name in _LOCATION.names])
     return _section_bytes(_FIXED, [  # _FIXED_FIELDS order; reserved bytes stay zero
@@ -671,8 +673,10 @@ def _check_channel(ch: ChannelInfo, index: int, diags: Diagnostics) -> None:
         diags.error("channel.sparse_type_too_wide",
                     f"channel {index}: sparse channel type {info.name} exceeds 32 bits",
                     section="header2")
-    prefix = ch.phys_dim & 0x1F
-    if prefix in units.NONSTANDARD_PREFIXES:
+    if not (hasattr(ch.phys_dim, "__index__") and 0 <= ch.phys_dim <= 0xFFFF):
+        diags.error("channel.physdim_invalid", f"channel {index}: unit code "
+                    f"{ch.phys_dim!r} is not an integer in 0..65535", section="header2")
+    elif (prefix := ch.phys_dim & 0x1F) in units.NONSTANDARD_PREFIXES:
         diags.warning("channel.physdim_nonstandard_prefix",
                       f"channel {index}: unit code {ch.phys_dim} uses reserved "
                       f"decimal prefix {prefix}", section="header2")

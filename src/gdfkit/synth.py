@@ -20,8 +20,8 @@ from .errors import DomainError
 from .events import (
     EventTable,
     SPARSE_SAMPLE_TYPE,
+    _encode_sparse,
     default_event_rate,
-    dur_from_sparse_value,
 )
 from .fileio import GdfFile, required_header_blocks
 from .header import (
@@ -71,9 +71,7 @@ def _digital_bounds(gdf_type: GdfType) -> tuple[float, float]:
 
 def _make_channel(spec: SynthSpec, index: int, sparse: bool) -> ChannelInfo:
     gdf_type = spec.gdf_type if not sparse else GdfType.UINT32
-    dig_min, dig_max = _digital_bounds(gdf_type)
-    if sparse:
-        dig_min, dig_max = 0.0, 1000.0
+    dig_min, dig_max = (0.0, 1000.0) if sparse else _digital_bounds(gdf_type)
     phys_dim = 4275  # uV
     lowpass, highpass, notch = 100.0, 0.5, 50.0
     return ChannelInfo(
@@ -120,10 +118,9 @@ def _make_events(rng, spec: SynthSpec, channels, total_event_samples: int) -> Ev
         ch = channels[sparse_index]
         for _ in range(max(2, spec.events // 2)):
             pos.append(int(rng.integers(1, max(total_event_samples, 2))))
-            raw = int(rng.integers(int(ch.cal.dig_min), int(ch.cal.dig_max) + 1))
-            typ.append(SPARSE_SAMPLE_TYPE)
-            chn.append(sparse_index + 1)
-            dur.append(dur_from_sparse_value(raw, ch.gdf_type))
+            dur.append(int(rng.integers(int(ch.cal.dig_min), int(ch.cal.dig_max) + 1)))
+        typ, chn = [SPARSE_SAMPLE_TYPE] * len(dur), [sparse_index + 1] * len(dur)
+        dur = _encode_sparse(dur, ch.gdf_type).tolist()  # the raw values, in one codec call
     if spec.event_mode == 1 and pos:
         raise DomainError("sparse channels need a mode-3 event table")
     if not spec.events and not pos:

@@ -79,6 +79,10 @@ PREFIXES: dict[int, Prefix] = {code: Prefix(code, name, sym, mag)
                                for code, name, sym, mag in _PREFIX_ROWS}
 _PREFIX_BY_NAME: dict[str, Prefix] = {p.name: p for p in PREFIXES.values()}
 
+# Unit symbol -> code, composed as decode_physdim renders a symbol.
+_CODE_BY_SYMBOL = {p.symbol + symbol: base + p.code
+                   for base, symbol in BASE_SYMBOLS.items() for p in PREFIXES.values()}
+
 #: Prefix codes with no assigned meaning (decodable, but flagged).
 NONSTANDARD_PREFIXES = frozenset(range(11, 16)) | frozenset(range(26, 32))
 

@@ -1,3 +1,5 @@
+import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdfkit.core import Calibration, GdfType
+from gdfkit.core import Calibration, GdfType, type_info
 from gdfkit.diagnostics import Diagnostics, sink
 from gdfkit.errors import CapacityError, DomainError, StructureError
 from gdfkit.events import (
@@ -15,6 +17,8 @@ from gdfkit.events import (
     EventSpan,
     EventTable,
     PairedEvents,
+    SparseSample,
+    _usable_sparse_rows,
     convert_mode,
     describe_event,
     default_event_rate,
@@ -437,6 +441,173 @@ class TestSparseSamples:
             sparse_value_from_dur(0, GdfType.INT64)
         with pytest.raises(DomainError):
             dur_from_sparse_value(0.0, GdfType.FLOAT64)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: dur_from_sparse_value(2.5, GdfType.INT16), "cannot hold 2.5"),
+        (lambda: dur_from_sparse_value(1e300, GdfType.FLOAT32), "cannot hold 1e"),
+        (lambda: sparse_value_from_dur(2**32, GdfType.UINT8), "cannot hold 4294967296"),
+        (lambda: sparse_value_from_dur(-1, GdfType.INT8), "cannot hold -1"),
+        (lambda: dur_from_sparse_value(1 << 23, GdfType.INT24), "outside int24 range"),
+    ], ids=["fraction", "float32-overflow", "word-too-wide", "word-negative", "int24"])
+    def test_unrepresentable_values_rejected(self, call, match):
+        # the per-row code returned 2, raised OverflowError, returned 0 and 255
+        with pytest.raises(DomainError, match=match):
+            call()
+
+    def test_extract_groups_channels_in_table_order(self):
+        t = mode3([7, 3, 5, 9, 1], [SPARSE_SAMPLE_TYPE] * 5, [3, 2, 3, 0, 2],
+                  [0xFFFF, 10, 2, 1, 20])
+        diags = Diagnostics()
+        out = extract_sparse_samples(t, self._channels(), diags)
+        assert [(s.pos, s.raw) for s in out[1]] == [(3, 10), (1, 20)]
+        assert [(s.pos, s.raw) for s in out[2]] == [(7, -1), (5, 2)]
+        assert [s.physical for s in out[2]] == pytest.approx([-0.1, 0.2])
+        assert [d.rule for d in diags] == ["event.sparse_channel_invalid"]
+
+
+# --- reference: the per-row sparse codec ---------------------------------------
+# The bit-mask and struct code the record codec replaced, kept as the oracle
+# of the differential tests below.
+
+def _ref_sparse_value_from_dur(dur, gdf_type):
+    info = type_info(gdf_type)
+    if info.size > 4:
+        raise DomainError(f"sparse samples cannot use {info.name}: wider than 32 bits")
+    if info.kind == "float":
+        return struct.unpack("<f", struct.pack("<I", dur))[0]
+    bits = info.size * 8
+    value = dur & ((1 << bits) - 1)
+    if info.min < 0 and value >= 1 << (bits - 1):
+        value -= 1 << bits
+    return value
+
+
+def _ref_dur_from_sparse_value(value, gdf_type):
+    info = type_info(gdf_type)
+    if info.size > 4:
+        raise DomainError(f"sparse samples cannot use {info.name}: wider than 32 bits")
+    if info.kind == "float":
+        return struct.unpack("<I", struct.pack("<f", value))[0]
+    if not info.min <= value <= info.max:
+        raise DomainError(f"{value} outside the {info.name} range")
+    bits = info.size * 8
+    return int(value) & ((1 << bits) - 1)
+
+
+def _ref_extract(table, channels, diags):
+    if table.mode != 3:
+        raise DomainError("sparse samples live in mode-3 event tables")
+    out = {i: [] for i, ch in enumerate(channels) if ch.is_sparse}
+    rows = _usable_sparse_rows(table, channels, diags)
+    for pos, chn, dur in zip(table.pos[rows].tolist(), table.chn[rows].tolist(),
+                             table.dur[rows].tolist()):
+        ch = channels[chn - 1]
+        raw = _ref_sparse_value_from_dur(dur, ch.gdf_type)
+        out[chn - 1].append(SparseSample(pos, raw, ch.cal.scale(raw)))
+    return out
+
+
+def _attempt(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type
+        return exc
+
+
+def _same_value(got, want):
+    """Same type and value; floats bit for bit, NaN payloads included."""
+    if isinstance(want, float):
+        return type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+    return type(got) is type(want) and got == want
+
+
+def _nan_equal(got, want):
+    return got == want or (got != got and want != want)
+
+
+_SPARSE_TYPES = [t for t in GdfType if type_info(t).size <= 4]
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+# sign bits, NaN payloads (quiet and signalling), infinities, subnormals and
+# nonzero high bytes under narrow types
+_WORDS = st.one_of(st.integers(0, (1 << 32) - 1), st.sampled_from([
+    0x80, 0xFF, 0x8000, 0xFFFF, 0x800000, 0xFFFFFF, 0x80000000, 0xFFFFFFFF,
+    0x7FC00000, 0x7FC00001, 0x7F800001, 0xFFBFFFFF, 0x7F800000, 0xFF800000,
+    0x00000001, 0x807FFFFF, 0x12FF8000, 0xAB00007F]))
+
+
+class TestSparseAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(_SPARSE_TYPES),
+           st.one_of(_WORDS, st.integers(-(1 << 40), -1), st.integers(1 << 32, 1 << 40)))
+    def test_decode(self, gdf_type, word):
+        got = _attempt(sparse_value_from_dur, word, gdf_type)
+        if not 0 <= word < 1 << 32:
+            # the per-row code masked such a word (or struct refused it)
+            assert isinstance(got, DomainError)
+        else:
+            assert _same_value(got, _ref_sparse_value_from_dur(word, gdf_type))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(_SPARSE_TYPES), st.data())
+    def test_encode(self, gdf_type, data):
+        info = type_info(gdf_type)
+        if info.kind == "float":
+            # ints up to 2**53 reach float32 the same way with or without a
+            # float64 between; the record codec rounds a wider one only once
+            value = data.draw(st.one_of(
+                st.floats(width=32), st.floats(), st.integers(-(1 << 53), 1 << 53),
+                st.sampled_from([_FLOAT32_MAX, np.nextafter(_FLOAT32_MAX, np.inf),
+                                 float.fromhex("0x1.ffffffp+127"), 2.0**128])))
+        else:
+            in_range = st.integers(info.min, info.max)
+            value = data.draw(st.one_of(
+                in_range, in_range.map(float), st.floats(info.min - 2.0, info.max + 2.0),
+                st.integers(info.min - (1 << 33), info.max + (1 << 33)),
+                st.sampled_from([-0.0, math.nan, math.inf, -math.inf])))
+        want = _attempt(_ref_dur_from_sparse_value, value, gdf_type)
+        got = _attempt(dur_from_sparse_value, value, gdf_type)
+        truncated = info.kind == "int" and isinstance(value, float) \
+            and not value.is_integer()
+        if truncated or isinstance(want, OverflowError):
+            assert isinstance(got, DomainError), (value, want, got)
+        elif isinstance(want, Exception):
+            assert type(got) is type(want), (value, want, got)
+        else:
+            assert _same_value(got, want), (value, want, got)
+            assert 0 <= got < 1 << 32
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_extract(self, data):
+        calibrations = st.one_of(
+            st.just((-1.0, 1.0, -32768.0, 32767.0)), st.just((0.0, 1.0, 5.0, 5.0)),
+            st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                      st.floats(-1e9, 0.0), st.floats(0.0, 5e9)),
+            st.tuples(*[st.floats()] * 4))
+        channels = [
+            ChannelInfo(label=f"c{i}", samples_per_record=data.draw(st.sampled_from([0, 0, 2])),
+                        gdf_type=data.draw(st.sampled_from(list(GdfType))),
+                        cal=Calibration(*data.draw(calibrations)))
+            for i in range(data.draw(st.integers(1, 5)))]
+        rows = data.draw(st.lists(st.tuples(
+            st.integers(1, (1 << 32) - 1),
+            st.sampled_from([SPARSE_SAMPLE_TYPE] * 3 + [0x0300]),
+            st.integers(0, len(channels) + 1), _WORDS), max_size=30))
+        t = mode3(*zip(*rows)) if rows else EventTable.empty(3, 256.0)
+        want_diags, got_diags = Diagnostics(), Diagnostics()
+        want = _attempt(_ref_extract, t, channels, want_diags)
+        got = _attempt(extract_sparse_samples, t, channels, got_diags)
+        assert list(got_diags) == list(want_diags)
+        if isinstance(want, Exception):
+            assert (type(got), str(got)) == (type(want), str(want))
+            return
+        assert got.keys() == want.keys()
+        for index, samples in want.items():
+            assert len(got[index]) == len(samples)
+            for g, w in zip(got[index], samples):
+                assert g.pos == w.pos
+                assert _same_value(g.raw, w.raw)
+                assert _nan_equal(g.physical, w.physical)
 
 
 class TestRegistry:

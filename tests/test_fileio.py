@@ -200,6 +200,24 @@ class TestNRecUnknown:
         assert back.header.n_records == 4
         assert any(d.rule == "data.truncated" for d in diags)
 
+    def test_cut_record_not_parsed_as_events(self):
+        # one uint8 channel, 16 samples per record, 4 records; record 3 starts
+        # with the bytes of a mode-1 event table header declaring no events
+        ch = ChannelInfo(label="a", samples_per_record=16, gdf_type=GdfType.UINT8,
+                         cal=Calibration(0.0, 1.0, 0.0, 255.0))
+        samples = np.zeros(64, np.uint8)
+        samples[48:52] = [1, 0, 0, 0]
+        f = GdfFile(header=FixedHeader(n_records=4), channels=[ch],
+                    signals=SignalBlock([samples], 4), events=EventTable.empty(1, 8.0))
+        blob = to_bytes(f)
+        record3 = 512 + 3 * 16
+        for cut in [record3 + 12] + list(range(record3, record3 + 16)):
+            back, diags = read_file(blob[:cut], lenient=True)
+            assert [d.rule for d in diags] == ["data.truncated"], cut
+            assert back.events is None
+            assert back.signals.n_records == 3
+        assert read_file(blob)[0].events == f.events
+
 
 class TestStrictness:
     def test_error_diagnostic_raises_strict(self):
@@ -488,6 +506,20 @@ class TestValidate:
         odd = replace(f.channels[0], phys_dim=(f.channels[0].phys_dim & ~0x1F) | 11)
         broken = GdfFile(header=f.header, channels=[odd], signals=f.signals)
         assert [d.rule for d in validate(broken)] == ["channel.physdim_nonstandard_prefix"]
+
+    @pytest.mark.parametrize("code", [3.0, 1.5, -1, 70000])
+    def test_physdim_invalid(self, code):
+        # the unit codes the writers refuse; -1 is no longer read as prefix 31
+        f = synthesize(SynthSpec(channels=2, events=0))
+        odd = replace(f.channels[1], phys_dim=code)
+        broken = GdfFile(header=f.header, channels=[f.channels[0], odd], signals=f.signals)
+        diags = validate(broken)
+        assert [(d.rule, d.severity.name) for d in diags] == \
+            [("channel.physdim_invalid", "ERROR")]
+        assert diags[0].message == \
+            f"channel 1: unit code {code!r} is not an integer in 0..65535"
+        with pytest.raises(DomainError, match=r"phys_dim\[1\] cannot hold"):
+            to_bytes(broken)
 
     def test_sparse_rows_reported_as_extract_reports_them(self):
         f = synthesize(SynthSpec(channels=3, records=2, events=0, with_sparse=True))

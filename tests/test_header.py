@@ -204,6 +204,19 @@ class TestFixedHeader:
         assert parsed.recording.location is None
         assert parsed.recording.rid == rid
 
+    @pytest.mark.parametrize("rid", ["", "abc", "R" * 64, "R" * 67],
+                             ids=["empty", "short", "64", "67"])
+    def test_location_absent_short_rid_round_trip(self, rid):
+        # spaces pad the id through the location's version byte, so it stays nonzero
+        h = FixedHeader(recording=RecordingInfo(rid=rid, location=None))
+        data = write_fixed_header(h)
+        assert data[88:156] == rid.encode().ljust(68, b" ")
+        diags = Diagnostics()
+        parsed = parse_fixed_header(data, diags)
+        assert (parsed.recording.location, parsed.recording.rid) == (None, rid)
+        assert [d.rule for d in diags] == ["header.text_space_padded"]
+        assert write_fixed_header(parsed) == data
+
     def test_reserved_nonzero_diagnosed(self):
         buf = bytearray(write_fixed_header(_demo_header()))
         buf[75] = 1
@@ -718,6 +731,7 @@ def _ref_write_fixed(h):
     fields, then the numbers, each group in file order."""
     p, r, loc = h.patient, h.recording, h.recording.location
     rid = _ref_text(r.rid, 64 if loc else 68, "recording identification")
+    rid = rid if loc else rid.ljust(68, b" ")  # keeps the location version byte nonzero
     location = rid[64:] if loc is None else _ref_pack(_REF_LOCATION, {
         name: [0 if name == "version" else getattr(loc, name)] for name, _ in _REF_LOCATION},
         lambda name, i: name)

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from gdfkit.errors import DomainError
 from gdfkit.units import (
+    _CODE_BY_SYMBOL,
     BASE_SYMBOLS,
     NONSTANDARD_PREFIXES,
     PREFIXES,
@@ -91,3 +92,21 @@ def test_units_csv_rejects_prefixed_codes(tmp_path):
     path.write_text("4275,uV\n")
     with pytest.raises(DomainError):
         load_units_csv(path)
+
+
+def _ref_code_from_symbol(symbol):
+    """The CLI's former per-column search, kept as the oracle."""
+    for base, base_symbol in BASE_SYMBOLS.items():
+        for p in PREFIXES.values():
+            if p.symbol + base_symbol == symbol:
+                return base + p.code
+    return 0
+
+
+def test_symbol_map_matches_search():
+    symbols = [p.symbol + s for s in BASE_SYMBOLS.values() for p in PREFIXES.values()]
+    assert len(symbols) == len(BASE_SYMBOLS) * len(PREFIXES) == 315
+    for symbol in symbols + ["furlong"]:
+        assert _CODE_BY_SYMBOL.get(symbol, 0) == _ref_code_from_symbol(symbol), symbol
+    assert _CODE_BY_SYMBOL["uV"] == 4275
+    assert "furlong" not in _CODE_BY_SYMBOL
