@@ -221,8 +221,8 @@ class Calibration:
         """Vectorised :meth:`scale`; returns float64 with NaN where invalid."""
         if self.is_degenerate:
             raise DomainError("degenerate calibration: dig_min == dig_max")
-        x = np.asarray(raw, dtype=np.float64)
         with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf, as scale gives them
+            x = np.asarray(raw, dtype=np.float64)  # a float32 signalling NaN is invalid
             w = (x - self.dig_min) / (self.dig_max - self.dig_min)
             out = self.phys_min * (1.0 - w) + self.phys_max * w
             invalid = ~((x >= self.dig_min) & (x <= self.dig_max))
@@ -286,6 +286,9 @@ def checked_cast(values, dtype, label: str) -> np.ndarray:
             return column
         if dtype.kind in "iu" and column.dtype.kind in "fO" and not isinstance(values, np.ndarray):
             column = np.asarray(values, object)  # float64 would round an int beyond int64
+        if dtype.kind == "f" and column.dtype.kind == "O":  # ints beyond int64 are objects
+            column = np.array([float(v) if type(v) is int else v for v in column.flat]
+                              ).reshape(column.shape)
         if column.dtype.kind in "biufO":  # not text, complex or dates
             with np.errstate(invalid="ignore", over="ignore"):  # NaN, or beyond the dtype
                 cast = column.astype(dtype)

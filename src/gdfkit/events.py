@@ -231,7 +231,7 @@ def parse_event_table(data: bytes, diags: Diagnostics | None = None) -> EventTab
         raise StructureError(f"event table mode must be 1 or 3, got {mode}",
                              rule="event.bad_mode")
     n_events = int.from_bytes(data[1:4], "little")
-    sample_rate, = _nan_checked(np.ndarray(1, "<f4", data, 4).tolist(), data, 4, diags, "events")
+    sample_rate, = _nan_checked(np.ndarray(1, "<f4", data, 4), 4, diags, "events")
     needed = event_table_size(mode, n_events)
     if len(data) < needed:
         raise StructureError(

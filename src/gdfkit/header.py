@@ -33,7 +33,7 @@ CHANNEL_HEADER_SIZE = 256
 #: Version string the writer stamps on new files.
 CURRENT_VERSION = "GDF 2.20"
 
-_CANONICAL_NAN32 = struct.pack("<f", math.nan)
+_CANONICAL_NAN32 = np.array(math.nan, "<f4").view("<u4")  # the bits the writers give NaN
 
 
 class TriState(IntEnum):
@@ -465,17 +465,14 @@ def _check_reserved(raw: bytes, offset: int, diags: Diagnostics) -> None:
                       section="header1", offset=offset)
 
 
-def _nan_checked(values: Sequence[float], buf, offset: int, diags: Diagnostics,
-                 section: str) -> Sequence[float]:
-    """Return the float32 ``values`` read from ``offset`` in ``buf``; report
-    each NaN whose bits writing it back would not reproduce."""
-    for k, v in enumerate(values):
-        at = offset + 4 * k
-        if v != v and bytes(buf[at:at + 4]) != _CANONICAL_NAN32:
-            diags.info("header.noncanonical_nan",
-                       "NaN payload bits are not the canonical quiet NaN",
-                       section=section, offset=at)
-    return values
+def _nan_checked(values: np.ndarray, offset: int, diags: Diagnostics, section: str) -> list:
+    """The float32 ``values`` stored from ``offset``, as a list; report each
+    NaN whose bits writing it back would not reproduce."""
+    bad = np.isnan(values) & (values.view("<u4") != _CANONICAL_NAN32)
+    for k in np.flatnonzero(bad).tolist():
+        diags.info("header.noncanonical_nan", "NaN payload bits are not the canonical quiet NaN",
+                   section=section, offset=offset + 4 * k)
+    return values.tolist()
 
 
 # --- fixed header ------------------------------------------------------------
@@ -529,8 +526,8 @@ def parse_fixed_header(buf: bytes, diags: Diagnostics | None = None) -> FixedHea
 
     icd = _read_text(v["icd"], at["icd"], "ICD classification", diags)
     _check_reserved(v["reserved2"], at["reserved2"], diags)
-    reference = _nan_checked(v["reference"].tolist(), buf, at["reference"], diags, "header1")
-    ground = _nan_checked(v["ground"].tolist(), buf, at["ground"], diags, "header1")
+    reference = _nan_checked(v["reference"], at["reference"], diags, "header1")
+    ground = _nan_checked(v["ground"], at["ground"], diags, "header1")
     header_blocks, n_records, ns32 = v["header_blocks"], v["n_records"], v["ns"]
 
     if ns32 >> 16:
@@ -603,50 +600,42 @@ def write_fixed_header(h: FixedHeader) -> bytes:
 
 def parse_channel_headers(buf: bytes, ns: int, *, version_minor: int = 20,
                           diags: Diagnostics | None = None) -> list[ChannelInfo]:
-    """Decode the 256*ns byte variable header into per-channel records."""
+    """Decode the 256*ns byte variable header column by column into
+    per-channel records; each channel's findings come in field order."""
     diags = sink(diags)
     if len(buf) != CHANNEL_HEADER_SIZE * ns:
         raise StructureError(
             f"variable header needs {CHANNEL_HEADER_SIZE * ns} bytes, got {len(buf)}")
     layout = _variable_header(ns, version_minor < 19)
     record = np.ndarray((), layout, buf)
-    columns = {name: record[name].tolist() for name in layout.names}
-    if version_minor < 19:
-        columns["sensor"] = list(map(bytes.__add__, columns["sensor"],
-                                     columns.pop("sensor tail")))
-
-    def at(name, i):  # channel i's value of a field: its column start plus i strides
-        return layout.fields[name][1] + i * layout[name].itemsize // ns
-
-    def text(raw, name, i):
-        return _read_text(raw, at(name, i), f"{name}[{i}]", diags, "header2")
-
-    def frequency(value, name, i):
-        if value == value:
-            return value
-        _nan_checked((value,), buf, at(name, i), diags, "header2")
-        return None
+    found = [Diagnostics() for _ in range(ns)]  # each channel's findings, in field order
+    columns = []
+    for name in layout.names:  # _CHANNEL_FIELDS order
+        column, start = record[name], layout.fields[name][1]
+        if column.dtype.kind == "S":
+            size = column.dtype.itemsize
+            columns.append([_read_text(raw, start + i * size, f"{name}[{i}]", found[i], "header2")
+                            for i, raw in enumerate(column.tolist())])
+        elif column.dtype == np.float32:  # a filter frequency (NaN: unknown), or the position
+            nans = Diagnostics()
+            values = _nan_checked(column, start, nans, "header2")
+            for d in nans:  # to the channel whose value it is
+                found[(d.offset - start) // column.strides[0]].append(d)
+            columns.append(values if column.ndim > 1 else [None if v != v else v for v in values])
+        else:
+            columns.append(column.tolist())
+    if version_minor < 19:  # the sensor area's 1-byte and 19-byte columns
+        tail = columns.pop()
+        columns.append(list(map(bytes.__add__, columns.pop(), tail)))
 
     channels = []
-    for i, (label, transducer, unit, phys_dim, phys_min, phys_max, dig_min, dig_max,
-            prefilter, lowpass, highpass, notch, spr, code, position, sensor) \
-            in enumerate(zip(*columns.values())):  # _CHANNEL_FIELDS order
-        if not is_known_type(code):
-            raise StructureError(f"channel {i}: unknown data type code {code}",
+    for i, row in enumerate(zip(*columns)):  # row[13] is the type code
+        if not is_known_type(row[13]):
+            raise StructureError(f"channel {i}: unknown data type code {row[13]}",
                                  rule="channel.type_unknown",
-                                 offset=FIXED_HEADER_SIZE + at("type", i))
-        ch = ChannelInfo(
-            label=text(label, "label", i), transducer=text(transducer, "transducer", i),
-            phys_dim_ascii=text(unit, "unit text", i), phys_dim=phys_dim,
-            cal=Calibration(phys_min, phys_max, dig_min, dig_max),
-            prefilter=text(prefilter, "prefilter", i),
-            lowpass_hz=frequency(lowpass, "lowpass", i),
-            highpass_hz=frequency(highpass, "highpass", i),
-            notch_hz=frequency(notch, "notch", i),
-            samples_per_record=spr, gdf_type=GdfType(code),
-            position=_nan_checked(position, buf, at("position", i), diags, "header2"),
-            sensor_info=sensor,
-        )
+                                 offset=FIXED_HEADER_SIZE + layout.fields["type"][1] + 4 * i)
+        ch = ChannelInfo(*row[:4], Calibration(*row[4:8]), *row[8:])  # fields in file order
+        diags.extend(found[i])
         _check_channel(ch, i, diags)
         channels.append(ch)
     return channels

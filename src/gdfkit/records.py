@@ -126,7 +126,7 @@ class SignalBlock:
 _OPAQUE = np.dtype((np.uint8, 16))  # one 16-byte float sample as a row of bytes
 _LOW16 = np.dtype("<u2")            # low two bytes of a 24-bit sample
 _HIGH8 = {True: np.dtype("i1"), False: np.dtype("u1")}  # its top byte, by signedness
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
+_FLOAT32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103  # from here on a value rounds to inf in float32
 
 
 def _channel_view(buffer, layout: RecordLayout, entry: ChannelLayout | RunLayout,
@@ -194,7 +194,7 @@ def _range_error(v: np.ndarray, info: TypeInfo) -> str | None:
         return f"sample outside {info.name} range"
     if (info.kind == "float" and info.size == 4 and v.dtype != info.dtype
             and v.dtype.kind == "f" and v.size
-            and np.any(np.isfinite(v) & (np.abs(v) > _FLOAT32_MAX))):
+            and np.any(np.isfinite(v) & (np.abs(v) >= _FLOAT32_OVERFLOW))):
         return "finite sample outside float32 range"
     return None
 
@@ -211,6 +211,7 @@ def encode_records(block: SignalBlock, layout: RecordLayout, out=None):
         raise DomainError(f"block has {len(block.samples)} channels, layout "
                           f"{len(layout.channels)}")
     n = block.n_records
+    sequences = []  # continuous channels given as a list or other sequence
     for entry, arr in zip(layout.channels, block.samples):
         if entry.offset is None:  # sparse
             if arr is not None and len(arr) > 0:
@@ -221,13 +222,16 @@ def encode_records(block: SignalBlock, layout: RecordLayout, out=None):
             raise DomainError(
                 f"channel {entry.index} needs {n * entry.samples_per_record} "
                 f"samples for {n} records, has {have}")
+        if not isinstance(arr, np.ndarray):
+            sequences.append(entry)
     samples = block.samples
-    if set(map(type, samples)) - {np.ndarray, type(None)}:  # a list or other sequence
-        samples = list(samples)  # a list for an integer channel is stored exactly or refused
-        for entry, arr in zip(layout.channels, block.samples):
+    if sequences:  # a sequence is stored exactly as its channel's dtype holds it, or refused
+        samples = list(samples)
+        for entry in sequences:
             info = type_info(entry.gdf_type)
-            if not isinstance(arr, np.ndarray) and entry.offset is not None and info.kind == "int":
-                samples[entry.index] = checked_cast(arr, info.dtype, f"channel {entry.index}")
+            if info.kind != "opaque":
+                samples[entry.index] = checked_cast(samples[entry.index], info.dtype,
+                                                    f"channel {entry.index}")
     size = n * layout.bytes_per_record
     buffer = bytearray(size) if out is None else out
     if memoryview(buffer).nbytes != size:

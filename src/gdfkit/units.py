@@ -169,8 +169,11 @@ def load_units_csv(path) -> dict[int, str]:
         for row in csv.reader(fh):
             if not row or row[0].lstrip().startswith("#") or not row[0].strip():
                 continue
-            code = int(row[0].strip(), 0)
+            try:
+                code, symbol = int(row[0].strip(), 0), row[1].strip()
+            except (ValueError, IndexError):
+                raise DomainError(f"units CSV row {row}: not code,symbol[,description]") from None
             if code & 0x1F:
                 raise DomainError(f"units CSV row {row}: {code} is not a base code")
-            table[code] = row[1].strip()
+            table[code] = symbol
     return table

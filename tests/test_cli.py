@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from gdfkit.cli import main
-from gdfkit.fileio import read_file
-from gdfkit.records import overflow_scan
+from gdfkit.core import Calibration, GdfType
+from gdfkit.fileio import GdfFile, read_file, write_file
+from gdfkit.header import ChannelInfo, FixedHeader
+from gdfkit.records import SignalBlock, overflow_scan
 
 
 @pytest.fixture()
@@ -298,6 +300,17 @@ class TestConvertCsv:
         assert f1.events is not None
         assert f1.events.pos.tolist() == f.events.pos.tolist()
         assert f1.events.typ.tolist() == f.events.typ.tolist()
+
+    def test_float32_signalling_nan_exported_blank(self, tmp_path, capsys):
+        """The scaled export of a float32 signalling NaN raised a RuntimeWarning."""
+        ch = ChannelInfo(label="f", samples_per_record=3, gdf_type=GdfType.FLOAT32,
+                         cal=Calibration(-1.0, 1.0, -2.0, 2.0))
+        raw = np.array([0x7F800001, 0x3F800000, 0x7FC00000], np.uint32).view(np.float32)
+        src, out_csv = tmp_path / "snan.gdf", tmp_path / "sig.csv"
+        write_file(GdfFile(FixedHeader(n_records=1, ns=1), [ch],
+                           signals=SignalBlock([raw], 1)), src)
+        assert run(capsys, "convert", src, out_csv)[0] == 0
+        assert read_csv(out_csv)[1:] == [[""], ["0.5"], [""]]
 
     def test_sparse_channels_noted(self, tmp_path, capsys):
         src = tmp_path / "sparse.gdf"

@@ -165,6 +165,15 @@ class TestCalibration:
             expected = cal.scale(float(x))
             assert (math.isnan(y) and math.isnan(expected)) or y == expected
 
+    def test_scale_array_float32_signalling_nan(self):
+        """The float64 cast of a float32 signalling NaN raised a RuntimeWarning."""
+        cal = Calibration(phys_min=-1.0, phys_max=1.0, dig_min=-100.0, dig_max=100.0)
+        raw = np.array([0x7F800001, 0x42C80000, 0xFFC00001], np.uint32).view(np.float32)
+        out = cal.scale_array(raw)
+        assert out.dtype == np.float64
+        assert [math.isnan(v) for v in out.tolist()] == [True, False, True]
+        assert out[1] == 1.0
+
     def test_digital_inverse(self):
         cal = Calibration(phys_min=0.0, phys_max=5.0, dig_min=-200.0, dig_max=200.0)
         for value in (0.0, 1.25, 5.0):
@@ -217,6 +226,9 @@ class TestCheckedCast:
         ([(1.5, 2.0, 3.0)], "<f4", [[1.5, 2.0, 3.0]]),
         ([math.nan, math.inf], "<f4", [math.nan, math.inf]),
         (-1, "<i8", -1),
+        # ints numpy builds as objects; a float64 that rounds down to the largest float32
+        ([10**20, -(10**20)], "<f4", [1.0000000200408773e+20, -1.0000000200408773e+20]),
+        ([2.0 ** 128 - 2.0 ** 104 + 2.0 ** 102], "<f4", [3.4028234663852886e+38]),
     ])
     def test_exact_values_pass(self, values, dtype, want):
         got = checked_cast(values, dtype, "x").tolist()
@@ -233,6 +245,7 @@ class TestCheckedCast:
         ([(1.0, 2.0, 3.0), (1.0, 1e300, 0.0)], "<f4", "x[1] cannot hold (1.0, 1e+300, 0.0) (float32)"),
         (np.array([[1.0, 2.0], [0.5, 3.0]]), "<i4", "x[1] cannot hold [0.5, 3.0] (int32)"),
         (256, "u1", "x cannot hold 256 (uint8)"),
+        ([1, 10**40], "<f4", f"x[1] cannot hold {10**40} (float32)"),
     ])
     def test_bad_value_named(self, values, dtype, message):
         label = "x" if np.ndim(values) == 0 else "x[{}]"

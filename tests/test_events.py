@@ -454,6 +454,16 @@ class TestSparseSamples:
         with pytest.raises(DomainError, match=match):
             call()
 
+    def test_extract_float32_signalling_nan(self):
+        """A signalling NaN word (0x7F800001) raised a RuntimeWarning in the
+        float64 cast of ``scale_array``."""
+        channels = [ChannelInfo(label="f", samples_per_record=0, gdf_type=GdfType.FLOAT32,
+                                cal=Calibration(0.0, 1.0, 0.0, 2.0))]
+        t = mode3([4, 6], [SPARSE_SAMPLE_TYPE] * 2, [1, 1], [0x7F800001, 0x3F800000])
+        first, second = extract_sparse_samples(t, channels)[0]
+        assert math.isnan(first.raw) and math.isnan(first.physical)
+        assert (second.raw, second.physical) == (1.0, 0.5)
+
     def test_extract_groups_channels_in_table_order(self):
         t = mode3([7, 3, 5, 9, 1], [SPARSE_SAMPLE_TYPE] * 5, [3, 2, 3, 0, 2],
                   [0xFFFF, 10, 2, 1, 20])

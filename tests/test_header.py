@@ -19,7 +19,6 @@ from gdfkit.header import (
     _LOCATION,
     _check_channel,
     _check_reserved,
-    _nan_checked,
     _read_text,
     _variable_header,
     ChannelInfo,
@@ -616,6 +615,18 @@ def _ref_pack(table, columns, label):
     return b"".join(out)
 
 
+def _ref_nan_checked(values, buf, offset, diags, section):
+    """Report each float32 NaN of ``values`` (read from ``offset`` in
+    ``buf``) whose bytes are not the canonical quiet NaN."""
+    for k, v in enumerate(values):
+        at = offset + 4 * k
+        if v != v and bytes(buf[at:at + 4]) != struct.pack("<f", math.nan):
+            diags.info("header.noncanonical_nan",
+                       "NaN payload bits are not the canonical quiet NaN",
+                       section=section, offset=at)
+    return values
+
+
 def _ref_parse_fixed(buf, diags):
     f = {name: col[0] for name, col in _ref_unpack(_REF_FIXED, buf).items()}
     val = {name: v if len(v) > 1 else v[0] for name, (_, v) in f.items()}
@@ -655,8 +666,8 @@ def _ref_parse_fixed(buf, diags):
         rid = _read_text(val["rid"], at["rid"], "recording identification", diags)
     icd = _read_text(val["icd"], at["icd"], "ICD classification", diags)
     _check_reserved(val["reserved2"], at["reserved2"], diags)
-    reference = _nan_checked(val["reference"], buf, at["reference"], diags, "header1")
-    ground = _nan_checked(val["ground"], buf, at["ground"], diags, "header1")
+    reference = _ref_nan_checked(val["reference"], buf, at["reference"], diags, "header1")
+    ground = _ref_nan_checked(val["ground"], buf, at["ground"], diags, "header1")
     ns, n_records, blocks = val["ns"], val["n_records"], val["header_blocks"]
     if ns >> 16:
         raise StructureError(f"channel count field 0x{ns:08x} has its high bits set",
@@ -694,7 +705,7 @@ def _ref_parse_channels(buf, ns, minor, diags):
         def frequency(name):
             if val[name] == val[name]:
                 return val[name]
-            _nan_checked((val[name],), buf, f[name][0], diags, "header2")
+            _ref_nan_checked((val[name],), buf, f[name][0], diags, "header2")
             return None
 
         ch = ChannelInfo(
@@ -702,7 +713,7 @@ def _ref_parse_channels(buf, ns, minor, diags):
             Calibration(val["phys_min"], val["phys_max"], val["dig_min"], val["dig_max"]),
             text("prefilter"), frequency("lowpass"), frequency("highpass"),
             frequency("notch"), val["samples_per_record"], GdfType(val["type"]),
-            _nan_checked(val["position"], buf, f["position"][0], diags, "header2"),
+            _ref_nan_checked(val["position"], buf, f["position"][0], diags, "header2"),
             val["sensor"])
         _check_channel(ch, i, diags)
         channels.append(ch)

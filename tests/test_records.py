@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gdfkit import records
 from gdfkit.core import Calibration, GdfType, type_info
 from gdfkit.errors import DomainError, TruncatedDataError
-from gdfkit.fileio import StreamWriter
+from gdfkit.fileio import GdfFile, StreamWriter, read_file, to_bytes
 from gdfkit.header import ChannelInfo, FixedHeader
 from gdfkit.records import (
     SignalBlock,
@@ -218,6 +218,55 @@ class TestEncodeRecords:
         back = decode_records(encode_records(SignalBlock([samples], 1), layout), layout, 1)
         assert np.array_equal(back.samples[0], samples.astype(np.float32), equal_nan=True)
 
+    # the least float64 that rounds to infinity in float32, the one below it,
+    # and the largest float32
+    _ROUNDS_TO_INF = 2.0 ** 128 - 2.0 ** 103
+    _BELOW = float(np.nextafter(_ROUNDS_TO_INF, 0))
+    _MAX = float(np.finfo(np.float32).max)
+
+    @staticmethod
+    def _float32_outcomes(samples):
+        """The float32 sample of channel 1 as ``to_bytes`` and as
+        ``StreamWriter.append_record`` store it, or their error texts."""
+        channels = [make_channel(GdfType.INT16, spr=1), make_channel(GdfType.FLOAT32, spr=1)]
+        block = SignalBlock([np.array([7], np.int16), samples], 1)
+        f = GdfFile(header=FixedHeader(n_records=1, ns=2), channels=channels, signals=block)
+        sink = io.BytesIO()
+        writer = StreamWriter(sink, FixedHeader(), channels)
+        outcomes = []
+        for write in (lambda: to_bytes(f),
+                      lambda: writer.append_record(block.samples) or sink.getvalue()):
+            try:  # the record is last: no events follow it
+                outcomes.append(np.frombuffer(write()[-4:], "<f4").tolist())
+            except DomainError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    @pytest.mark.parametrize("samples, message", [
+        ([10**40], f"channel 1 cannot hold {10**40} (float32)"),
+        ([10**400], f"channel 1 cannot hold {10**400} (float32)"),
+        ([_ROUNDS_TO_INF], f"channel 1 cannot hold {_ROUNDS_TO_INF!r} (float32)"),
+        ((-_ROUNDS_TO_INF,), f"channel 1 cannot hold {-_ROUNDS_TO_INF!r} (float32)"),
+        (np.array([_ROUNDS_TO_INF]), "channel 1: finite sample outside float32 range"),
+        (np.array([-_ROUNDS_TO_INF]), "channel 1: finite sample outside float32 range"),
+    ], ids=["int-1e40", "int-1e400", "list-midpoint", "tuple-midpoint", "array-midpoint",
+            "array-negative-midpoint"])
+    def test_float32_overflow_refused(self, samples, message):
+        """The encoder wrote 10**40 as inf with a RuntimeWarning and let an
+        OverflowError escape for 10**400."""
+        assert self._float32_outcomes(samples) == [message, message]
+
+    @pytest.mark.parametrize("samples, stored", [
+        ([_BELOW], _MAX),
+        (np.array([_BELOW]), _MAX),
+        (np.array([np.nextafter(_MAX, np.inf)]), _MAX),
+        ([10**20], float(np.float32(1e20))),
+    ], ids=["list-below-midpoint", "array-below-midpoint", "array-above-max", "int-1e20"])
+    def test_float32_rounding_to_max_stored(self, samples, stored):
+        """The encoder refused the first three, which ``checked_cast`` and
+        ``float32_exact`` store as the largest float32."""
+        assert self._float32_outcomes(samples) == [[stored], [stored]]
+
 
 ALL_TYPES = [GdfType.INT8, GdfType.UINT8, GdfType.INT16, GdfType.UINT16,
              GdfType.INT32, GdfType.UINT32, GdfType.INT64, GdfType.UINT64,
@@ -416,17 +465,29 @@ def _channel_encode(block, layout):
                 f"channel {entry.index} needs {n * entry.samples_per_record} "
                 f"samples for {n} records, has {have}")
     # a sequence for an integer channel holds integers its container dtype
-    # holds, built from the Python numbers (see test_list_samples_stored_exactly)
+    # holds, built from the Python numbers (see test_list_samples_stored_exactly);
+    # one for a float channel holds numbers that do not round to infinity in
+    # its type, which is when struct refuses to pack them (OverflowError for a
+    # float, struct.error for an int)
     samples = list(block.samples)
     for entry in layout.channels:
         info, arr = type_info(entry.gdf_type), samples[entry.index]
-        if not entry.is_sparse and info.kind == "int" and not isinstance(arr, np.ndarray):
-            bounds = np.iinfo(info.dtype)
+        if entry.is_sparse or info.kind == "opaque" or isinstance(arr, np.ndarray):
+            continue
+        if info.kind == "float":
             for v in arr:
-                if not ((isinstance(v, int) or isinstance(v, float) and v.is_integer())
-                        and bounds.min <= v <= bounds.max):
-                    raise DomainError(f"channel {entry.index} cannot hold {v!r} ({info.dtype})")
-            samples[entry.index] = np.array([int(v) for v in arr], info.dtype)
+                try:
+                    struct.pack("<f" if info.size == 4 else "<d", v)
+                except (OverflowError, struct.error):
+                    raise DomainError(f"channel {entry.index} cannot hold {v!r} ({info.dtype})"
+                                      ) from None
+            continue
+        bounds = np.iinfo(info.dtype)
+        for v in arr:
+            if not ((isinstance(v, int) or isinstance(v, float) and v.is_integer())
+                    and bounds.min <= v <= bounds.max):
+                raise DomainError(f"channel {entry.index} cannot hold {v!r} ({info.dtype})")
+        samples[entry.index] = np.array([int(v) for v in arr], info.dtype)
     out = np.empty(n * layout.bytes_per_record, np.uint8)
     for entry in layout.channels:
         if entry.is_sparse:
@@ -444,10 +505,11 @@ def _channel_encode(block, layout):
         if (info.kind == "int" and (v.dtype != info.dtype or info.size == 3) and v.size
                 and not (v.min() >= info.min and v.max() < info.max + 1)):
             raise DomainError(f"channel {entry.index}: sample outside {info.name} range")
-        if (info.kind == "float" and info.size == 4 and v.dtype != info.dtype
-                and v.dtype.kind == "f" and v.size
-                and np.any(np.isfinite(v) & (np.abs(v) > float(np.finfo(np.float32).max)))):
-            raise DomainError(f"channel {entry.index}: finite sample outside float32 range")
+        if info.kind == "float" and info.size == 4 and v.dtype.kind == "f":
+            with np.errstate(over="ignore"):  # a finite sample that rounds to infinity
+                if np.any(np.isfinite(v) & np.isinf(v.astype(np.float32))):
+                    raise DomainError(f"channel {entry.index}: finite sample outside "
+                                      "float32 range")
         v = v.reshape(shape)
         if info.size == 3:
             if v.dtype.kind not in "iu":
@@ -467,11 +529,20 @@ def _encode_outcome(fn, block, layout):
         return type(exc), str(exc)
 
 
-# values at and beyond the bounds of every type, and near 2**63 where a
-# shared int64/uint64 staging dtype would round
+# values at and beyond the bounds of every type, near 2**63 where a shared
+# int64/uint64 staging dtype would round, and beyond uint64, where numpy
+# builds a list as objects (10**40 rounds to infinity in float32, 10**400 in
+# float64)
 _EDGE_INTS = [0, -1, 1 << 7, -(1 << 7) - 1, 1 << 15, 1 << 16, 1 << 23, -(1 << 23) - 1, 1 << 24,
-              1 << 31, 1 << 32, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, -(1 << 63), (1 << 64) - 1]
+              1 << 31, 1 << 32, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, -(1 << 63), (1 << 64) - 1,
+              10**20, 10**40, -10**400]
 _EDGE_FLOATS = [np.nan, np.inf, -np.inf, 1e300, -1e300, 3.5e38, 0.5, -0.5, 2.0 ** 63, 2.0 ** 24]
+# the largest float32 and the float64 values around the midpoint between it
+# and 2**128, from which on a value rounds to infinity in float32
+_FLT_MAX = float(np.finfo(np.float32).max)
+_EDGE_FLOATS += [_FLT_MAX, -_FLT_MAX, float(np.nextafter(_FLT_MAX, np.inf)),
+                 float(np.nextafter(2.0 ** 128 - 2.0 ** 103, 0)), 2.0 ** 128 - 2.0 ** 103,
+                 -(2.0 ** 128 - 2.0 ** 103)]
 _INPUT_KINDS = ["disk", "int64", "uint64", "int32", "float64", "float32", "list", "tuple"]
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,6 +93,17 @@ def test_units_csv_rejects_prefixed_codes(tmp_path):
     path = tmp_path / "units.csv"
     path.write_text("4275,uV\n")
     with pytest.raises(DomainError):
+        load_units_csv(path)
+
+
+@pytest.mark.parametrize("text, row", [
+    ("3104,l/s\nzz,foo\n", "['zz', 'foo']"),  # raised ValueError
+    ("3104,l/s\n4256\n", "['4256']"),         # raised IndexError
+])
+def test_units_csv_malformed_row_named(tmp_path, text, row):
+    path = tmp_path / "units.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=re.escape(f"units CSV row {row}: ")):
         load_units_csv(path)
 
 
