@@ -297,7 +297,7 @@ def checked_cast(values, dtype, label: str) -> np.ndarray:
                 return cast
             if not scalar:  # the first row with a lost value
                 i = np.argwhere(lost)[0][0]
-                value = values[i].tolist() if isinstance(values, np.ndarray) else values[i]
+                value = values.tolist()[i] if isinstance(values, np.ndarray) else values[i]
                 raise DomainError(f"{label.format(i)} cannot hold {value!r} ({dtype})")
     except (TypeError, ValueError, OverflowError):  # not a number, or uneven rows
         pass

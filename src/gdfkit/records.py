@@ -6,9 +6,12 @@ records. Sparse channels (samples_per_record == 0) contribute no bytes here.
 Each continuous channel is thus a strided slice of the data section, which
 the codec reads and writes through a zero-copy numpy view. Consecutive
 channels of one type (a run) are one contiguous range of each record, so the
-encoder writes each run at once. 24-bit integers are stored in 3
-little-endian bytes and go through two views: the low 16 bits and the top
-byte. The 16-byte float type passes through as opaque bytes and is never
+encoder casts each channel's samples to the channel's sample dtype (checked,
+so nothing is rounded or wrapped) and writes each run with one concatenate.
+24-bit integers are stored in 3 little-endian bytes and go through two views:
+the low 16 bits and the top byte; their 32-bit container holds values beyond
+24 bits, so a 24-bit run is range-checked and split in staged chunks. The
+16-byte float type passes through as opaque rows of 16 bytes and is never
 scaled.
 """
 
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TypeInfo, checked_cast, type_info
+from .core import checked_cast, type_info
 from .errors import DomainError, TruncatedDataError
 from .header import ChannelInfo
 
@@ -126,7 +129,6 @@ class SignalBlock:
 _OPAQUE = np.dtype((np.uint8, 16))  # one 16-byte float sample as a row of bytes
 _LOW16 = np.dtype("<u2")            # low two bytes of a 24-bit sample
 _HIGH8 = {True: np.dtype("i1"), False: np.dtype("u1")}  # its top byte, by signedness
-_FLOAT32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103  # from here on a value rounds to inf in float32
 
 
 def _channel_view(buffer, layout: RecordLayout, entry: ChannelLayout | RunLayout,
@@ -184,34 +186,17 @@ def decode_records(data: bytes | memoryview, layout: RecordLayout,
     return SignalBlock(samples, n_records)
 
 
-def _range_error(v: np.ndarray, info: TypeInfo) -> str | None:
-    """Why samples ``v`` cannot be stored as ``info``'s type, or None."""
-    # A 24-bit container holds out-of-range values; other matching dtypes
-    # cannot. min and max + 1 are 0 or powers of two, so they stay exact
-    # against float input, and NaN fails both comparisons.
-    if (info.kind == "int" and (v.dtype != info.dtype or info.size == 3) and v.size
-            and not (v.min() >= info.min and v.max() < info.max + 1)):
-        return f"sample outside {info.name} range"
-    if (info.kind == "float" and info.size == 4 and v.dtype != info.dtype
-            and v.dtype.kind == "f" and v.size
-            and np.any(np.isfinite(v) & (np.abs(v) >= _FLOAT32_OVERFLOW))):
-        return "finite sample outside float32 range"
-    return None
-
-
 def encode_records(block: SignalBlock, layout: RecordLayout, out=None):
     """Interleave per-channel arrays back into records; inverse of decode.
 
     ``out``, a writable buffer of exactly ``n_records * bytes_per_record``
     bytes, is filled in place and returned; without it the records come back
-    as new bytes. Each run of the layout is written at once, split only where
-    the input dtype changes.
+    as new bytes. Each run of the layout is written at once.
     """
     if len(block.samples) != len(layout.channels):
         raise DomainError(f"block has {len(block.samples)} channels, layout "
                           f"{len(layout.channels)}")
     n = block.n_records
-    sequences = []  # continuous channels given as a list or other sequence
     for entry, arr in zip(layout.channels, block.samples):
         if entry.offset is None:  # sparse
             if arr is not None and len(arr) > 0:
@@ -222,87 +207,61 @@ def encode_records(block: SignalBlock, layout: RecordLayout, out=None):
             raise DomainError(
                 f"channel {entry.index} needs {n * entry.samples_per_record} "
                 f"samples for {n} records, has {have}")
-        if not isinstance(arr, np.ndarray):
-            sequences.append(entry)
-    samples = block.samples
-    if sequences:  # a sequence is stored exactly as its channel's dtype holds it, or refused
-        samples = list(samples)
-        for entry in sequences:
-            info = type_info(entry.gdf_type)
-            if info.kind != "opaque":
-                samples[entry.index] = checked_cast(samples[entry.index], info.dtype,
-                                                    f"channel {entry.index}")
     size = n * layout.bytes_per_record
     buffer = bytearray(size) if out is None else out
     if memoryview(buffer).nbytes != size:
         raise DomainError(f"output buffer has {memoryview(buffer).nbytes} bytes, "
                           f"the records need {size}")
     for run in layout.runs:
-        _encode_run(samples, layout, run, n, buffer)
+        _encode_run(block.samples, layout, run, n, buffer)
     return bytes(buffer) if out is None else out
 
 
-# Inputs that need a range check or a cast are staged in chunks of whole
-# records of at most this many bytes, so one min/max covers many channels.
+# A 24-bit run is staged in chunks of whole records of at most this many
+# bytes: its 32-bit container holds values beyond 24 bits, so each chunk
+# takes one min/max check before it is split into the two views.
 _STAGING_BYTES = 1 << 20
 
 
 def _encode_run(samples: list, layout: RecordLayout, run: RunLayout, n: int,
                 buffer) -> None:
-    """Write one run's channels into the record buffer, one group of
-    consecutive channels with the same input dtype at a time."""
+    """Write one run's channels into the record buffer. Each channel's samples
+    are taken as they are if they are an array of the channel's sample dtype
+    (rows of 16 bytes for the 16-byte float), and go through
+    :func:`checked_cast` to that dtype otherwise."""
     info = type_info(run.gdf_type)
     opaque = info.kind == "opaque"
-    want = np.uint8 if opaque else None
+    dtype = np.dtype(np.uint8) if opaque else info.dtype
     arrays = []
-    cuts = []  # the entry index at which each group starts
-    dtype = None
-    for k, entry in enumerate(run.entries):
-        v = np.asarray(samples[entry.index], want)
+    for entry in run.entries:
+        v = samples[entry.index]
+        if not (isinstance(v, np.ndarray) and v.dtype == dtype):
+            v = checked_cast(v, dtype, f"channel {entry.index}")
         spr = entry.samples_per_record
         try:
-            v = v.reshape(n, spr, 16) if opaque else v.reshape(n, spr)
+            arrays.append(v.reshape(n, spr, 16) if opaque else v.reshape(n, spr))
         except ValueError:
             raise DomainError(f"channel {entry.index}: samples of shape {v.shape} are not "
                               f"{n * spr} " + ("rows of 16 bytes" if opaque else "values")
                               ) from None
-        if dtype is None or v.dtype != dtype:  # np.dtype(None) is float64
-            cuts.append(k)
-            dtype = v.dtype
-        arrays.append(v)
-    cuts.append(len(arrays))
-    if info.size == 3:
-        low = _channel_view(buffer, layout, run, n, _LOW16)
-        high = _channel_view(buffer, layout, run, n, _HIGH8[info.min < 0], 2)
-    else:
-        view = _channel_view(buffer, layout, run, n, _OPAQUE if opaque else info.dtype)
-    for first, last in zip(cuts, cuts[1:]):
-        entries, chunks = run.entries[first:last], arrays[first:last]
-        start = (entries[0].offset - run.offset) // info.size
-        stop = (entries[-1].offset - run.offset) // info.size + entries[-1].samples_per_record
-        if info.size != 3 and chunks[0].dtype == view.dtype:
-            np.concatenate(chunks, axis=1, out=view[:, start:stop])
-            continue
-        step = max(1, _STAGING_BYTES // (chunks[0].dtype.itemsize * (stop - start)))
-        for r in range(0, n, step):
-            stage = np.concatenate(chunks if step >= n else [c[r:r + step] for c in chunks],
-                                   axis=1)
-            if _range_error(stage, info):
-                # the first failing channel over all records, as a
-                # channel-by-channel check would find it
-                for entry, chunk in zip(entries, chunks):
-                    reason = _range_error(chunk, info)
-                    if reason:
-                        raise DomainError(f"channel {entry.index}: {reason}")
-            if info.size == 3:
-                if stage.dtype.kind not in "iu":
-                    stage = stage.astype(np.int64)
-                low[r:r + step, start:stop] = stage  # the cast keeps the low 16 bits
-                np.right_shift(stage, 16, out=high[r:r + step, start:stop],
-                               casting="unsafe")
-            else:
-                view[r:r + step, start:stop] = stage
-            del stage  # before the next chunk is staged, so one chunk is alive at a time
+    if info.size != 3:
+        np.concatenate(arrays, axis=1,
+                       out=_channel_view(buffer, layout, run, n, _OPAQUE if opaque else dtype))
+        return
+    low = _channel_view(buffer, layout, run, n, _LOW16)
+    high = _channel_view(buffer, layout, run, n, _HIGH8[info.min < 0], 2)
+    step = max(1, _STAGING_BYTES // (dtype.itemsize * run.samples_per_record))
+    for r in range(0, n, step):
+        stage = np.concatenate(arrays if step >= n else [a[r:r + step] for a in arrays], axis=1)
+        if not info.min <= stage.min() <= stage.max() <= info.max:
+            # the first failing channel over all records, as a
+            # channel-by-channel check would find it
+            for entry, a in zip(run.entries, arrays):
+                if not info.min <= a.min() <= a.max() <= info.max:
+                    raise DomainError(f"channel {entry.index}: sample outside {info.name} range")
+        low[r:r + step] = stage  # the cast keeps the low 16 bits
+        np.right_shift(stage, 16, out=high[r:r + step], casting="unsafe")
+        del stage  # before the next chunk is staged, so one chunk is alive at a time
 
 
 @dataclass(frozen=True)

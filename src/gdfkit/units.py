@@ -162,7 +162,7 @@ def load_units_csv(path) -> dict[int, str]:
     """Read extra base-unit symbols from a CSV file.
 
     Expected columns: ``code,symbol[,description]``. Lines starting with '#'
-    and blank lines are skipped. Codes must be prefix-free base codes.
+    and blank lines are skipped. Codes must be prefix-free base codes in 0..0xFFFF.
     """
     table: dict[int, str] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -173,7 +173,7 @@ def load_units_csv(path) -> dict[int, str]:
                 code, symbol = int(row[0].strip(), 0), row[1].strip()
             except (ValueError, IndexError):
                 raise DomainError(f"units CSV row {row}: not code,symbol[,description]") from None
-            if code & 0x1F:
+            if not 0 <= code <= 0xFFFF or code & 0x1F:
                 raise DomainError(f"units CSV row {row}: {code} is not a base code")
             table[code] = symbol
     return table

@@ -246,6 +246,8 @@ class TestCheckedCast:
         (np.array([[1.0, 2.0], [0.5, 3.0]]), "<i4", "x[1] cannot hold [0.5, 3.0] (int32)"),
         (256, "u1", "x cannot hold 256 (uint8)"),
         ([1, 10**40], "<f4", f"x[1] cannot hold {10**40} (float32)"),
+        # numpy truncates the object to 1; naming it raised AttributeError
+        (np.array([1.5], object), "<i2", "x[0] cannot hold 1.5 (int16)"),
     ])
     def test_bad_value_named(self, values, dtype, message):
         label = "x" if np.ndim(values) == 0 else "x[{}]"

@@ -414,6 +414,41 @@ class TestStreamWriter:
         assert back.header.n_records == 2
         assert any(d.rule == "data.nrec_inferred" for d in diags)
 
+    @pytest.mark.parametrize("finalized", [False, True], ids=["unfinished", "finalized"])
+    def test_every_cut_recovers_complete_records(self, finalized):
+        """Each prefix of a stream, from the end of its header on, reads
+        leniently to exactly its complete records and no event table."""
+        def channel(label, gdf_type, spr, dig):
+            return ChannelInfo(label=label, gdf_type=gdf_type, samples_per_record=spr,
+                               cal=Calibration(-1.0, 1.0, *dig))
+        channels = [channel("eeg", GdfType.INT24, 3, (-8388608.0, 8388607.0)),
+                    channel("aux", GdfType.FLOAT32, 2, (-1e3, 1e3)),
+                    channel("marker", GdfType.INT16, 0, (-100.0, 100.0)),
+                    channel("status", GdfType.UINT16, 1, (0.0, 65535.0))]
+        n = 5
+        rng = np.random.default_rng(11)
+        eeg = rng.integers(-(1 << 23), 1 << 23, 3 * n).astype(np.int32)
+        eeg[:2] = -(1 << 23), (1 << 23) - 1
+        aux = rng.normal(size=2 * n).astype(np.float32)
+        aux[3] = np.nan
+        status = rng.integers(0, 1 << 16, n).astype(np.uint16)
+        sink = io.BytesIO()
+        writer = StreamWriter(sink, FixedHeader(), channels)
+        for r in range(n):
+            writer.append_record([eeg[3 * r:3 * r + 3], aux[2 * r:2 * r + 2], None,
+                                  status[r:r + 1]])
+        if finalized:
+            writer.finalize()
+        blob = sink.getvalue()
+        header_end = 256 * read_file(blob)[0].header.header_blocks
+        bpr = 3 * 3 + 2 * 4 + 2
+        assert len(blob) == header_end + n * bpr
+        for cut in range(header_end, len(blob) + 1):
+            back, _ = read_file(blob[:cut], lenient=True)
+            k = (cut - header_end) // bpr
+            assert back.signals == SignalBlock([eeg[:3 * k], aux[:2 * k], None, status[:k]], k), cut
+            assert back.events is None, cut
+
     def test_append_after_finalize_rejected(self):
         f, per_record = self._pieces(SynthSpec(channels=2, records=1, events=0))
         writer = StreamWriter(io.BytesIO(), f.header, f.channels)

@@ -1,5 +1,6 @@
 import io
 import itertools
+import re
 import struct
 
 import numpy as np
@@ -247,14 +248,65 @@ class TestEncodeRecords:
         ([10**400], f"channel 1 cannot hold {10**400} (float32)"),
         ([_ROUNDS_TO_INF], f"channel 1 cannot hold {_ROUNDS_TO_INF!r} (float32)"),
         ((-_ROUNDS_TO_INF,), f"channel 1 cannot hold {-_ROUNDS_TO_INF!r} (float32)"),
-        (np.array([_ROUNDS_TO_INF]), "channel 1: finite sample outside float32 range"),
-        (np.array([-_ROUNDS_TO_INF]), "channel 1: finite sample outside float32 range"),
+        (np.array([_ROUNDS_TO_INF]), f"channel 1 cannot hold {_ROUNDS_TO_INF!r} (float32)"),
+        (np.array([-_ROUNDS_TO_INF]), f"channel 1 cannot hold {-_ROUNDS_TO_INF!r} (float32)"),
     ], ids=["int-1e40", "int-1e400", "list-midpoint", "tuple-midpoint", "array-midpoint",
             "array-negative-midpoint"])
     def test_float32_overflow_refused(self, samples, message):
         """The encoder wrote 10**40 as inf with a RuntimeWarning and let an
-        OverflowError escape for 10**400."""
+        OverflowError escape for 10**400. An array is refused with the
+        message of a sequence (it was ``channel 1: finite sample outside
+        float32 range``)."""
         assert self._float32_outcomes(samples) == [message, message]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gdf_type, values, message", [
+        (GdfType.FLOAT32, [10**40], f"channel 1 cannot hold {10**40} (float32)"),
+        (GdfType.FLOAT32, [10**400], f"channel 1 cannot hold {10**400} (float32)"),
+        (GdfType.INT16, [1.5], "channel 1 cannot hold 1.5 (int16)"),
+        (GdfType.INT16, [None], "channel 1 cannot hold None (int16)"),
+    ], ids=["float32-1e40", "float32-1e400", "int16-fraction", "int16-none"])
+    def test_object_array_refused(self, gdf_type, values, message):
+        """An object array went past the checks: 10**40 was written as inf
+        with a RuntimeWarning, 10**400 raised OverflowError, 1.5 was stored
+        as 1 and None raised TypeError."""
+        channels = [make_channel(GdfType.INT16, spr=1), make_channel(gdf_type, spr=1)]
+        samples = [np.array([7], np.int16), np.array(values, object)]
+        f = GdfFile(header=FixedHeader(n_records=1, ns=2), channels=channels,
+                    signals=SignalBlock(samples, 1))
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(DomainError, match=exact):
+            to_bytes(f)
+        sink = io.BytesIO()
+        writer = StreamWriter(sink, FixedHeader(), channels)
+        writer.append_record([np.array([7], np.int16), np.array([1], object)])
+        size = len(sink.getvalue())
+        with pytest.raises(DomainError, match=exact):
+            writer.append_record(samples)
+        assert (len(sink.getvalue()), writer.records_written) == (size, 1)
+
+    @pytest.mark.parametrize("gdf_type, samples, message", [
+        (GdfType.INT16, np.array([1.0, 1.5]), "channel 0 cannot hold 1.5 (int16)"),
+        (GdfType.INT16, np.array([1, 40000]), "channel 0 cannot hold 40000 (int16)"),
+        (GdfType.UINT8, np.array([2.0, -1.0], np.float32), "channel 0 cannot hold -1.0 (uint8)"),
+        (GdfType.INT24, np.array([0, 1 << 31]), "channel 0 cannot hold 2147483648 (int32)"),
+        (GdfType.INT24, np.array([0, 1 << 23]), "channel 0: sample outside int24 range"),
+        (GdfType.FLOAT128, np.full((2, 16), 256), f"channel 0 cannot hold {[256] * 16} (uint8)"),
+        (GdfType.FLOAT128, [[0] * 16, [300] * 16], f"channel 0 cannot hold {[300] * 16} (uint8)"),
+    ], ids=["int16-fraction", "int16-range", "uint8-negative", "int24-container",
+            "int24-range", "float128-byte-range", "float128-list-byte-range"])
+    def test_array_cast_checked(self, gdf_type, samples, message):
+        """An array of another dtype goes through the checked cast: it was
+        truncated (1.5 to 1), range-checked with its own message (``sample
+        outside int16 range``) or, for the 16-byte float, wrapped (256 to 0);
+        a list of 16-byte rows let numpy's OverflowError escape. A 24-bit
+        channel names its 32-bit container for a value beyond it."""
+        ch = make_channel(gdf_type, spr=2)
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(DomainError, match=exact):
+            encode_records(SignalBlock([samples], 1), layout_from_channels([ch]))
+        with pytest.raises(DomainError, match=exact):
+            StreamWriter(io.BytesIO(), FixedHeader(), [ch]).append_record([samples])
 
     @pytest.mark.parametrize("samples, stored", [
         ([_BELOW], _MAX),
@@ -439,20 +491,42 @@ def test_codec_against_reference(case):
         assert encode_records(block, layout) == data
 
 
-# Differential test of the run encoder against the channel-by-channel
-# encoder it replaced: same bytes, or the same exception type and text. The
-# reference rejects a wrongly shaped array with numpy's ValueError; the cases
-# below are all shaped right.
-def _channel_encode(block, layout):
-    def view(buffer, entry, dtype, skip=0):
-        return np.ndarray((n, entry.samples_per_record), dtype, buffer,
-                          offset=entry.offset + skip if n else 0,
-                          strides=(layout.bytes_per_record, type_info(entry.gdf_type).size))
+# Differential test of the run encoder against its contract, restated here
+# in plain Python one value at a time: same bytes, or the same exception type
+# and text. The reference rejects a wrongly shaped input with a ValueError or
+# a TypeError; the cases below are all shaped right.
+def _value_bytes(v, dtype):
+    """The on-disk bytes of ``v`` in a sample dtype, or None when the dtype
+    cannot hold it: an integer dtype holds an integral number within its
+    bounds; a float dtype holds every number that does not round to infinity
+    in it, which is when struct refuses to pack it (OverflowError for a float,
+    struct.error for an int or a non-number)."""
+    if dtype.kind == "f":
+        try:
+            return struct.pack(f"<{dtype.char}", v)
+        except (OverflowError, struct.error):
+            return None
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    bounds = np.iinfo(dtype)
+    if isinstance(v, int) and bounds.min <= v <= bounds.max:
+        return v.to_bytes(dtype.itemsize, "little", signed=bounds.min < 0)
+    return None
 
+
+def _channel_encode(block, layout):
+    """The count checks come first. Then the continuous channels are taken a
+    run at a time (consecutive channels of one type; a sparse channel does
+    not break a run). Each channel of a run is taken as it is when it is an
+    array of its sample dtype, and otherwise cast value by value to that
+    dtype, or refused at its first value the dtype cannot hold. After the
+    casts of a run, a 24-bit run refuses its first channel that holds a value
+    beyond 24 bits. A 16-byte float sample is a row of 16 uint8 values."""
     if len(block.samples) != len(layout.channels):
         raise DomainError(f"block has {len(block.samples)} channels, layout "
                           f"{len(layout.channels)}")
     n = block.n_records
+    runs = []
     for entry in layout.channels:
         arr = block.samples[entry.index]
         if entry.is_sparse:
@@ -464,62 +538,44 @@ def _channel_encode(block, layout):
             raise DomainError(
                 f"channel {entry.index} needs {n * entry.samples_per_record} "
                 f"samples for {n} records, has {have}")
-    # a sequence for an integer channel holds integers its container dtype
-    # holds, built from the Python numbers (see test_list_samples_stored_exactly);
-    # one for a float channel holds numbers that do not round to infinity in
-    # its type, which is when struct refuses to pack them (OverflowError for a
-    # float, struct.error for an int)
-    samples = list(block.samples)
-    for entry in layout.channels:
-        info, arr = type_info(entry.gdf_type), samples[entry.index]
-        if entry.is_sparse or info.kind == "opaque" or isinstance(arr, np.ndarray):
-            continue
-        if info.kind == "float":
-            for v in arr:
-                try:
-                    struct.pack("<f" if info.size == 4 else "<d", v)
-                except (OverflowError, struct.error):
-                    raise DomainError(f"channel {entry.index} cannot hold {v!r} ({info.dtype})"
-                                      ) from None
-            continue
-        bounds = np.iinfo(info.dtype)
-        for v in arr:
-            if not ((isinstance(v, int) or isinstance(v, float) and v.is_integer())
-                    and bounds.min <= v <= bounds.max):
-                raise DomainError(f"channel {entry.index} cannot hold {v!r} ({info.dtype})")
-        samples[entry.index] = np.array([int(v) for v in arr], info.dtype)
-    out = np.empty(n * layout.bytes_per_record, np.uint8)
-    for entry in layout.channels:
-        if entry.is_sparse:
-            continue
-        info = type_info(entry.gdf_type)
-        channel = samples[entry.index]
-        shape = (n, entry.samples_per_record)
-        if info.kind == "opaque":
-            rows = np.asarray(channel, dtype=np.uint8)
-            if rows.size != n * entry.samples_per_record * 16:
-                raise DomainError("opaque samples must be rows of 16 bytes")
-            view(out, entry, np.dtype((np.uint8, 16)))[...] = rows.reshape(*shape, 16)
-            continue
-        v = np.asarray(channel)
-        if (info.kind == "int" and (v.dtype != info.dtype or info.size == 3) and v.size
-                and not (v.min() >= info.min and v.max() < info.max + 1)):
-            raise DomainError(f"channel {entry.index}: sample outside {info.name} range")
-        if info.kind == "float" and info.size == 4 and v.dtype.kind == "f":
-            with np.errstate(over="ignore"):  # a finite sample that rounds to infinity
-                if np.any(np.isfinite(v) & np.isinf(v.astype(np.float32))):
-                    raise DomainError(f"channel {entry.index}: finite sample outside "
-                                      "float32 range")
-        v = v.reshape(shape)
-        if info.size == 3:
-            if v.dtype.kind not in "iu":
-                v = v.astype(np.int64)
-            view(out, entry, "<u2")[...] = v
-            np.right_shift(v, 16, out=view(out, entry, "i1" if info.min < 0 else "u1", 2),
-                           casting="unsafe")
+        if runs and runs[-1][0].gdf_type == entry.gdf_type:
+            runs[-1].append(entry)
         else:
-            view(out, entry, info.dtype)[...] = v
-    return out.tobytes()
+            runs.append([entry])
+    out = bytearray(n * layout.bytes_per_record)
+    for run in runs:
+        info = type_info(run[0].gdf_type)
+        opaque = info.kind == "opaque"
+        dtype = np.dtype(np.uint8) if opaque else info.dtype
+        stored = []  # per channel, the bytes of each sample
+        for entry in run:
+            arr = block.samples[entry.index]
+            if isinstance(arr, np.ndarray) and arr.dtype == dtype:
+                step = 16 if opaque else dtype.itemsize
+                data = arr.tobytes()
+                stored.append([data[k:k + step] for k in range(0, len(data), step)])
+                continue
+            samples = []
+            for v in arr.tolist() if isinstance(arr, np.ndarray) else arr:
+                parts = [_value_bytes(x, dtype) for x in v] if opaque else [_value_bytes(v, dtype)]
+                if None in parts or opaque and len(parts) != 16:
+                    raise DomainError(f"channel {entry.index} cannot hold {v!r} ({dtype})")
+                samples.append(b"".join(parts))
+            stored.append(samples)
+        if info.size == 3:
+            signed = info.min < 0
+            for entry, samples in zip(run, stored):
+                values = [int.from_bytes(b, "little", signed=signed) for b in samples]
+                if values and not info.min <= min(values) <= max(values) <= info.max:
+                    raise DomainError(f"channel {entry.index}: sample outside {info.name} "
+                                      "range")
+            stored = [[b[:3] for b in samples] for samples in stored]
+        for entry, samples in zip(run, stored):
+            for k, b in enumerate(samples):
+                r, j = divmod(k, entry.samples_per_record)
+                at = r * layout.bytes_per_record + entry.offset + j * info.size
+                out[at:at + info.size] = b
+    return bytes(out)
 
 
 def _encode_outcome(fn, block, layout):
@@ -615,7 +671,7 @@ def test_encoder_stages_in_chunks():
     spr, n = 1000, 80
     channels = [make_channel(t, spr=spr) for t in [GdfType.INT24] * 4 + [GdfType.FLOAT32] * 2]
     layout = layout_from_channels(channels)
-    assert n * 4 * spr * 8 > 2 * records._STAGING_BYTES
+    assert n * 4 * spr * 4 > records._STAGING_BYTES  # the 24-bit run takes two chunks
     rng = np.random.default_rng(5)
     samples = [rng.integers(-(1 << 23), 1 << 23, n * spr) for _ in range(4)]
     samples += [rng.normal(size=n * spr) * 1e30 for _ in range(2)]
@@ -628,6 +684,16 @@ def test_encoder_stages_in_chunks():
     assert _encode_outcome(encode_records, block, layout) == \
         _encode_outcome(_channel_encode, block, layout) == \
         (DomainError, "channel 1: sample outside int24 range")
+    # every channel of a run is cast before the run is range-checked, and
+    # the float32 run comes after the 24-bit one
+    samples[2][n * spr - 1] = 1 << 31
+    assert _encode_outcome(encode_records, block, layout) == \
+        _encode_outcome(_channel_encode, block, layout) == \
+        (DomainError, f"channel 2 cannot hold {1 << 31} (int32)")
+    samples[2][n * spr - 1] = samples[1][n * spr - 1] = samples[3][5] = 0
+    assert _encode_outcome(encode_records, block, layout) == \
+        _encode_outcome(_channel_encode, block, layout) == \
+        (DomainError, "channel 5 cannot hold 1e+300 (float32)")
 
 
 class TestOverflowScan:

@@ -99,6 +99,8 @@ def test_units_csv_rejects_prefixed_codes(tmp_path):
 @pytest.mark.parametrize("text, row", [
     ("3104,l/s\nzz,foo\n", "['zz', 'foo']"),  # raised ValueError
     ("3104,l/s\n4256\n", "['4256']"),         # raised IndexError
+    ("3104,l/s\n-32,neg\n", "['-32', 'neg']"),     # loaded: no 16-bit code names it
+    ("3104,l/s\n65536,big\n", "['65536', 'big']"),
 ])
 def test_units_csv_malformed_row_named(tmp_path, text, row):
     path = tmp_path / "units.csv"
