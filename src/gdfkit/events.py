@@ -11,7 +11,7 @@ a sparse channel in the duration field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -256,8 +256,7 @@ def write_event_table(table: EventTable) -> bytes:
 
 # --- span pairing and mode conversion ---------------------------------------
 
-@dataclass(frozen=True)
-class EventSpan:
+class EventSpan(NamedTuple):
     """A paired begin/end (end is None for an open-ended event)."""
 
     typ: int
@@ -275,31 +274,49 @@ class PairedEvents:
     orphan_ends: list[tuple[int, int]] = field(default_factory=list)  # (typ, pos)
 
 
-def _pair_rows(pos: list[int], typ: list[int], diags: Diagnostics
-               ) -> tuple[list[int], list[int], list[int]]:
+def _pair_rows(pos: np.ndarray, typ: np.ndarray, diags: Diagnostics
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack pairing of mode-1 rows: the start rows, the end row of each
-    start (-1 while open) and the rows of ends without a start."""
-    starts, ends, orphans = [], [], []
-    open_starts: dict[int, list[int]] = {}  # code -> indices into starts
-    for row, (p, t) in enumerate(zip(pos, typ)):
-        if t & END_FLAG:
-            stack = open_starts.get(t & 0x7FFF)
-            if stack:
-                ends[stack.pop()] = row
-            else:
-                diags.warning("event.unmatched_end",
-                              f"end marker 0x{t:04X} at position {p} has no "
-                              "open start", section="events")
-                orphans.append(row)
-        else:
-            open_starts.setdefault(t, []).append(len(starts))
-            starts.append(row)
-            ends.append(-1)
-    for start, end in zip(starts, ends):
-        if end < 0:
-            diags.info("event.open_span",
-                       f"event 0x{typ[start]:04X} at position {pos[start]} never ends",
-                       section="events")
+    start (-1 while open) and the rows of ends without a start.
+
+    Rows are taken type by type, in row order within a type. The depth of a
+    row is the number of open starts of its type before it: a running sum
+    of +1 per start and -1 per end, less its running minimum. An end at
+    depth 0 has no start. A start's level is its depth after it, an end's
+    the depth before it, so within one (type, level) the rows alternate
+    start, end, start, ... and each start is followed by its end.
+    """
+    n = len(typ)
+    base = typ & 0x7FFF
+    order = base.argsort(kind="stable")  # uint16: a radix sort
+    start = typ[order] < END_FLAG
+    step = start * 2 - 1
+    depth = step.cumsum()
+    depth -= step  # the running sum before each row
+    # each type sits 2n + 1 below the one before, so the running minimum
+    # restarts at every type and one running sum serves them all
+    depth -= np.multiply(base[order], 2 * n + 1, dtype=np.int64)
+    depth -= np.minimum.accumulate(depth)
+    level = depth + start  # 0 exactly for an orphan end
+    if n and level.max() <= 0xFFFF:  # a radix sort, unless 65536 starts nest
+        level = level.astype(np.uint16)
+    by_level = level.argsort(kind="stable")  # by level, then type, then row
+    start = start[by_level]
+    paired = np.flatnonzero(start[:-1] > start[1:])  # a start, then its end
+    rows = order[by_level]
+    end_of = np.full(n, -1, np.intp)
+    end_of[rows[paired]] = rows[paired + 1]
+    starts = np.flatnonzero(typ < END_FLAG)
+    ends = end_of[starts]
+    orphans = np.sort(order[level == 0])
+    for p, t in zip(pos[orphans].tolist(), typ[orphans].tolist()):
+        diags.warning("event.unmatched_end",
+                      f"end marker 0x{t:04X} at position {p} has no open start",
+                      section="events")
+    never = starts[ends < 0]
+    for p, t in zip(pos[never].tolist(), typ[never].tolist()):
+        diags.info("event.open_span", f"event 0x{t:04X} at position {p} never ends",
+                   section="events")
     return starts, ends, orphans
 
 
@@ -311,11 +328,14 @@ def pair_mode1_events(table: EventTable, diags: Diagnostics | None = None) -> Pa
     """
     if table.mode != 1:
         raise DomainError("span pairing expects a mode-1 event table")
-    pos, typ = table.pos.tolist(), table.typ.tolist()
+    pos, typ = table.pos, table.typ
     starts, ends, orphans = _pair_rows(pos, typ, sink(diags))
+    end_pos = pos[ends].tolist()
+    for i in np.flatnonzero(ends < 0).tolist():
+        end_pos[i] = None
     return PairedEvents(
-        [EventSpan(typ[s], pos[s], None if e < 0 else pos[e]) for s, e in zip(starts, ends)],
-        [(typ[o], pos[o]) for o in orphans])
+        list(map(EventSpan._make, zip(typ[starts].tolist(), pos[starts].tolist(), end_pos))),
+        list(zip(typ[orphans].tolist(), pos[orphans].tolist())))
 
 
 def convert_mode(table: EventTable, target_mode: int,
@@ -334,10 +354,10 @@ def convert_mode(table: EventTable, target_mode: int,
         raise DomainError("event table is already in the requested mode")
 
     if target_mode == 3:
-        starts, ends, orphans = _pair_rows(table.pos.tolist(), table.typ.tolist(), diags)
+        starts, ends, orphans = _pair_rows(table.pos, table.typ, diags)
         # spans first, then orphan ends, each its own end: duration 0
-        rows = np.array(starts + orphans, np.intp)
-        last = np.array(ends + orphans, np.intp)
+        rows = np.concatenate((starts, orphans))
+        last = np.concatenate((ends, orphans))
         pos = table.pos[rows].astype(np.int64)
         dur = np.where(last < 0, pos, table.pos[last]) - pos
         backwards = np.flatnonzero(dur < 0)
@@ -378,8 +398,7 @@ def convert_mode(table: EventTable, target_mode: int,
 
 # --- sparse-channel samples ---------------------------------------------------
 
-@dataclass(frozen=True)
-class SparseSample:
+class SparseSample(NamedTuple):
     """One sample of a sparse channel, recovered from an event row."""
 
     pos: int
@@ -427,7 +446,7 @@ def _usable_sparse_rows(table: EventTable, channels: Sequence[ChannelInfo],
     usable = np.zeros(ns + 2, bool)
     usable[1:ns + 1] = [ch.is_sparse and type_info(ch.gdf_type).size <= 4
                         for ch in channels]
-    ok = usable[np.minimum(table.chn, ns + 1)]
+    ok = usable[np.minimum(table.chn, ns + 1, dtype=np.intp)]
     bad = np.flatnonzero(sparse & ~ok)
     for pos, chn in zip(table.pos[bad].tolist(), table.chn[bad].tolist()):
         diags.error("event.sparse_channel_invalid",
@@ -458,8 +477,8 @@ def extract_sparse_samples(table: EventTable, channels: Sequence[ChannelInfo],
             ch = channels[i]
             raw = decode_records(table.dur[group].tobytes(), _sparse_layout(ch.gdf_type),
                                  len(group)).samples[0]
-            out[i] = list(map(SparseSample, table.pos[group].tolist(), raw.tolist(),
-                              ch.cal.scale_array(raw).tolist()))
+            out[i] = list(map(SparseSample._make, zip(
+                table.pos[group].tolist(), raw.tolist(), ch.cal.scale_array(raw).tolist())))
     return out
 
 

@@ -4,9 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gdfkit import synth
 from gdfkit.core import Calibration, GdfType, type_info
 from gdfkit.diagnostics import Diagnostics, sink
 from gdfkit.errors import CapacityError, DomainError, StructureError
@@ -18,6 +19,7 @@ from gdfkit.events import (
     EventTable,
     PairedEvents,
     SparseSample,
+    _pair_rows,
     _usable_sparse_rows,
     convert_mode,
     describe_event,
@@ -31,6 +33,7 @@ from gdfkit.events import (
     sparse_value_from_dur,
     write_event_table,
 )
+from gdfkit.fileio import GdfFile, validate
 from gdfkit.header import ChannelInfo
 
 
@@ -187,6 +190,27 @@ class TestPairing:
         flat += paired.orphan_ends
         assert Counter(flat) == Counter((typ, pos) for pos, typ in rows)
 
+    def test_spans_and_samples_are_named_tuples(self):
+        span = EventSpan(0x0411, 100, 500)
+        assert span._fields == ("typ", "start", "end")
+        assert (span.typ, span.start, span.end, span.duration) == (0x0411, 100, 500, 400)
+        assert span == (0x0411, 100, 500) and hash(span) == hash((0x0411, 100, 500))
+        typ, start, end = span
+        assert (typ, start, end) == (0x0411, 100, 500)
+        assert EventSpan(0x0300, 7) == (0x0300, 7, None) and EventSpan(0x0300, 7).duration == 0
+        assert span._replace(end=600) == EventSpan(0x0411, 100, 600)
+        with pytest.raises(AttributeError):
+            span.end = 600
+        sample = SparseSample(3, 50, 0.5)
+        assert sample._fields == ("pos", "raw", "physical")
+        assert sample == (3, 50, 0.5) and (sample.pos, sample.raw, sample.physical) == sample
+        with pytest.raises(AttributeError):
+            sample.raw = 51
+        paired = pair_mode1_events(mode1([10, 20, 30], [0x0411, 0x8411, 0x0300]))
+        assert paired.spans == [(0x0411, 10, 20), (0x0300, 30, None)]
+        assert {type(s) for s in paired.spans} == {EventSpan}
+        assert paired.orphan_ends == []
+
 
 class TestConvertMode:
     def test_mode1_to_mode3(self):
@@ -254,6 +278,87 @@ class TestConvertMode:
         back = convert_mode(convert_mode(t, 3), 1)
         assert Counter(zip(back.pos.tolist(), back.typ.tolist())) == \
             Counter(zip(t.pos.tolist(), t.typ.tolist()))
+
+
+# --- reference: the row loop of the span pairing -----------------------------
+# The loop the array pairing replaced, kept as the oracle of the tests below.
+
+def _ref_pair_rows(pos, typ, diags):
+    starts, ends, orphans = [], [], []
+    open_starts = {}  # code -> indices into starts
+    for row, (p, t) in enumerate(zip(pos, typ)):
+        if t & END_FLAG:
+            stack = open_starts.get(t & 0x7FFF)
+            if stack:
+                ends[stack.pop()] = row
+            else:
+                diags.warning("event.unmatched_end",
+                              f"end marker 0x{t:04X} at position {p} has no "
+                              "open start", section="events")
+                orphans.append(row)
+        else:
+            open_starts.setdefault(t, []).append(len(starts))
+            starts.append(row)
+            ends.append(-1)
+    for start, end in zip(starts, ends):
+        if end < 0:
+            diags.info("event.open_span",
+                       f"event 0x{typ[start]:04X} at position {pos[start]} never ends",
+                       section="events")
+    return starts, ends, orphans
+
+
+def _same_pairing(pos, typ):
+    pos, typ = np.asarray(pos, "<u4"), np.asarray(typ, "<u2")
+    want_diags, got_diags = Diagnostics(), Diagnostics()
+    want = _ref_pair_rows(pos.tolist(), typ.tolist(), want_diags)
+    got = _pair_rows(pos, typ, got_diags)
+    assert [rows.tolist() for rows in got] == list(want)
+    assert [(d.severity, d.rule, d.message, d.section, d.offset) for d in got_diags] == \
+        [(d.severity, d.rule, d.message, d.section, d.offset) for d in want_diags]
+    return want
+
+
+# 0x0000 ends with 0x8000 and 0x7FFF with 0xFFFF; few codes, so spans of one
+# code nest and ends without a start occur
+_PAIR_CODES = st.sampled_from([0x0000, 0x0411, 0x0412, 0x7FFF])
+
+
+class TestPairRowsAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, (1 << 32) - 1), _PAIR_CODES, st.booleans()),
+                    max_size=300))
+    @example([])
+    @example([(5, 0x0411, False), (9, 0x0411, False), (12, 0x0411, True),
+              (15, 0x7FFF, True), (20, 0x0000, False), (30, 0x0411, True),
+              (31, 0x0411, True), (40, 0x0000, True)])
+    def test_random_tables(self, rows):
+        _same_pairing([p for p, _, _ in rows], [c | END_FLAG if end else c for _, c, end in rows])
+
+    def test_synthetic_recording(self):
+        model = synth.synthesize(synth.SynthSpec(
+            channels=2, samples_per_record=8, records=20, events=7000, seed=12))
+        t = convert_mode(model.events, 1)
+        assert t.n_events >= 10_000
+        starts, ends, orphans = _same_pairing(t.pos, t.typ)
+        assert not orphans and len(starts) == model.events.n_events
+
+    def test_seeded_table(self):
+        rng = np.random.default_rng(2024)
+        n = 12_000
+        codes = rng.choice(np.array([0x0000, 0x0300, 0x0411, 0x0412, 0x7FFF]), n)
+        end = rng.random(n) < 0.48
+        starts, ends, orphans = _same_pairing(rng.integers(1, 1 << 20, n),
+                                              codes | np.where(end, END_FLAG, 0))
+        assert orphans and -1 in ends and max(ends) >= 0
+
+    def test_deep_nesting(self):
+        # more open starts of one code than a 16-bit level can count
+        n = 70_000
+        starts, ends, orphans = _same_pairing(
+            np.arange(1, 2 * n + 4), [0x0411] * n + [0x0300] + [0x8411] * (n + 1) + [0x8300])
+        assert ends[0] == 2 * n and ends[n - 1] == n + 1 and ends[n] == 2 * n + 2
+        assert orphans == [2 * n + 1]
 
 
 # --- reference: pairing and conversion over tuple rows -------------------------
@@ -351,7 +456,7 @@ def _same_outcome(ref, new):
 
 _POSITIONS = st.one_of(st.integers(1, 40), st.integers((1 << 32) - 4, (1 << 32) - 1))
 # few codes, so that spans of one code nest and ends meet other spans' starts
-_CODES = st.sampled_from([0x0000, 0x0300, 0x0411, 0x0412])
+_CODES = st.sampled_from([0x0000, 0x0300, 0x0411, 0x0412, 0x7FFF])
 
 
 class TestAgainstReference:
@@ -373,7 +478,7 @@ class TestAgainstReference:
             typ[0] = SPARSE_SAMPLE_TYPE
         t = mode3([base + p for p in pos], typ, chn, dur)
         ended = [i for i, (c, d) in enumerate(zip(typ, dur)) if c & END_FLAG and d > 0]
-        if ended and not sparse:
+        if ended and SPARSE_SAMPLE_TYPE not in typ:
             # the tuple code wrote two end markers for such a row, losing its span
             i = ended[0]
             with pytest.raises(DomainError, match=f"event 0x{typ[i]:04X} at position "
@@ -474,6 +579,22 @@ class TestSparseSamples:
         assert [s.physical for s in out[2]] == pytest.approx([-0.1, 0.2])
         assert [d.rule for d in diags] == ["event.sparse_channel_invalid"]
 
+
+    def test_sparse_row_at_channel_65535(self):
+        """The largest NS: clipping the channel column at NS + 1 overflowed
+        uint16 with an OverflowError."""
+        eeg, marker = self._channels()[:2]
+        channels = [eeg] * 65534 + [marker]
+        t = mode3([10, 11], [SPARSE_SAMPLE_TYPE] * 2, [65535, 1], [50, 7])
+        diags = Diagnostics()
+        assert extract_sparse_samples(t, channels, diags) == {65534: [(10, 50, 0.5)]}
+        invalid = [("event.sparse_channel_invalid",
+                    "sparse sample at position 11 references channel 1, which is not "
+                    "a sparse channel of at most 32 bits")]
+        assert [(d.rule, d.message) for d in diags] == invalid
+        found = validate(GdfFile(channels=channels, events=t))
+        assert [(d.rule, d.message) for d in found
+                if d.rule.startswith("event.sparse")] == invalid
 
 # --- reference: the per-row sparse codec ---------------------------------------
 # The bit-mask and struct code the record codec replaced, kept as the oracle
