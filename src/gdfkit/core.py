@@ -311,12 +311,17 @@ def checked_cast(values, dtype, label: str) -> np.ndarray:
     raise DomainError(f"{label.format('')}: values of uneven shape")
 
 
-def float32_exact(value: float | None) -> float | None:
-    """Round a value to float32 precision (fields stored as float32 on disk);
-    a finite value beyond the float32 range raises DomainError."""
-    if value is None:
-        return None
-    try:
-        return struct.unpack("<f", struct.pack("<f", value))[0]
-    except OverflowError:
-        raise DomainError(f"{value} is outside the float32 range") from None
+def float32_exact(value: float, name: str) -> float:
+    """``value`` rounded to float32 precision by :func:`checked_cast`'s rule:
+    a value that is not a number, or a finite one beyond the float32 range,
+    raises DomainError naming ``name``. A Python float takes a faster round
+    trip with the same result."""
+    if type(value) is float:  # an int would round twice through struct's double
+        try:
+            return struct.unpack("<f", struct.pack("<f", value))[0]
+        except OverflowError:
+            pass
+    stored = checked_cast(value, "<f4", name)
+    if stored.ndim:
+        raise DomainError(f"{name} cannot hold {value!r} (float32)")
+    return stored.item()

@@ -55,10 +55,6 @@ class Diagnostics(list):
     def has_errors(self) -> bool:
         return any(d.severity == Severity.ERROR for d in self)
 
-    @property
-    def has_warnings(self) -> bool:
-        return any(d.severity == Severity.WARNING for d in self)
-
     def worst(self) -> Severity | None:
         return max((d.severity for d in self), default=None)
 

@@ -166,7 +166,7 @@ class EventTable:
         if self.mode == 1 and (self.chn is not None or self.dur is not None):
             raise DomainError("chn/dur arrays are only valid in mode 3")
         object.__setattr__(self, "sample_rate_hz",
-                           float32_exact(float(self.sample_rate_hz)))
+                           float32_exact(self.sample_rate_hz, "sample_rate_hz"))
         n = len(self.pos)
         for name, dtype in _COLUMNS[:self.mode + 1]:
             values = getattr(self, name)

@@ -84,6 +84,9 @@ def _check_geometry(f: GdfFile, diags: Diagnostics) -> int:
     filled in on write, and ``n_records == -1`` accepts any record count."""
     h = f.header
     ns = len(f.channels)
+    if ns > 0xFFFF:
+        diags.error("header.ns_range", f"{ns} channels exceed the 16-bit channel count",
+                    section="header1", offset=_FIXED_OFFSETS["ns"])
     if h.ns not in (0, ns):
         diags.error("header.ns_mismatch", f"header says {h.ns} channels, model has {ns}",
                     section="header1", offset=_FIXED_OFFSETS["ns"])
@@ -95,7 +98,16 @@ def _check_geometry(f: GdfFile, diags: Diagnostics) -> int:
     elif tlvmod.serialized_size(f.tlv) > 256 * (blocks - ns - 1):
         diags.error("header.tlv_overflow", f"{blocks - ns - 1} optional-header blocks "
                     f"cannot hold {tlvmod.serialized_size(f.tlv)} bytes", section="header3")
-    if h.n_records == -1:
+    seen = set()
+    for e in f.tlv:  # parse_tlv never returns a duplicate; a model built in code may hold one
+        if e.tag in seen:
+            diags.error("tlv.duplicate_tag", f"tag {e.tag} occurs more than once",
+                        section="header3")
+        seen.add(e.tag)
+    if h.n_records < -1:
+        diags.error("header.nrec_invalid", f"record count {h.n_records} is invalid",
+                    section="header1", offset=_FIXED_OFFSETS["n_records"])
+    elif h.n_records == -1:
         if f.events is not None:
             diags.error("event.with_ongoing",
                         "event table present although the record count is unknown",
@@ -286,9 +298,6 @@ class StreamWriter:
         the 16-byte float type)."""
         if self._finalized:
             raise GdfError("cannot append: the writer is already finalized")
-        if len(samples) != len(self._layout.channels):
-            raise DomainError(f"record needs {len(self._layout.channels)} channel "
-                              f"entries, got {len(samples)}")
         chunk = encode_records(SignalBlock(list(samples), 1), self._layout,
                                out=np.empty(self._layout.bytes_per_record, np.uint8))
         self._fh.write(chunk)
@@ -338,13 +347,7 @@ def validate(f: GdfFile) -> Diagnostics:
     for i, ch in enumerate(f.channels):
         _check_channel(ch, i, diags)
 
-    seen = set()
     for e in f.tlv:
-        # models built in code never pass parse_tlv's duplicate check
-        if e.tag in seen:
-            diags.error("tlv.duplicate_tag", f"tag {e.tag} occurs more than once",
-                        section="header3")
-        seen.add(e.tag)
         try:
             tlvmod.decode_tag_value(e, ns=f.ns, diags=diags)
         except StructureError as exc:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Sequence
@@ -109,7 +108,7 @@ def unpack_physio(value: int) -> tuple[Gender, Handedness, VisualImpairment, Hea
 
 def _float32_triple(values, name: str) -> tuple[float, float, float]:
     """An (x, y, z) field rounded to float32 precision."""
-    values = tuple(float32_exact(float(v)) for v in values)
+    values = tuple(float32_exact(v, name) for v in values)
     if len(values) != 3:
         raise DomainError(f"{name} needs 3 values, got {len(values)}")
     return values
@@ -196,10 +195,8 @@ class RecordingInfo:
     ground_position: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "reference_position",
-                           _float32_triple(self.reference_position, "reference_position"))
-        object.__setattr__(self, "ground_position",
-                           _float32_triple(self.ground_position, "ground_position"))
+        for name in ("reference_position", "ground_position"):
+            object.__setattr__(self, name, _float32_triple(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -229,12 +226,6 @@ class FixedHeader:
             return 0
         digits = m.group(2)
         return int(digits) * 10 if len(digits) == 1 else int(digits)
-
-    @property
-    def record_duration_s(self) -> float:
-        if self.duration_den == 0:
-            return math.nan
-        return self.duration_num / self.duration_den
 
 
 @dataclass(frozen=True)
@@ -267,10 +258,13 @@ class ChannelInfo:
     sensor_info: bytes = bytes(20)
 
     def __post_init__(self):
-        object.__setattr__(self, "gdf_type", GdfType(self.gdf_type))
-        object.__setattr__(self, "lowpass_hz", float32_exact(self.lowpass_hz))
-        object.__setattr__(self, "highpass_hz", float32_exact(self.highpass_hz))
-        object.__setattr__(self, "notch_hz", float32_exact(self.notch_hz))
+        try:
+            object.__setattr__(self, "gdf_type", GdfType(self.gdf_type))
+        except ValueError:
+            type_info(self.gdf_type)  # raises DomainError (channel.type_unknown)
+        for name in ("lowpass_hz", "highpass_hz", "notch_hz"):  # None: unknown
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, float32_exact(value, name))
         object.__setattr__(self, "position", _float32_triple(self.position, "position"))
         if len(self.sensor_info) != 20:
             raise DomainError("sensor_info must be exactly 20 bytes")
@@ -290,11 +284,12 @@ class ChannelInfo:
 
 def sensor_value_bytes(value: float | None) -> bytes:
     """Build a 20-byte sensor-info area holding one float32 (None -> NaN)."""
-    return struct.pack("<f", math.nan if value is None else value) + bytes(16)
+    value = math.nan if value is None else float32_exact(value, "sensor value")
+    return np.array(value, "<f4").tobytes() + bytes(16)
 
 
 def _sensor_float(ch: ChannelInfo) -> float | None:
-    value = struct.unpack_from("<f", ch.sensor_info, 0)[0]
+    value = np.frombuffer(ch.sensor_info, "<f4", 1).item()
     return None if math.isnan(value) else value
 
 
@@ -564,15 +559,9 @@ def parse_fixed_header(buf: bytes, diags: Diagnostics | None = None) -> FixedHea
 def write_fixed_header(h: FixedHeader) -> bytes:
     """Serialise to exactly 256 bytes; reserved regions are zero-filled.
 
-    A ``header_blocks`` of 0 is resolved to the minimum ``ns + 1``.
+    A ``header_blocks`` of 0 is resolved to the minimum ``ns + 1``; the file
+    writers check the layout rules, this only that each value fits its field.
     """
-    if not 0 <= h.ns <= 0xFFFF:
-        raise DomainError(f"channel count {h.ns} outside uint16")
-    header_blocks = h.header_blocks or (h.ns + 1)
-    if header_blocks < h.ns + 1:
-        raise DomainError(f"header_blocks {header_blocks} is less than NS+1 = {h.ns + 1}")
-    if h.n_records < -1:
-        raise DomainError(f"record count {h.n_records} is below -1")
     p, r, loc = h.patient, h.recording, h.recording.location
 
     def text(name, value, label, spill=0):
@@ -589,7 +578,7 @@ def write_fixed_header(h: FixedHeader) -> bytes:
         b"", pack_demographics(p.smoking, p.alcohol_abuse, p.drug_abuse, p.medication),
         p.weight_kg, p.height_cm,
         pack_physio(p.gender, p.handedness, p.visual_impairment, p.heart_impairment),
-        rid[:64], location, r.start_time.raw, p.birthday.raw, header_blocks,
+        rid[:64], location, r.start_time.raw, p.birthday.raw, h.header_blocks or h.ns + 1,
         text("icd", p.icd_code, "ICD classification"), r.equipment_id, b"", p.headsize_mm,
         r.reference_position, r.ground_position, h.n_records,
         (h.duration_num, h.duration_den), h.ns,

@@ -8,12 +8,14 @@ every byte after that must be zero. A tag may occur at most once.
 from __future__ import annotations
 
 import ipaddress
-import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .diagnostics import Diagnostics, sink
 from .errors import CapacityError, DomainError, StructureError
+from .header import _float32_triple, _pack_texts
 
 TAG_EVENT_DESCRIPTIONS = 1
 TAG_BCI2000 = 2
@@ -118,23 +120,14 @@ def region_blocks(elements: Sequence[TlvElement]) -> int:
 
 
 def write_tlv_region(elements: Sequence[TlvElement], region_size: int) -> bytes:
-    """Serialise elements, terminator and zero padding into the given size."""
-    tags = [e.tag for e in elements]
-    if len(tags) != len(set(tags)):
-        raise DomainError("duplicate TLV tags", rule="tlv.duplicate_tag")
-    needed = serialized_size(elements)
-    if needed > region_size:
-        raise DomainError(f"TLV content needs {needed} bytes but the optional "
+    """Serialise elements, terminator and zero padding into the given size.
+    Whether the tags are unique is checked by the file writers."""
+    body = b"".join(bytes([e.tag]) + len(e.value).to_bytes(3, "little") + e.value
+                    for e in elements)
+    if len(body) > region_size:
+        raise DomainError(f"TLV content needs {len(body)} bytes but the optional "
                           f"header region has {region_size}")
-    out = bytearray(region_size)
-    off = 0
-    for e in elements:
-        out[off] = e.tag
-        out[off + 1:off + 4] = len(e.value).to_bytes(3, "little")
-        out[off + 4:off + 4 + len(e.value)] = e.value
-        off += e.size
-    # remaining bytes stay zero; the first of them acts as the terminator
-    return bytes(out)
+    return body.ljust(region_size, b"\x00")  # the first zero byte is the terminator
 
 
 # --- per-tag decoding --------------------------------------------------------
@@ -185,8 +178,7 @@ def decode_orientation(value: bytes, ns: int) -> list[tuple[float, float, float]
         raise StructureError(
             f"sensor orientation needs 12*NS = {12 * ns} bytes, got {len(value)}",
             rule="tlv.tag4_bad_length")
-    flat = struct.unpack(f"<{3 * ns}f", value)
-    return [tuple(flat[3 * i:3 * i + 3]) for i in range(ns)]
+    return list(map(tuple, np.frombuffer(value, "<f4").reshape(ns, 3).tolist()))
 
 
 def decode_ip_address(value: bytes):
@@ -218,31 +210,45 @@ def decode_tag_value(element: TlvElement, *, ns: int | None = None,
 
 # --- per-tag builders --------------------------------------------------------
 
+def _nul_terminated(texts: Sequence[str], what: str) -> bytes:
+    """The texts as latin-1, each NUL-terminated; a text holding a NUL, which
+    a reader would end it at, raises DomainError."""
+    data = _pack_texts(texts, 1 << 24, what)  # the length is checked by TlvElement
+    if any(b"\x00" in d for d in data):
+        raise DomainError(f"{what}: a text holds a NUL byte, which ends it on read")
+    return b"".join(d + b"\x00" for d in data)
+
+
 def event_descriptions_tlv(descriptions: Sequence[str]) -> TlvElement:
-    body = b"".join(d.encode("latin-1") + b"\x00" for d in descriptions)
+    if "" in descriptions:
+        raise DomainError("event descriptions: an empty description ends the list on read")
+    body = _nul_terminated(descriptions, "event descriptions")
     return TlvElement(TAG_EVENT_DESCRIPTIONS, body + b"\x00")
 
 
 def text_tlv(tag: int, text: str) -> TlvElement:
-    return TlvElement(tag, text.encode("latin-1") + b"\x00")
+    return TlvElement(tag, _nul_terminated([text], TAG_NAMES.get(tag, f"tag {tag}")))
 
 
 def device_ident_tlv(manufacturer: str = "", model: str = "",
                      version: str = "", serial: str = "") -> TlvElement:
-    body = b"".join(s.encode("latin-1") + b"\x00"
-                    for s in (manufacturer, model, version, serial))
+    body = _nul_terminated((manufacturer, model, version, serial), "device identification")
     if len(body) > 128:
         raise DomainError("device identification exceeds 128 bytes")
     return TlvElement(TAG_DEVICE_IDENT, body)
 
 
 def orientation_tlv(vectors: Sequence[tuple[float, float, float]]) -> TlvElement:
-    flat = [c for v in vectors for c in v]
-    return TlvElement(TAG_SENSOR_ORIENTATION, struct.pack(f"<{len(flat)}f", *flat))
+    flat = [c for i, vector in enumerate(vectors)
+            for c in _float32_triple(vector, f"sensor orientation[{i}]")]
+    return TlvElement(TAG_SENSOR_ORIENTATION, np.array(flat, "<f4").tobytes())
 
 
 def ip_address_tlv(address) -> TlvElement:
-    return TlvElement(TAG_IP_ADDRESS, ipaddress.ip_address(address).packed)
+    try:
+        return TlvElement(TAG_IP_ADDRESS, ipaddress.ip_address(address).packed)
+    except ValueError:
+        raise DomainError(f"{address!r} is not an IPv4 or IPv6 address") from None
 
 
 def free_tlv(data: bytes) -> TlvElement:

@@ -15,6 +15,7 @@ from gdfkit.core import (
     TIME_RESOLUTION_S,
     UNIX_EPOCH_DAY,
     checked_cast,
+    float32_exact,
     impedance_from_digval,
     impedance_to_digval,
     is_known_type,
@@ -24,6 +25,26 @@ from gdfkit.core import (
 from gdfkit.errors import DomainError
 
 EPOCH_RAW = UNIX_EPOCH_DAY << 32
+
+FLT_MAX = float(np.finfo(np.float32).max)
+ROUNDING_MIDPOINT = 2.0 ** 128 - 2.0 ** 103  # halfway from FLT_MAX to 2**128: rounds to inf
+
+
+def _near(x: float, rel: float = 2.0 ** -40):
+    low, high = sorted((x * (1 - rel), x * (1 + rel)))
+    return st.floats(min_value=low, max_value=high)
+
+
+# plain floats, inf and NaN; floats and ints next to FLT_MAX and the rounding
+# midpoint of either sign; ints beyond 2**64 and beyond float64; None; text
+FLOAT32_INPUTS = st.one_of(
+    st.floats(), st.integers(),
+    *(_near(sign * x) for sign in (1, -1) for x in (FLT_MAX, ROUNDING_MIDPOINT)),
+    *(st.integers(int(sign * x) - 2**80, int(sign * x) + 2**80)
+      for sign in (1, -1) for x in (FLT_MAX, ROUNDING_MIDPOINT)),
+    st.integers(2**64, 2**1100), st.integers(-(2**1100), -(2**64)),
+    st.none(), st.text(max_size=4),
+)
 
 
 class TestGdfTime:
@@ -254,3 +275,15 @@ class TestCheckedCast:
         with pytest.raises(DomainError) as exc:
             checked_cast(values, dtype, label)
         assert str(exc.value) == message
+
+    @given(FLOAT32_INPUTS)
+    def test_float32_exact_follows_checked_cast(self, value):
+        try:
+            want = checked_cast(value, "<f4", "field").item()
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                float32_exact(value, "field")
+            assert str(got.value) == str(exc)
+            return
+        got = float32_exact(value, "field")
+        assert type(got) is float and repr(got) == repr(want)

@@ -1,8 +1,12 @@
-"""The README's rule-id table lists exactly the rule ids the code emits."""
+"""The README's rule-id table lists exactly the rule ids the code emits, and
+its writer paragraph exactly the layout rules the writers share with
+``validate``."""
 
 import ast
 import re
 from pathlib import Path
+
+from test_fileio import GEOMETRY_RULES
 
 ROOT = Path(__file__).resolve().parents[1]
 RULE_ID = re.compile(r"[a-z0-9_]+\.[a-z0-9_]+")
@@ -46,3 +50,13 @@ def test_rule_table_matches_code():
     assert len(emitted) > 40  # the scan still finds the rule ids
     assert sorted(emitted - documented) == [], "rule ids missing from the README"
     assert sorted(documented - emitted) == [], "README rule ids the code never emits"
+
+
+def test_writer_paragraph_lists_the_geometry_rules():
+    text = (ROOT / "README.md").read_text()
+    paragraph = re.split(r"The layout\s+rules they share are", text)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`([^`]+)`", paragraph) == list(GEOMETRY_RULES)
+    source = (ROOT / "src" / "gdfkit" / "fileio.py").read_text()
+    check = next(node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef) and node.name == "_check_geometry")
+    assert _rule_strings(check) == set(GEOMETRY_RULES)

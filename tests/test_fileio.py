@@ -1,3 +1,4 @@
+import functools
 import io
 import struct
 import tracemalloc
@@ -36,8 +37,10 @@ from gdfkit.records import SignalBlock
 from gdfkit.synth import SynthSpec, corpus_specs, synthesize
 from gdfkit import tlv as tlvmod
 
-GEOMETRY_RULES = ("header.ns_mismatch", "header.blocks_too_small", "header.tlv_overflow",
+GEOMETRY_RULES = ("header.ns_range", "header.ns_mismatch", "header.blocks_too_small",
+                  "header.tlv_overflow", "tlv.duplicate_tag", "header.nrec_invalid",
                   "event.with_ongoing", "data.length_mismatch")
+SWEEP_BASES = ("events_mode1", "sparse_mode3", "tlv_full", "exactly_full")
 
 # one fixed-header value outside its field's struct range, by field name
 FIXED_FIELD_EDITS = {
@@ -53,6 +56,66 @@ FIXED_FIELD_EDITS = {
         h.recording, location=replace(h.recording.location, size=256))),
     "n_records": lambda h: replace(h, n_records=1 << 63),
 }
+
+
+def _writers_agree(g: GdfFile, case) -> set[str]:
+    """``to_bytes`` refuses ``g`` with the rule and message of the first
+    geometry error ``validate`` reports, or writes it; the ``StreamWriter``
+    constructor does the same for the part of ``g`` it writes (no records, no
+    events, an unknown record count), before any byte reaches its sink.
+    Returns the rules raised."""
+    raised = set()
+    sink = io.BytesIO()
+    streamed = GdfFile(header=replace(g.header, n_records=-1), channels=g.channels, tlv=g.tlv)
+    for model, write in ((g, to_bytes),
+                         (streamed, lambda m: StreamWriter(sink, m.header, m.channels, m.tlv))):
+        first = next((d for d in validate(model) if d.rule in GEOMETRY_RULES), None)
+        if first is not None:
+            with pytest.raises(DomainError) as exc:
+                write(model)
+            assert (exc.value.rule, str(exc.value)) == (first.rule, first.message), case
+            assert sink.getvalue() == b"", case
+            raised.add(first.rule)
+        elif write is to_bytes:
+            blob = to_bytes(model)
+            back, diags = read_file(blob)
+            assert not diags.has_errors, case
+            if model.header.n_records != -1:
+                assert to_bytes(back) == blob, case
+        else:
+            write(model).close()
+            assert sink.getvalue(), case
+    return raised
+
+
+@functools.lru_cache
+def _geometry_sweep(name: str, with_events: bool) -> frozenset[str]:
+    """Every combination of a stated, short, long or default channel count,
+    header length and record count on one corpus model, with and without a
+    duplicate TLV tag, plus 65,536 channels; returns the rules raised."""
+    if name == "exactly_full":
+        f = synthesize(SynthSpec(channels=2, tlv=(tlvmod.free_tlv(bytes(508)),)))
+    else:
+        f = synthesize(dict(corpus_specs())[name])
+    assert list(validate(f)) == []
+    n, size = f.ns, tlvmod.serialized_size(f.tlv)
+    nrec = f.signals.n_records
+    exact = n + 1 + -(-size // 256)
+    events = f.events if with_events else None
+    raised = set()
+    for elements in (f.tlv, [*f.tlv, tlvmod.free_tlv(b"a"), tlvmod.free_tlv(b"b")]):
+        for ns in (0, n, n - 1, n + 1):
+            for blocks in (0, n, n + 1, exact, required_header_blocks(n, f.tlv)):
+                for n_records in (-2, -1, nrec, nrec - 1, nrec + 1):
+                    header = replace(f.header, ns=ns, header_blocks=blocks,
+                                     n_records=n_records)
+                    g = replace(f, header=header, tlv=elements, events=events)
+                    raised |= _writers_agree(g, (len(elements), ns, blocks, n_records))
+    sparse = replace(f.channels[0], samples_per_record=0)
+    for header in (f.header, replace(f.header, ns=0, header_blocks=0)):
+        g = replace(f, header=header, channels=[sparse] * 65536, events=events)
+        raised |= _writers_agree(g, (65536, header.ns, header.header_blocks))
+    return frozenset(raised)
 
 
 class TestMinimalFiles:
@@ -312,36 +375,14 @@ class TestWriteValidation:
         assert to_bytes(back) == blob
 
     @pytest.mark.parametrize("with_events", [True, False])
-    @pytest.mark.parametrize("name", ["events_mode1", "sparse_mode3", "tlv_full",
-                                      "exactly_full"])
+    @pytest.mark.parametrize("name", SWEEP_BASES)
     def test_writers_refuse_what_validate_reports(self, name, with_events):
-        if name == "exactly_full":
-            f = synthesize(SynthSpec(channels=2, tlv=(tlvmod.free_tlv(bytes(508)),)))
-        else:
-            f = synthesize(dict(corpus_specs())[name])
-        assert list(validate(f)) == []
-        n, size = f.ns, tlvmod.serialized_size(f.tlv)
-        nrec = f.signals.n_records
-        exact = n + 1 + -(-size // 256)
-        events = f.events if with_events else None
-        for ns in (0, n, n - 1, n + 1):
-            for blocks in (0, n, n + 1, exact, required_header_blocks(n, f.tlv)):
-                for n_records in (-1, nrec, nrec - 1, nrec + 1):
-                    header = replace(f.header, ns=ns, header_blocks=blocks,
-                                     n_records=n_records)
-                    g = replace(f, header=header, events=events)
-                    found = [d.rule for d in validate(g) if d.rule in GEOMETRY_RULES]
-                    case = (ns, blocks, n_records)
-                    if found:
-                        with pytest.raises(DomainError) as exc:
-                            to_bytes(g)
-                        assert exc.value.rule == found[0], case
-                        continue
-                    blob = to_bytes(g)
-                    back, diags = read_file(blob)
-                    assert not diags.has_errors, case
-                    if n_records != -1:
-                        assert to_bytes(back) == blob, case
+        _geometry_sweep(name, with_events)
+
+    def test_sweep_raises_every_geometry_rule(self):
+        raised = set().union(*(_geometry_sweep(name, with_events)
+                               for name in SWEEP_BASES for with_events in (True, False)))
+        assert sorted(raised) == sorted(GEOMETRY_RULES)
 
     @pytest.mark.parametrize("field", list(FIXED_FIELD_EDITS))
     def test_out_of_range_fixed_field_named(self, field):

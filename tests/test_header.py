@@ -1,4 +1,5 @@
 import functools
+import io
 import itertools
 import math
 import re
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from gdfkit.core import Calibration, GdfTime, GdfType, is_known_type
 from gdfkit.diagnostics import Diagnostics
 from gdfkit.events import EventTable, parse_event_table, write_event_table
+from gdfkit.fileio import GdfFile, StreamWriter, to_bytes
 from gdfkit.errors import DomainError, FormatError, GdfError, StructureError, VersionError
 from gdfkit.header import (
     CHANNEL_HEADER_SIZE,
@@ -170,8 +172,11 @@ class TestFixedHeader:
         assert parse_fixed_header(bytes(buf)).n_records == -1
 
     def test_blocks_too_small(self):
-        with pytest.raises(DomainError):
-            write_fixed_header(FixedHeader(ns=3, header_blocks=2))
+        model = GdfFile(header=FixedHeader(header_blocks=2), channels=[ChannelInfo()] * 3)
+        with pytest.raises(DomainError, match="NS\\+1"):
+            to_bytes(model)
+        with pytest.raises(DomainError, match="NS\\+1"):
+            StreamWriter(io.BytesIO(), model.header, model.channels)
         buf = bytearray(write_fixed_header(_demo_header(ns=3)))
         struct.pack_into("<H", buf, 184, 3)
         with pytest.raises(StructureError):
@@ -501,10 +506,30 @@ def test_text_after_nul_diagnosed():
 ], ids=["channel-lowpass", "recording-position", "event-rate"])
 def test_float32_fields_reject_finite_overflow(build):
     for value in (1e300, -1e300):
-        with pytest.raises(DomainError, match="float32 range"):
+        with pytest.raises(DomainError, match=r"cannot hold -?1e\+300 \(float32\)"):
             build(value)
     for value in (math.inf, -math.inf, math.nan, 3.4028234e38):
         build(value)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda v: ChannelInfo(lowpass_hz=v), "lowpass_hz"),
+    (lambda v: ChannelInfo(notch_hz=v), "notch_hz"),
+    (lambda v: ChannelInfo(position=(0.0, v, 0.0)), "position"),
+    (lambda v: RecordingInfo(ground_position=(v, 0.0, 0.0)), "ground_position"),
+    (lambda v: EventTable(1, v, [1], [1]), "sample_rate_hz"),
+    (sensor_value_bytes, "sensor value"),
+])
+@pytest.mark.parametrize("value", [1e300, "x", [1.0, 2.0]])
+def test_float32_refusal_names_the_field(build, field, value):
+    with pytest.raises(DomainError, match=rf"^{field} cannot hold "):
+        build(value)
+
+
+def test_unknown_type_code_refused():
+    with pytest.raises(DomainError, match="99") as exc:
+        ChannelInfo(gdf_type=99)
+    assert exc.value.rule == "channel.type_unknown"
 
 
 class TestWrongLengthTuples:

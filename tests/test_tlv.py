@@ -1,3 +1,4 @@
+import io
 import ipaddress
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import strategies as st
 
 from gdfkit.diagnostics import Diagnostics
 from gdfkit.errors import DomainError, StructureError
+from gdfkit.fileio import GdfFile, StreamWriter, to_bytes
+from gdfkit.header import FixedHeader
 from gdfkit.tlv import (
     DeviceIdent,
     TlvElement,
@@ -102,13 +105,48 @@ class TestWrite:
         assert parse_tlv(region) == [e]
 
     def test_duplicate_rejected(self):
-        with pytest.raises(DomainError):
-            write_tlv_region([free_tlv(b"a"), free_tlv(b"b")], 256)
+        elements = [free_tlv(b"a"), free_tlv(b"b")]
+        with pytest.raises(DomainError, match="more than once"):
+            to_bytes(GdfFile(header=FixedHeader(n_records=0), tlv=elements))
+        with pytest.raises(DomainError, match="more than once"):
+            StreamWriter(io.BytesIO(), FixedHeader(), [], elements)
 
     def test_no_elements_no_blocks(self):
         assert region_blocks([]) == 0
         assert region_blocks([free_tlv(bytes(250))]) == 1
         assert region_blocks([free_tlv(bytes(252))]) == 2  # value + header + terminator
+
+
+class TestBuilderInputs:
+    @pytest.mark.parametrize("vectors", [
+        [(1e300, 0.0, 0.0)], [("x", 0.0, 0.0)], [(1.0, 2.0)], [(1.0, 2.0, 3.0), (1.0, 2.0)],
+    ])
+    def test_orientation_refused(self, vectors):
+        with pytest.raises(DomainError, match="^sensor orientation"):
+            orientation_tlv(vectors)
+
+    def test_orientation_empty(self):
+        assert orientation_tlv([]).value == b""
+        assert decode_orientation(b"", ns=0) == []
+
+    @pytest.mark.parametrize("build", [
+        lambda text: text_tlv(6, text),
+        lambda text: event_descriptions_tlv(["ok", text]),
+        lambda text: device_ident_tlv("Acme", text),
+    ], ids=["text", "event-descriptions", "device-ident"])
+    @pytest.mark.parametrize("text", ["\u20ac", "a\x00b"], ids=["not-latin-1", "nul"])
+    def test_text_refused(self, build, text):
+        with pytest.raises(DomainError, match="latin-1|NUL"):
+            build(text)
+
+    @pytest.mark.parametrize("descriptions", [[""], ["", "x"], ["x", ""]])
+    def test_empty_description_refused(self, descriptions):
+        with pytest.raises(DomainError, match="empty description"):
+            event_descriptions_tlv(descriptions)
+
+    def test_ip_address_refused(self):
+        with pytest.raises(DomainError, match="'nope'"):
+            ip_address_tlv("nope")
 
 
 class TestTagCodecs:
