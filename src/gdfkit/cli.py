@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -320,39 +321,27 @@ def cmd_convert(args) -> int:
     return _convert_gdf_to_csv(f, args)
 
 
-def _column_header(ch: ChannelInfo, rate: float) -> str:
-    return f"{ch.label} [{unit_symbol(ch.phys_dim)}] @{rate:g}Hz"
-
-
 def _convert_gdf_to_csv(f: GdfFile, args) -> int:
+    """One column per continuous channel, headed ``label [unit] @rateHz``: a
+    cell is ``repr`` of the sample (scaled or raw); an invalid scaled sample
+    is an empty cell."""
     h = f.header
-    exported, skipped = [], []
-    for i, ch in enumerate(f.channels):
+    headers, columns, skipped = [], [], []
+    for ch, raw in zip(f.channels, f.signals.samples):
         if ch.is_sparse or type_info(ch.gdf_type).kind == "opaque":
             skipped.append(ch.label)
-        else:
-            exported.append(i)
-    columns = []
-    for i in exported:
-        ch = f.channels[i]
-        raw = f.signals.samples[i]
-        if args.scaled:
-            values = ch.cal.scale_array(raw)
-            cells = ["" if np.isnan(v) else repr(float(v)) for v in values]
-        else:
-            kind = type_info(ch.gdf_type).kind
-            cells = [repr(float(v)) if kind == "float" else str(int(v)) for v in raw]
+            continue
+        values = ch.cal.scale_array(raw) if args.scaled else raw
+        cells = list(map(repr, values.tolist()))  # Python ints and floats
+        for i in np.flatnonzero(np.isnan(values)).tolist() if args.scaled else ():
+            cells[i] = ""
+        rate = ch.sampling_rate(h.duration_num, h.duration_den)
+        headers.append(f"{ch.label} [{unit_symbol(ch.phys_dim)}] @{rate:g}Hz")
         columns.append(cells)
-    n_rows = max((len(c) for c in columns), default=0)
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([
-            _column_header(f.channels[i],
-                           f.channels[i].sampling_rate(h.duration_num, h.duration_den))
-            for i in exported])
-        for row in range(n_rows):
-            writer.writerow([c[row] if row < len(c) else "" for c in columns])
-    registry = _registry_for(f)
+        writer.writerow(headers)
+        writer.writerows(itertools.zip_longest(*columns, fillvalue=""))
     sidecar = _sidecar_path(args.output)
     if f.events is not None:
         with open(sidecar, "w", newline="", encoding="utf-8") as fh:
@@ -363,7 +352,7 @@ def _convert_gdf_to_csv(f: GdfFile, args) -> int:
             blank = [""] * len(typ)
             chn_dur = (t.chn.tolist(), t.dur.tolist()) if t.mode == 3 else (blank, blank)
             writer.writerows(zip(t.pos.tolist(), [f"0x{c:04X}" for c in typ], *chn_dur,
-                                 map(registry.describe, typ)))
+                                 map(_registry_for(f).describe, typ)))
         print(f"events written to {sidecar}", file=sys.stderr)
     if skipped:
         print("note: sparse/opaque channels exported only through the event "
@@ -453,27 +442,24 @@ def _convert_csv_to_gdf(args) -> int:
     headers = [_parse_column_header(cell) for cell in rows[0]]
     if not headers:
         raise GdfError("input CSV declares no channel columns")
-    columns: list[list[str]] = [[] for _ in headers]
-    for row in rows[1:]:
-        for i in range(len(headers)):
-            columns[i].append(row[i] if i < len(row) else "")
-    n_rows = len(rows) - 1
-    max_rate = max(rate for _, _, rate in headers)
-    duration = Fraction(n_rows, 1) / max_rate
+    duration = Fraction(len(rows) - 1) / max(rate for _, _, rate in headers)
 
     channels, arrays = [], []
-    for (label, unit, rate), cells in zip(headers, columns):
+    # a column at a time, its header cell first: short rows are padded with
+    # empty cells, and zip drops the cells beyond the header row
+    for (label, unit, rate), column in zip(headers,
+                                           itertools.zip_longest(*rows, fillvalue="")):
         expected = duration * rate
         if expected.denominator != 1:
             raise GdfError(f"column {label!r}: rate {rate} Hz does not produce a "
                            f"whole sample count over {duration} s")
         expected = int(expected)
-        if any(c.strip() for c in cells[expected:]):
+        if any(c.strip() for c in column[1 + expected:]):
             raise GdfError(f"column {label!r}: values beyond the {expected} "
                            "samples its rate allows")
         try:
             values = np.array([np.nan if not c.strip() else float(c)
-                               for c in cells[:expected]])
+                               for c in column[1:1 + expected]])
         except ValueError as exc:
             raise GdfError(f"column {label!r}: {exc}") from None
         channel, raw = _column_to_channel(label, unit, values, gdf_type, args.scaled)

@@ -301,8 +301,9 @@ def checked_cast(values, dtype, label: str) -> np.ndarray:
                 raise DomainError(f"{label.format(i)} cannot hold {value!r} ({dtype})")
     except (TypeError, ValueError, OverflowError):  # not a number, or uneven rows
         pass
-    if scalar:
-        raise DomainError(f"{label} cannot hold {values!r} ({dtype})")
+    if scalar:  # quote the value, not a 0-d array or numpy scalar around it
+        value = values.tolist() if isinstance(values, (np.ndarray, np.generic)) else values
+        raise DomainError(f"{label} cannot hold {value!r} ({dtype})")
     for i, value in enumerate(values.tolist() if isinstance(values, np.ndarray) else values):
         try:  # a value numpy cannot cast: the first item that fails alone
             checked_cast(value, dtype, label)

@@ -95,6 +95,10 @@ def _check_geometry(f: GdfFile, diags: Diagnostics) -> int:
         diags.error("header.blocks_too_small",
                     f"header length {blocks} blocks is less than NS+1 = {ns + 1}",
                     section="header1", offset=_FIXED_OFFSETS["header_blocks"])
+    elif blocks > 0xFFFF:
+        diags.error("header.blocks_range", f"header length {blocks} blocks exceeds the "
+                    "16-bit header_blocks field", section="header1",
+                    offset=_FIXED_OFFSETS["header_blocks"])
     elif tlvmod.serialized_size(f.tlv) > 256 * (blocks - ns - 1):
         diags.error("header.tlv_overflow", f"{blocks - ns - 1} optional-header blocks "
                     f"cannot hold {tlvmod.serialized_size(f.tlv)} bytes", section="header3")

@@ -106,12 +106,20 @@ def unpack_physio(value: int) -> tuple[Gender, Handedness, VisualImpairment, Hea
             VisualImpairment((value >> 4) & 3), HeartImpairment((value >> 6) & 3))
 
 
-def _float32_triple(values, name: str) -> tuple[float, float, float]:
-    """An (x, y, z) field rounded to float32 precision."""
-    values = tuple(float32_exact(v, name) for v in values)
+def _triple(values, name: str) -> tuple:
+    """An (x, y, z) field as a tuple of 3, or DomainError naming ``name``."""
+    try:
+        values = tuple(values)
+    except TypeError:  # a scalar or None
+        raise DomainError(f"{name} needs 3 values, got {values!r}") from None
     if len(values) != 3:
         raise DomainError(f"{name} needs 3 values, got {len(values)}")
     return values
+
+
+def _float32_triple(values, name: str) -> tuple[float, float, float]:
+    """An (x, y, z) field rounded to float32 precision."""
+    return tuple(float32_exact(v, name) for v in _triple(values, name))
 
 
 @dataclass(frozen=True)
@@ -169,8 +177,7 @@ class PatientInfo:
     headsize_mm: tuple[int, int, int] = (0, 0, 0)
 
     def __post_init__(self):
-        if len(self.headsize_mm) != 3:
-            raise DomainError(f"headsize_mm needs 3 values, got {len(self.headsize_mm)}")
+        _triple(self.headsize_mm, "headsize_mm")
 
     def pid_subfields(self) -> tuple[str, str, str]:
         """(identification code, name, classification), 'X' when missing."""
@@ -396,20 +403,22 @@ def _read_text(raw: bytes, offset: int, name: str, diags: Diagnostics,
 
 def _pack_texts(texts: Sequence[str], size: int, label: str) -> list[bytes]:
     """Encode texts for a ``size``-byte field (numpy pads them with NULs).
-    The first that is not latin-1 or too long raises DomainError naming
-    ``label``; a ``{}`` in it becomes that text's index."""
+    The first that is not latin-1, holds a NUL (a reader ends it there) or is
+    too long raises DomainError naming ``label``, whose ``{}`` is its index."""
     try:
         data = [text.encode("latin-1") for text in texts]
-        if max(map(len, data), default=0) <= size:
+        if max(map(len, data), default=0) <= size and b"\x00" not in b"".join(data):
             return data
     except UnicodeEncodeError:
         pass
     for i, text in enumerate(texts):  # find the first bad text
         try:
-            n = len(text.encode("latin-1"))
+            encoded = text.encode("latin-1")
         except UnicodeEncodeError:
             raise DomainError(f"{label.format(i)}: text is not latin-1 encodable") from None
-        if n > size:
+        if b"\x00" in encoded:
+            raise DomainError(f"{label.format(i)}: text holds a NUL byte, which ends it on read")
+        if (n := len(encoded)) > size:
             raise DomainError(f"{label.format(i)}: {n} bytes exceed the {size}-byte field",
                               rule="header.text_overflow")
 
@@ -574,7 +583,9 @@ def write_fixed_header(h: FixedHeader) -> bytes:
     location = rid[64:] if loc is None else _section_bytes(  # the version byte stays 0
         _LOCATION, [getattr(loc, name, 0) for name in _LOCATION.names])
     return _section_bytes(_FIXED, [  # _FIXED_FIELDS order; reserved bytes stay zero
-        text("version", h.version, "version"), text("pid", p.pid, "patient identification"),
+        # a reader keeps every version byte: NUL padding is written back as padding
+        text("version", h.version.rstrip("\x00"), "version"),
+        text("pid", p.pid, "patient identification"),
         b"", pack_demographics(p.smoking, p.alcohol_abuse, p.drug_abuse, p.medication),
         p.weight_kg, p.height_cm,
         pack_physio(p.gender, p.handedness, p.visual_impairment, p.heart_impairment),

@@ -211,11 +211,8 @@ def decode_tag_value(element: TlvElement, *, ns: int | None = None,
 # --- per-tag builders --------------------------------------------------------
 
 def _nul_terminated(texts: Sequence[str], what: str) -> bytes:
-    """The texts as latin-1, each NUL-terminated; a text holding a NUL, which
-    a reader would end it at, raises DomainError."""
+    """The texts as latin-1, each NUL-terminated (a text holding a NUL raises)."""
     data = _pack_texts(texts, 1 << 24, what)  # the length is checked by TlvElement
-    if any(b"\x00" in d for d in data):
-        raise DomainError(f"{what}: a text holds a NUL byte, which ends it on read")
     return b"".join(d + b"\x00" for d in data)
 
 

@@ -1,11 +1,13 @@
-"""The README's rule-id table lists exactly the rule ids the code emits, and
-its writer paragraph exactly the layout rules the writers share with
-``validate``."""
+"""The README's rule-id table lists exactly the rule ids the code emits, its
+writer paragraph exactly the layout rules the writers share with
+``validate``, and its CLI synopsis exactly the options of the parser."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
+from gdfkit.cli import build_parser
 from test_fileio import GEOMETRY_RULES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,3 +62,23 @@ def test_writer_paragraph_lists_the_geometry_rules():
     check = next(node for node in ast.walk(ast.parse(source))
                  if isinstance(node, ast.FunctionDef) and node.name == "_check_geometry")
     assert _rule_strings(check) == set(GEOMETRY_RULES)
+
+
+def test_cli_synopsis_lists_the_parser_options():
+    """Each synopsis line of a subcommand (with its continuation lines) names
+    exactly the long options ``cli.build_parser()`` defines for it."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    documented, command = {}, None
+    for line in block.splitlines():
+        if line.startswith("gdfkit "):
+            command = line.split()[1]
+            documented[command] = set()
+        if command is not None:
+            documented[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {name: {s for a in sub._actions for s in a.option_strings
+                      if s.startswith("--")} - {"--help"}
+               for name, sub in subparsers.choices.items()}
+    assert documented == defined

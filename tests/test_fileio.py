@@ -38,8 +38,8 @@ from gdfkit.synth import SynthSpec, corpus_specs, synthesize
 from gdfkit import tlv as tlvmod
 
 GEOMETRY_RULES = ("header.ns_range", "header.ns_mismatch", "header.blocks_too_small",
-                  "header.tlv_overflow", "tlv.duplicate_tag", "header.nrec_invalid",
-                  "event.with_ongoing", "data.length_mismatch")
+                  "header.blocks_range", "header.tlv_overflow", "tlv.duplicate_tag",
+                  "header.nrec_invalid", "event.with_ongoing", "data.length_mismatch")
 SWEEP_BASES = ("events_mode1", "sparse_mode3", "tlv_full", "exactly_full")
 
 # one fixed-header value outside its field's struct range, by field name
@@ -91,8 +91,9 @@ def _writers_agree(g: GdfFile, case) -> set[str]:
 @functools.lru_cache
 def _geometry_sweep(name: str, with_events: bool) -> frozenset[str]:
     """Every combination of a stated, short, long or default channel count,
-    header length and record count on one corpus model, with and without a
-    duplicate TLV tag, plus 65,536 channels; returns the rules raised."""
+    header length (70,000 blocks included) and record count on one corpus
+    model, with and without a duplicate TLV tag, plus 65,535 and 65,536
+    channels; returns the rules raised."""
     if name == "exactly_full":
         f = synthesize(SynthSpec(channels=2, tlv=(tlvmod.free_tlv(bytes(508)),)))
     else:
@@ -105,16 +106,17 @@ def _geometry_sweep(name: str, with_events: bool) -> frozenset[str]:
     raised = set()
     for elements in (f.tlv, [*f.tlv, tlvmod.free_tlv(b"a"), tlvmod.free_tlv(b"b")]):
         for ns in (0, n, n - 1, n + 1):
-            for blocks in (0, n, n + 1, exact, required_header_blocks(n, f.tlv)):
+            for blocks in (0, n, n + 1, exact, required_header_blocks(n, f.tlv), 70000):
                 for n_records in (-2, -1, nrec, nrec - 1, nrec + 1):
                     header = replace(f.header, ns=ns, header_blocks=blocks,
                                      n_records=n_records)
                     g = replace(f, header=header, tlv=elements, events=events)
                     raised |= _writers_agree(g, (len(elements), ns, blocks, n_records))
     sparse = replace(f.channels[0], samples_per_record=0)
-    for header in (f.header, replace(f.header, ns=0, header_blocks=0)):
-        g = replace(f, header=header, channels=[sparse] * 65536, events=events)
-        raised |= _writers_agree(g, (65536, header.ns, header.header_blocks))
+    for count in (65535, 65536):  # 65,535 channels need 65,536 header blocks
+        for header in (f.header, replace(f.header, ns=0, header_blocks=0)):
+            g = replace(f, header=header, channels=[sparse] * count, events=events)
+            raised |= _writers_agree(g, (count, header.ns, header.header_blocks))
     return frozenset(raised)
 
 

@@ -551,6 +551,60 @@ class TestWrongLengthTuples:
         with pytest.raises(DomainError, match="headsize_mm needs 3 values, got 4"):
             write_fixed_header(FixedHeader(patient=PatientInfo(headsize_mm=(1, 2, 3, 4))))
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda v: ChannelInfo(position=v), "position"),
+        (lambda v: RecordingInfo(reference_position=v), "reference_position"),
+        (lambda v: RecordingInfo(ground_position=v), "ground_position"),
+        (lambda v: PatientInfo(headsize_mm=v), "headsize_mm"),
+    ])
+    @pytest.mark.parametrize("value", [5, 1.5, None])
+    def test_scalar_refused(self, build, field, value):
+        with pytest.raises(DomainError, match=rf"^{field} needs 3 values, got {value}$"):
+            build(value)
+
+
+@pytest.mark.parametrize("header, message", [
+    (FixedHeader(patient=PatientInfo(weight_kg=300)), "weight cannot hold 300 (uint8)"),
+    (FixedHeader(recording=RecordingInfo(equipment_id=-1)),
+     "equipment cannot hold -1 (uint64)"),
+])
+def test_scalar_refusal_quotes_the_value(header, message):
+    with pytest.raises(DomainError) as exc:
+        write_fixed_header(header)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda: write_channel_headers([ChannelInfo(), ChannelInfo(label="a\x00b")]),
+     "label[1]: text holds a NUL byte"),
+    (lambda: write_channel_headers([ChannelInfo(transducer="\x00")]),
+     "transducer[0]: text holds a NUL byte"),
+    (lambda: write_channel_headers([ChannelInfo(phys_dim_ascii="u\x00")]),
+     "unit text[0]: text holds a NUL byte"),
+    (lambda: write_channel_headers([ChannelInfo(prefilter="x\x00")]),
+     "prefilter[0]: text holds a NUL byte"),
+    (lambda: write_fixed_header(FixedHeader(patient=PatientInfo(pid="P\x00 X X"))),
+     "patient identification: text holds a NUL byte"),
+    (lambda: write_fixed_header(FixedHeader(recording=RecordingInfo(rid="r\x00"))),
+     "recording identification: text holds a NUL byte"),
+    (lambda: write_fixed_header(FixedHeader(recording=RecordingInfo(rid="r\x00",
+                                                                    location=None))),
+     "recording identification: text holds a NUL byte"),
+    (lambda: write_fixed_header(FixedHeader(patient=PatientInfo(icd_code="\x00a"))),
+     "ICD classification: text holds a NUL byte"),
+])
+def test_text_with_nul_refused(write, message):
+    """A reader ends a header text at its first NUL, so "a\\x00b" would read
+    back as "a"."""
+    with pytest.raises(DomainError, match="NUL") as exc:
+        write()
+    assert str(exc.value).startswith(message)
+
+
+def test_version_nul_padding_written_as_padding():
+    """The version field is read with every byte, NUL padding included."""
+    assert write_fixed_header(FixedHeader(version="GDF 2.1\x00"))[:8] == b"GDF 2.1\x00"
+
 
 @pytest.mark.parametrize("field, value", [
     ("smoking", 7), ("alcohol_abuse", 4), ("drug_abuse", -1), ("medication", 4),

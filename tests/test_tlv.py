@@ -120,6 +120,7 @@ class TestWrite:
 class TestBuilderInputs:
     @pytest.mark.parametrize("vectors", [
         [(1e300, 0.0, 0.0)], [("x", 0.0, 0.0)], [(1.0, 2.0)], [(1.0, 2.0, 3.0), (1.0, 2.0)],
+        [1, 2, 3], [None],  # a scalar where a vector goes
     ])
     def test_orientation_refused(self, vectors):
         with pytest.raises(DomainError, match="^sensor orientation"):
