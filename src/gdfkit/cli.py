@@ -10,14 +10,16 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import tlv as tlvmod
-from .core import Calibration, GdfType, type_info
+from .core import Calibration, GdfType, checked_cast, type_info
 from .diagnostics import Severity
 from .errors import DiagnosticError, GdfError, StructureError
 from .events import EventCodeRegistry, EventTable, default_event_rate
@@ -143,11 +145,21 @@ def _byte_sentinel(value: int, over: str) -> str:
     return str(value)
 
 
-def inspect_lines(f: GdfFile) -> list[tuple[str, str]]:
-    """Flat key/value dump of everything the file declares."""
+class Rows(NamedTuple):
+    """Keys ``<prefix>.<i>.<name>``, row by row, each row's in column order.
+    A column is a list of value texts, one per row, or a dict holding only
+    the rows that have the key; the first column is a list."""
+
+    prefix: str
+    columns: dict[str, list[str] | dict[int, str]]
+
+
+def inspect_sections(f: GdfFile) -> list[list[tuple[str, str]] | Rows]:
+    """Everything the file declares, in key order: the header, the channels,
+    the optional header, the event summary and the events."""
     h, p, r = f.header, f.header.patient, f.header.recording
     code, name, classification = p.pid_subfields()
-    out = [
+    header = [
         ("file.version", h.version),
         ("file.header_blocks", str(h.header_blocks)),
         ("file.n_records", str(h.n_records)),
@@ -175,60 +187,74 @@ def inspect_lines(f: GdfFile) -> list[tuple[str, str]]:
         ("patient.headsize_mm", ",".join(map(str, p.headsize_mm))),
     ]
     if r.location is not None:
-        out += [
+        header += [
             ("recording.location.latitude_deg", f"{r.location.latitude_degrees:.6f}"),
             ("recording.location.longitude_deg", f"{r.location.longitude_degrees:.6f}"),
             ("recording.location.altitude_cm", str(r.location.altitude_cm)),
         ]
-    out += [
+    header += [
         ("recording.reference_xyz", ",".join(f"{v:g}" for v in r.reference_position)),
         ("recording.ground_xyz", ",".join(f"{v:g}" for v in r.ground_position)),
     ]
-    for i, ch in enumerate(f.channels):
-        key = f"channel.{i}"
-        out += [
-            (f"{key}.label", ch.label),
-            (f"{key}.transducer", ch.transducer),
-            (f"{key}.unit", unit_symbol(ch.phys_dim)),
-            (f"{key}.unit_code", str(ch.phys_dim)),
-            (f"{key}.type", type_info(ch.gdf_type).name),
-            (f"{key}.samples_per_record", str(ch.samples_per_record)),
-            (f"{key}.rate_hz", f"{ch.sampling_rate(h.duration_num, h.duration_den):g}"),
-            (f"{key}.phys_range", f"{ch.cal.phys_min:g}..{ch.cal.phys_max:g}"),
-            (f"{key}.dig_range", f"{ch.cal.dig_min:g}..{ch.cal.dig_max:g}"),
-            (f"{key}.lowpass_hz", "unknown" if ch.lowpass_hz is None else f"{ch.lowpass_hz:g}"),
-            (f"{key}.highpass_hz", "unknown" if ch.highpass_hz is None else f"{ch.highpass_hz:g}"),
-            (f"{key}.notch_hz", "unknown" if ch.notch_hz is None
-             else "off" if ch.notch_hz < 0 else f"{ch.notch_hz:g}"),
-            (f"{key}.position", ",".join(f"{v:g}" for v in ch.position)),
-        ]
-        for name, value in (("impedance_ohm", electrode_impedance(ch, h.version_minor)),
-                            ("probe_frequency_hz", probe_frequency(ch, h.version_minor))):
-            if value is not None:
-                out.append((f"{key}.{name}", f"{value:g}"))
-    for i, e in enumerate(f.tlv):
-        out += [(f"tlv.{i}.tag", str(e.tag)), (f"tlv.{i}.name", e.name),
-                (f"tlv.{i}.value", _render_tlv(e, f.ns))]
-    registry = _registry_for(f)
+    elements = [(f"tlv.{i}.{key}", value) for i, e in enumerate(f.tlv)
+                for key, value in (("tag", str(e.tag)), ("name", e.name),
+                                   ("value", _render_tlv(e, f.ns)))]
+    sections = [header, Rows("channel", _channel_columns(f)), elements]
     if f.events is not None:
         t = f.events
-        out += [
-            ("events.mode", str(t.mode)),
-            ("events.count", str(t.n_events)),
-            ("events.rate_hz", f"{t.sample_rate_hz:g}"),
-        ]
-        # plain lists: indexing numpy arrays per event is several times slower
-        times = t.times_seconds().tolist() if t.sample_rate_hz > 0 else None
-        chn, dur = (t.chn.tolist(), t.dur.tolist()) if t.mode == 3 else (None, None)
-        for i, (pos, typ) in enumerate(zip(t.pos.tolist(), t.typ.tolist())):
-            key = f"event.{i}"
-            out += [(f"{key}.pos", str(pos)), (f"{key}.typ", f"0x{typ:04X}"),
-                    (f"{key}.description", registry.describe(typ))]
-            if times is not None:
-                out.append((f"{key}.time_s", f"{times[i]:g}"))
-            if chn is not None:
-                out += [(f"{key}.chn", str(chn[i])), (f"{key}.dur", str(dur[i]))]
-    return out
+        sections += [[("events.mode", str(t.mode)), ("events.count", str(t.n_events)),
+                      ("events.rate_hz", f"{t.sample_rate_hz:g}")],
+                     Rows("event", _event_columns(t, _registry_for(f)))]
+    return sections
+
+
+def _present(values) -> dict[int, str]:
+    """The rows whose value is not None, each with its ``:g`` text."""
+    return {i: f"{v:g}" for i, v in enumerate(values) if v is not None}
+
+
+def _channel_columns(f: GdfFile) -> dict[str, list[str] | dict[int, str]]:
+    chs, minor = f.channels, f.header.version_minor
+    duration = f.header.duration_num, f.header.duration_den
+    symbols = {code: unit_symbol(code) for code in {ch.phys_dim for ch in chs}}
+    return {
+        "label": [ch.label for ch in chs],
+        "transducer": [ch.transducer for ch in chs],
+        "unit": [symbols[ch.phys_dim] for ch in chs],
+        "unit_code": [str(ch.phys_dim) for ch in chs],
+        "type": [type_info(ch.gdf_type).name for ch in chs],
+        "samples_per_record": [str(ch.samples_per_record) for ch in chs],
+        "rate_hz": [f"{ch.sampling_rate(*duration):g}" for ch in chs],
+        "phys_range": [f"{ch.cal.phys_min:g}..{ch.cal.phys_max:g}" for ch in chs],
+        "dig_range": [f"{ch.cal.dig_min:g}..{ch.cal.dig_max:g}" for ch in chs],
+        "lowpass_hz": ["unknown" if ch.lowpass_hz is None else f"{ch.lowpass_hz:g}"
+                       for ch in chs],
+        "highpass_hz": ["unknown" if ch.highpass_hz is None else f"{ch.highpass_hz:g}"
+                        for ch in chs],
+        "notch_hz": ["unknown" if ch.notch_hz is None else "off" if ch.notch_hz < 0
+                     else f"{ch.notch_hz:g}" for ch in chs],
+        "position": [",".join(f"{v:g}" for v in ch.position) for ch in chs],
+        "impedance_ohm": _present(electrode_impedance(ch, minor) for ch in chs),
+        "probe_frequency_hz": _present(probe_frequency(ch, minor) for ch in chs),
+    }
+
+
+def _event_columns(t: EventTable, registry: EventCodeRegistry) -> dict[str, list[str]]:
+    """Type texts are worked out once per distinct code; ``time_s`` needs a
+    sample rate, and ``chn``/``dur`` are mode 3's."""
+    codes, row_code = np.unique(t.typ, return_inverse=True)
+    codes = codes.tolist()
+    hex_of, description_of = [f"0x{c:04X}" for c in codes], list(map(registry.describe, codes))
+    row_code = row_code.tolist()
+    columns = {"pos": list(map(str, t.pos.tolist())),
+               "typ": [hex_of[i] for i in row_code],
+               "description": [description_of[i] for i in row_code]}
+    if t.sample_rate_hz > 0:
+        columns["time_s"] = [f"{v:g}" for v in t.times_seconds().tolist()]
+    if t.mode == 3:
+        columns["chn"] = list(map(str, t.chn.tolist()))
+        columns["dur"] = list(map(str, t.dur.tolist()))
+    return columns
 
 
 def _render_tlv(e: tlvmod.TlvElement, ns: int) -> str:
@@ -249,13 +275,50 @@ def _render_tlv(e: tlvmod.TlvElement, ns: int) -> str:
 
 
 def _render(f: GdfFile, machine: bool) -> str:
-    """The :func:`inspect_lines` dump as one text: ``key=value`` lines, or
-    aligned columns for reading."""
-    lines = inspect_lines(f)
-    if machine:
-        return "".join([f"{key}={value}\n" for key, value in lines])
-    width = max(len(key) for key, _ in lines)
-    return "".join([f"{key:<{width}}  {value}\n" for key, value in lines])
+    """The :func:`inspect_sections` dump as one text: ``key=value`` lines,
+    or each key padded to the widest key for reading."""
+    sections = inspect_sections(f)
+    width = 0 if machine else max(map(_widest_key, sections))
+    line = "{}={}\n".format if machine else f"{{:<{width}}}  {{}}\n".format
+    out = []
+    for section in sections:
+        if isinstance(section, Rows):
+            out.append(_render_rows(section, width, line, machine))
+        else:
+            out += itertools.starmap(line, section)
+    return "".join(out)
+
+
+def _widest_key(section: list[tuple[str, str]] | Rows) -> int:
+    """A key's length grows only with its row's digit count, so a column
+    counts at the last row that holds it."""
+    if not isinstance(section, Rows):
+        return max((len(key) for key, _ in section), default=0)
+    last = {name: max(column) if isinstance(column, dict) else len(column) - 1
+            for name, column in section.columns.items() if column}
+    return max((len(f"{section.prefix}.{i}.{name}") for name, i in last.items()), default=0)
+
+
+def _render_rows(rows: Rows, width: int, line, machine: bool) -> str:
+    """The lines in row order, from one zip over the columns. A list column
+    has its key on the last row, so its padding is the last row's, and each
+    row with fewer digits adds its own. A dict column goes through ``line``
+    row by row."""
+    prefix, columns = rows
+    heads = [f"{prefix}.{i}" for i in range(len(next(iter(columns.values()))))]
+    end = len(heads[-1]) if heads else 0
+    tails = itertools.repeat("=") if machine else \
+        [" " * (end - len(head)) + "  " for head in heads]
+    pieces = []
+    for name, column in columns.items():
+        if isinstance(column, dict):
+            pieces.append([line(f"{head}.{name}", column[i]) if i in column else ""
+                           for i, head in enumerate(heads)])
+        else:
+            pad = "" if machine else " " * (width - end - len(name) - 1)
+            pieces += [heads, itertools.repeat(f".{name}{pad}"), tails, column,
+                       itertools.repeat("\n")]
+    return "".join(itertools.chain.from_iterable(zip(*pieces)))
 
 
 def cmd_inspect(args) -> int:
@@ -392,32 +455,41 @@ def _column_to_channel(label: str, unit: str, values: np.ndarray,
     """Turn one CSV column (NaN = invalid cell) into a channel and raw samples.
 
     Integer targets reserve the type maximum as the invalid marker, so the
-    digital range is [type min, type max - 1]; float targets use an identity
-    calibration with NaN marking invalid samples.
+    digital range is [type min, type max - 1], each bound the nearest float64
+    inside the type; float targets use an identity calibration with NaN
+    marking invalid samples. A constant column's range is one unit wide, or
+    one float64 step where that is wider. An infinite cell, or a range wider
+    than float64 holds, raises GdfError.
     """
     info = type_info(gdf_type)
-    finite = values[~np.isnan(values)]
-    lo = float(finite.min()) if finite.size else 0.0
-    hi = float(finite.max()) if finite.size else 1.0
+    invalid = np.isnan(values)
+    valid = values[~invalid]
+    lo = float(valid.min()) if valid.size else 0.0
+    hi = float(valid.max()) if valid.size else 1.0
+    if math.isinf(lo) or math.isinf(hi):
+        raise GdfError(f"column {label!r}: an infinite value has no calibrated sample")
+    span = hi - lo if hi > lo else max(1.0, math.nextafter(lo, math.inf) - lo)
+    if math.isinf(span):
+        raise GdfError(f"column {label!r}: values {lo:g}..{hi:g} span more than float64 holds")
+    top = hi if hi > lo and info.kind != "float" else lo + span
     if info.kind == "float":
-        span = hi - lo if hi > lo else 1.0
-        cal = Calibration(lo, lo + span, lo, lo + span)
-        raw = values.astype(info.dtype)
+        cal = Calibration(lo, top, lo, top)
+        raw = checked_cast(values, info.dtype, f"column {label!r} sample {{}}")
     else:
         dig_min, dig_max = float(info.min), float(info.max - 1)
+        if dig_max > info.max - 1:  # 64 bits: float64 rounds the bound beyond the type
+            dig_max = math.nextafter(dig_max, 0)
         if scaled:
-            phys_lo, phys_hi = (lo, hi) if hi > lo else (lo, lo + 1.0)
-            cal = Calibration(phys_lo, phys_hi, dig_min, dig_max)
+            cal = Calibration(lo, top, dig_min, dig_max)
             digital = np.rint(cal.digital(values))
         else:
             cal = Calibration(dig_min, dig_max, dig_min, dig_max)
             digital = np.rint(values)
-            with np.errstate(invalid="ignore"):
-                if np.any((digital < info.min) | (digital > info.max - 1)):
-                    raise GdfError(f"column {label!r}: raw values exceed the "
-                                   f"{info.name} range")
-        digital[np.isnan(values)] = info.max  # reserved invalid marker
+            if np.any((digital < dig_min) | (digital > dig_max)):  # False for NaN
+                raise GdfError(f"column {label!r}: raw values exceed the {info.name} range")
+        digital[invalid] = dig_min  # NaN has no integer to cast to
         raw = digital.astype(info.dtype)
+        raw[invalid] = info.max  # reserved invalid marker
     channel = ChannelInfo(
         label=label,
         phys_dim=_CODE_BY_SYMBOL.get(unit, 0),

@@ -59,6 +59,16 @@ class Diagnostics(list):
         return max((d.severity for d in self), default=None)
 
 
+class _Dropped(Diagnostics):
+    """The collector of a caller that reads no findings: it keeps none."""
+
+    def add(self, *args, **kw) -> None:
+        pass
+
+    append = extend = add
+
+
 def sink(diags: Diagnostics | None) -> Diagnostics:
-    """Return ``diags`` or a throwaway collector when the caller passed None."""
-    return diags if diags is not None else Diagnostics()
+    """Return ``diags``, or a collector that drops every finding when the
+    caller passed None. The functions that take a sink only add to it."""
+    return diags if diags is not None else _Dropped()

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import importlib.util
 import io
 import os
 import struct
@@ -17,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdfkit import cli
+from gdfkit import tlv as tlvmod
 from gdfkit.cli import main
 from gdfkit.core import Calibration, GdfType, type_info
 from gdfkit.errors import GdfError
 from gdfkit.fileio import GdfFile, read_file, to_bytes, write_file
-from gdfkit.header import ChannelInfo, FixedHeader
+from gdfkit.events import EventTable
+from gdfkit.header import (ChannelInfo, FixedHeader, Location, RecordingInfo,
+                           electrode_impedance, probe_frequency, sensor_value_bytes)
 from gdfkit.records import SignalBlock, overflow_scan
 from gdfkit.synth import corpus_specs, synthesize
 from gdfkit.units import unit_symbol
@@ -227,6 +231,30 @@ class TestInspect:
         assert lines["patient.birthday"] == "day=4294967295+4294967295/2^32"
 
 
+def _section_ends(f: GdfFile, size: int) -> list[int]:
+    """Where header 1, header 2, header 3, the data and the events end."""
+    h = f.header
+    data_end = 256 * h.header_blocks + h.n_records * f.layout().bytes_per_record
+    return [256, 256 * (h.ns + 1), 256 * h.header_blocks, data_end, size]
+
+
+def test_cut_file_exit_codes(tmp_path, capsys):
+    """Every command on a file cut at, or a byte either side of, a section
+    boundary exits 0, 1 or 2, with no traceback and no numpy warning."""
+    blob = to_bytes(synthesize(dict(corpus_specs())["tlv_full"]))
+    f, _ = read_file(blob)
+    cut = tmp_path / "cut.gdf"
+    for end in sorted({e + d for e in _section_ends(f, len(blob)) for d in (-1, 0, 1)}):
+        cut.write_bytes(blob[:end])
+        for argv in (["inspect", cut], ["inspect", cut, "--format", "machine"],
+                     ["validate", cut], ["convert", cut, tmp_path / "dump.txt", "--to", "text"]):
+            for mode in ("--strict", "--lenient"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code, _, err = run(capsys, *argv, mode)
+                assert code in (0, 1, 2) and "Traceback" not in err, (end, argv, mode)
+
+
 @pytest.mark.parametrize("argv, files, names", [
     (["convert", "in.csv", "out.gdf"],
      {"in.csv": "a [uV] @1Hz\n1\n2\n", "in.events.csv": "pos,typ\nabc,0x0300\n"},
@@ -360,6 +388,55 @@ class TestConvertCsv:
         f, _ = read_file(src)
         assert int(rows[1][0]) == int(f.signals.samples[0][0])
 
+    @staticmethod
+    def _import(tmp_path, capsys, text, *flags):
+        """``csv -> gdf`` with numpy warnings as errors: the exit code, the
+        error text and the model a strict read of the output gives."""
+        src, out = tmp_path / "in.csv", tmp_path / "out.gdf"
+        src.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "convert", src, out, *flags)
+            return code, err, read_file(out)[0] if code == 0 else None
+
+    @pytest.mark.parametrize("type_", ["int16", "int64", "float64"])
+    def test_constant_column_beyond_float_precision(self, tmp_path, capsys, type_):
+        """1e17 + 1.0 == 1e17: the range is one float64 step wide."""
+        code, err, f = self._import(tmp_path, capsys, "a [uV] @1Hz\n1e17\n1e17\n",
+                                    "--type", type_)
+        assert (code, err) == (0, "")
+        assert f.channels[0].cal.scale_array(f.signals.samples[0]).tolist() == [1e17, 1e17]
+
+    @pytest.mark.parametrize("cells", ["inf", "inf\n1", "1\n-inf"])
+    @pytest.mark.parametrize("flags", [("--type", "int16"), ("--type", "float64"), ("--raw",)])
+    def test_infinite_cell_refused(self, tmp_path, capsys, cells, flags):
+        code, err, _ = self._import(tmp_path, capsys, f"a [uV] @1Hz\n{cells}\n", *flags)
+        assert code == 2 and err.startswith("error: column 'a': an infinite value")
+
+    @pytest.mark.parametrize("cells, type_, message", [
+        ("1e308\n-1e308", "int16", "values -1e+308..1e+308 span more than float64 holds"),
+        ("1.7976931348623157e308", "float64", "span more than float64 holds"),
+        ("1e300\n1", "float32", "column 'a' sample 0 cannot hold 1e+300 (float32)")])
+    def test_column_beyond_its_range_refused(self, tmp_path, capsys, cells, type_, message):
+        code, err, _ = self._import(tmp_path, capsys, f"a [uV] @1Hz\n{cells}\n",
+                                    "--type", type_)
+        assert code == 2 and message in err
+
+    @pytest.mark.parametrize("type_", ["int64", "uint64"])
+    @pytest.mark.parametrize("middle", ["7", ""])
+    def test_64_bit_targets_read_back(self, tmp_path, capsys, type_, middle):
+        """The digital bounds are the float64s nearest the type range inside
+        it, and an empty cell writes the invalid marker without a warning."""
+        text = f"a [uV] @1Hz\n1\n{middle}\n3\n"
+        code, _, f = self._import(tmp_path, capsys, text, "--type", type_)
+        assert code == 0
+        np.testing.assert_allclose(f.channels[0].cal.scale_array(f.signals.samples[0]),
+                                   [1.0, float(middle or "nan"), 3.0], rtol=1e-12)
+        code, _, f = self._import(tmp_path, capsys, text, "--type", type_, "--raw")
+        assert code == 0
+        marker = type_info(GdfType[type_.upper()]).max
+        assert f.signals.samples[0].tolist() == [1, int(middle) if middle else marker, 3]
+
 
 # --- the CSV converter a cell at a time: the oracle of the column code -------
 
@@ -473,16 +550,15 @@ _CONVERTERS = {"column code": (cli._convert_gdf_to_csv, cli._convert_csv_to_gdf)
 def _step(convert, args, workdir: Path):
     """What one conversion leaves: its messages, its numpy warnings and
     every file in ``workdir``, or the error it raised. The import shares
-    ``_column_to_channel`` and its faults with the oracle (a TypeError for a
-    constant column of 1e17 or inf, numpy warnings for inf cells and int64
-    targets), so those are compared here, not forbidden."""
+    ``_column_to_channel`` with the oracle, so its warnings are compared
+    here; the tests of ``TestConvertCsv`` forbid them."""
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             with contextlib.redirect_stderr(err):
                 convert(*args)
-        except (GdfError, TypeError) as exc:
+        except GdfError as exc:
             return type(exc).__name__, str(exc), [str(w.message) for w in caught]
     files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
     return (err.getvalue().replace(str(workdir), "<dir>"), files,
@@ -590,6 +666,182 @@ def test_csv_import_matches_oracle_on_ragged_text(rates, rows):
     header = ",".join(f"c{i} [uV] @{rate}Hz" for i, rate in enumerate(rates))
     text = "".join(f"{','.join(row)}\n" for row in [[header], *rows])
     _assert_same_as_oracle(csv_text=text, types=("int16", "float32"))
+
+
+# --- the inspect dump a pair at a time: the oracle of the column renderer ----
+
+def _ref_inspect_lines(f: GdfFile) -> list[tuple[str, str]]:
+    h, p, r = f.header, f.header.patient, f.header.recording
+    code, name, classification = p.pid_subfields()
+    out = [
+        ("file.version", h.version),
+        ("file.header_blocks", str(h.header_blocks)),
+        ("file.n_records", str(h.n_records)),
+        ("file.record_duration_s", f"{h.duration_num}/{h.duration_den}"),
+        ("file.ns", str(h.ns)),
+        ("recording.rid", r.rid),
+        ("recording.start_time", r.start_time.isoformat()),
+        ("recording.equipment_id", str(r.equipment_id)),
+        ("patient.pid", p.pid),
+        ("patient.id_code", code),
+        ("patient.name", name),
+        ("patient.classification", classification),
+        ("patient.gender", p.gender.name.lower()),
+        ("patient.handedness", p.handedness.name.lower()),
+        ("patient.visual_impairment", p.visual_impairment.name.lower()),
+        ("patient.heart_impairment", p.heart_impairment.name.lower()),
+        ("patient.smoking", p.smoking.name.lower()),
+        ("patient.alcohol_abuse", p.alcohol_abuse.name.lower()),
+        ("patient.drug_abuse", p.drug_abuse.name.lower()),
+        ("patient.medication", p.medication.name.lower()),
+        ("patient.weight_kg", cli._byte_sentinel(p.weight_kg, ">254")),
+        ("patient.height_cm", cli._byte_sentinel(p.height_cm, ">254")),
+        ("patient.birthday", p.birthday.isoformat()),
+        ("patient.icd", p.icd_code),
+        ("patient.headsize_mm", ",".join(map(str, p.headsize_mm))),
+    ]
+    if r.location is not None:
+        out += [
+            ("recording.location.latitude_deg", f"{r.location.latitude_degrees:.6f}"),
+            ("recording.location.longitude_deg", f"{r.location.longitude_degrees:.6f}"),
+            ("recording.location.altitude_cm", str(r.location.altitude_cm)),
+        ]
+    out += [
+        ("recording.reference_xyz", ",".join(f"{v:g}" for v in r.reference_position)),
+        ("recording.ground_xyz", ",".join(f"{v:g}" for v in r.ground_position)),
+    ]
+    for i, ch in enumerate(f.channels):
+        key = f"channel.{i}"
+        out += [
+            (f"{key}.label", ch.label),
+            (f"{key}.transducer", ch.transducer),
+            (f"{key}.unit", unit_symbol(ch.phys_dim)),
+            (f"{key}.unit_code", str(ch.phys_dim)),
+            (f"{key}.type", type_info(ch.gdf_type).name),
+            (f"{key}.samples_per_record", str(ch.samples_per_record)),
+            (f"{key}.rate_hz", f"{ch.sampling_rate(h.duration_num, h.duration_den):g}"),
+            (f"{key}.phys_range", f"{ch.cal.phys_min:g}..{ch.cal.phys_max:g}"),
+            (f"{key}.dig_range", f"{ch.cal.dig_min:g}..{ch.cal.dig_max:g}"),
+            (f"{key}.lowpass_hz", "unknown" if ch.lowpass_hz is None else f"{ch.lowpass_hz:g}"),
+            (f"{key}.highpass_hz", "unknown" if ch.highpass_hz is None else f"{ch.highpass_hz:g}"),
+            (f"{key}.notch_hz", "unknown" if ch.notch_hz is None
+             else "off" if ch.notch_hz < 0 else f"{ch.notch_hz:g}"),
+            (f"{key}.position", ",".join(f"{v:g}" for v in ch.position)),
+        ]
+        for name, value in (("impedance_ohm", electrode_impedance(ch, h.version_minor)),
+                            ("probe_frequency_hz", probe_frequency(ch, h.version_minor))):
+            if value is not None:
+                out.append((f"{key}.{name}", f"{value:g}"))
+    for i, e in enumerate(f.tlv):
+        out += [(f"tlv.{i}.tag", str(e.tag)), (f"tlv.{i}.name", e.name),
+                (f"tlv.{i}.value", cli._render_tlv(e, f.ns))]
+    registry = cli._registry_for(f)
+    if f.events is not None:
+        t = f.events
+        out += [
+            ("events.mode", str(t.mode)),
+            ("events.count", str(t.n_events)),
+            ("events.rate_hz", f"{t.sample_rate_hz:g}"),
+        ]
+        times = t.times_seconds().tolist() if t.sample_rate_hz > 0 else None
+        chn, dur = (t.chn.tolist(), t.dur.tolist()) if t.mode == 3 else (None, None)
+        for i, (pos, typ) in enumerate(zip(t.pos.tolist(), t.typ.tolist())):
+            key = f"event.{i}"
+            out += [(f"{key}.pos", str(pos)), (f"{key}.typ", f"0x{typ:04X}"),
+                    (f"{key}.description", registry.describe(typ))]
+            if times is not None:
+                out.append((f"{key}.time_s", f"{times[i]:g}"))
+            if chn is not None:
+                out += [(f"{key}.chn", str(chn[i])), (f"{key}.dur", str(dur[i]))]
+    return out
+
+
+def _ref_render(f: GdfFile, machine: bool) -> str:
+    lines = _ref_inspect_lines(f)
+    if machine:
+        return "".join([f"{key}={value}\n" for key, value in lines])
+    width = max(len(key) for key, _ in lines)
+    return "".join([f"{key:<{width}}  {value}\n" for key, value in lines])
+
+
+def _assert_renders_as_oracle(f: GdfFile):
+    for machine in (False, True):
+        assert cli._render(f, machine) == _ref_render(f, machine), f"machine={machine}"
+
+
+@pytest.mark.parametrize("name", [name for name, _ in corpus_specs()])
+def test_inspect_matches_oracle_on_corpus(name):
+    _assert_renders_as_oracle(read_file(to_bytes(synthesize(dict(corpus_specs())[name])))[0])
+
+
+def test_inspect_matches_oracle_on_tiny_montage(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    (_, model), = workloads.GEOMETRIES["montage"](True).make(np.random.default_rng(7))
+    _assert_renders_as_oracle(read_file(to_bytes(model))[0])
+
+
+_SENSED = (4275, 4288)  # uV carries an electrode impedance, Ohm a probe frequency
+
+
+def _inspect_model(version: str, ns: int, sensed: int, n_events: int | None, mode: int,
+                   rate: float, seed: int, labels=(), malformed_tag1=False,
+                   located=True) -> GdfFile:
+    """``ns`` channels of which the first ``sensed`` carry an impedance or a
+    probe frequency, so the widest optional key is not on the last row;
+    ``n_events`` rows of mode ``mode`` (None: no event table). Without a
+    location, whose keys are the longest of the header, the channel keys set
+    the width."""
+    rng = np.random.default_rng(seed)
+    channels = []
+    for i in range(ns):
+        if i < sensed:
+            phys_dim, sensor = _SENSED[i % 2], sensor_value_bytes(float(rng.integers(1, 10**6)))
+        else:  # a unit with no sensor value, and the legacy "undefined" impedance byte
+            phys_dim, sensor = 0, b"\xff" + bytes(19)
+        channels.append(ChannelInfo(
+            label=labels[i] if i < len(labels) else f"ch{i}", transducer="Ag=AgCl",
+            phys_dim=phys_dim, sensor_info=sensor, samples_per_record=1 + i % 3,
+            lowpass_hz=None if i % 4 else 70.0, notch_hz=-1.0 if i % 5 == 1 else None))
+    elements = [tlvmod.TlvElement(1, b"left\x00right") if malformed_tag1
+                else tlvmod.event_descriptions_tlv(["Left", "Right=R", "Rüst"])]
+    events = None
+    if n_events is not None:
+        pos = np.sort(rng.integers(1, 10**6, n_events))
+        typ = rng.choice([1, 2, 3, 4, 0x0300, 0x8300, 0x8001], n_events)
+        events = EventTable(mode, rate, pos, typ,
+                            *(() if mode == 1 else (rng.integers(0, ns + 1, n_events),
+                                                    rng.integers(0, 50, n_events))))
+    signals = SignalBlock([np.zeros(ch.samples_per_record, np.int16) for ch in channels], 1)
+    header = FixedHeader(version=version, n_records=1, recording=RecordingInfo(
+        location=Location() if located else None))
+    model = GdfFile(header, channels, elements, signals, events)
+    return read_file(to_bytes(model), lenient=True)[0]
+
+
+@pytest.mark.parametrize("version", ["GDF 2.10", "GDF 2.20"])
+@pytest.mark.parametrize("n_events, mode, rate", [
+    (None, 3, 0.0), (10, 1, 250.0), (10, 3, 250.0), (10, 1, 0.0), (10, 3, 0.0), (0, 3, 0.0)])
+def test_inspect_matches_oracle_on_edge_cases(version, n_events, mode, rate):
+    _assert_renders_as_oracle(_inspect_model(
+        version, 11, 3, n_events, mode, rate, seed=1,
+        labels=["a=b", "é", "", "=", "ü=ö"], malformed_tag1=True, located=rate > 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["GDF 2.10", "GDF 2.20"]), st.sampled_from([9, 10, 11, 99, 100, 101]),
+       st.integers(0, 101), st.sampled_from([None, 0, 9, 10, 1000, 10000]),
+       st.sampled_from([1, 3]), st.sampled_from([0.0, 0.5, 1000.0]), st.integers(0, 2**32),
+       st.lists(st.text(st.sampled_from("ab =éü"), max_size=8), max_size=12), st.booleans(),
+       st.booleans())
+def test_inspect_matches_oracle_across_digit_boundaries(version, ns, sensed, n_events, mode,
+                                                        rate, seed, labels, malformed, located):
+    """Channel and event counts on both sides of 10, 100, 1000 and 10000 rows."""
+    _assert_renders_as_oracle(_inspect_model(version, ns, min(sensed, ns), n_events, mode,
+                                             rate, seed, labels, malformed, located))
 
 
 class TestAnonymize:

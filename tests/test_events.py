@@ -34,7 +34,9 @@ from gdfkit.events import (
     write_event_table,
 )
 from gdfkit.fileio import GdfFile, validate
-from gdfkit.header import ChannelInfo
+from gdfkit.header import (ChannelInfo, FixedHeader, parse_channel_headers, parse_fixed_header,
+                           write_channel_headers, write_fixed_header)
+from gdfkit.tlv import decode_device_ident, parse_tlv
 
 
 def mode1(pos, typ, rate=256.0):
@@ -781,3 +783,55 @@ def test_default_event_rate():
     ]
     assert default_event_rate(channels, 1, 4) == 256.0
     assert default_event_rate([], 1, 1) == 0.0
+
+
+def _event_table_with_signalling_nan_rate() -> bytes:
+    table = bytearray(write_event_table(mode1([1], [1])))
+    table[4:8] = b"\x01\x00\x80\x7f"
+    return bytes(table)
+
+
+def _fixed_header_with_reserved_byte() -> bytes:
+    buf = bytearray(write_fixed_header(FixedHeader()))
+    buf[75] = 1  # reserved
+    return bytes(buf)
+
+
+def _channel_header_with_padded_label() -> bytes:
+    buf = bytearray(write_channel_headers([ChannelInfo(label="x")]))
+    buf[1:4] = b"   "  # trailing space padding
+    return bytes(buf)
+
+
+_SPARSE_CHANNELS = [ChannelInfo(label="eeg", samples_per_record=4),
+                    ChannelInfo(label="marker", samples_per_record=0, gdf_type=GdfType.UINT32,
+                                cal=Calibration(0.0, 1.0, 0.0, 100.0))]
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: parse_event_table(_event_table_with_signalling_nan_rate(), d),
+    lambda d: pair_mode1_events(mode1([1, 2, 3], [1, 0x8002, 3]), d),
+    lambda d: convert_mode(mode1([1, 2, 3], [1, 0x8002, 3]), 3, d),
+    lambda d: convert_mode(mode3([1], [1], [2], [0]), 1, d),
+    lambda d: extract_sparse_samples(
+        mode3([3, 4, 5], [SPARSE_SAMPLE_TYPE] * 3, [0, 1, 2], [7, 8, 9]), _SPARSE_CHANNELS, d),
+    lambda d: parse_fixed_header(_fixed_header_with_reserved_byte(), d),
+    lambda d: parse_channel_headers(_channel_header_with_padded_label(), 1, diags=d),
+    lambda d: parse_tlv(b"\x00" + bytes(3) + b"\x07", diags=d),
+    lambda d: decode_device_ident(b"x" * 126 + b"\x00\x00\x00\x00", d),
+], ids=["event-table", "pairing", "to-mode-3", "to-mode-1", "sparse", "fixed-header",
+        "channel-header", "tlv", "device-ident"])
+def test_no_collector_gives_the_same_result(call):
+    """Every function that takes a collector only adds to it, so the one
+    ``sink(None)`` gives, which drops what it is given, changes no result."""
+    found = Diagnostics()
+    assert call(None) == call(found)
+    assert found
+
+
+def test_sink_without_collector_keeps_nothing():
+    dropped = sink(None)
+    dropped.error("x.y", "message")
+    dropped.extend([Diagnostics()])
+    dropped.append("anything")
+    assert dropped == [] and sink(found := Diagnostics()) is found
