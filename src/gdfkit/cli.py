@@ -12,6 +12,8 @@ import csv
 import itertools
 import math
 import sys
+from collections.abc import Sequence
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
@@ -24,7 +26,7 @@ from .diagnostics import Severity
 from .errors import DiagnosticError, GdfError, StructureError
 from .events import EventCodeRegistry, EventTable, default_event_rate
 from .fileio import GdfFile, anonymize, read_file, validate, write_file
-from .header import ChannelInfo, FixedHeader, electrode_impedance, probe_frequency
+from .header import ChannelInfo, FixedHeader, channel_column, sampling_rate, sensor_readings
 from .records import SignalBlock, overflow_scan
 from .synth import SynthSpec, synthesize
 from .units import _CODE_BY_SYMBOL, unit_symbol
@@ -214,28 +216,32 @@ def _present(values) -> dict[int, str]:
 
 
 def _channel_columns(f: GdfFile) -> dict[str, list[str] | dict[int, str]]:
-    chs, minor = f.channels, f.header.version_minor
-    duration = f.header.duration_num, f.header.duration_den
-    symbols = {code: unit_symbol(code) for code in {ch.phys_dim for ch in chs}}
+    chs, duration = f.channels, (f.header.duration_num, f.header.duration_den)
+
+    def column(attr):
+        return channel_column(chs, attr)
+    codes, spr = column("phys_dim"), column("samples_per_record")
+    symbols = {code: unit_symbol(code) for code in set(codes)}
+    impedance, probe = sensor_readings(chs, f.header.version_minor)
     return {
-        "label": [ch.label for ch in chs],
-        "transducer": [ch.transducer for ch in chs],
-        "unit": [symbols[ch.phys_dim] for ch in chs],
-        "unit_code": [str(ch.phys_dim) for ch in chs],
-        "type": [type_info(ch.gdf_type).name for ch in chs],
-        "samples_per_record": [str(ch.samples_per_record) for ch in chs],
-        "rate_hz": [f"{ch.sampling_rate(*duration):g}" for ch in chs],
-        "phys_range": [f"{ch.cal.phys_min:g}..{ch.cal.phys_max:g}" for ch in chs],
-        "dig_range": [f"{ch.cal.dig_min:g}..{ch.cal.dig_max:g}" for ch in chs],
-        "lowpass_hz": ["unknown" if ch.lowpass_hz is None else f"{ch.lowpass_hz:g}"
-                       for ch in chs],
-        "highpass_hz": ["unknown" if ch.highpass_hz is None else f"{ch.highpass_hz:g}"
-                        for ch in chs],
-        "notch_hz": ["unknown" if ch.notch_hz is None else "off" if ch.notch_hz < 0
-                     else f"{ch.notch_hz:g}" for ch in chs],
-        "position": [",".join(f"{v:g}" for v in ch.position) for ch in chs],
-        "impedance_ohm": _present(electrode_impedance(ch, minor) for ch in chs),
-        "probe_frequency_hz": _present(probe_frequency(ch, minor) for ch in chs),
+        "label": column("label"),
+        "transducer": column("transducer"),
+        "unit": [symbols[code] for code in codes],
+        "unit_code": list(map(str, codes)),
+        "type": [type_info(code).name for code in column("gdf_type")],
+        "samples_per_record": list(map(str, spr)),
+        "rate_hz": [f"{sampling_rate(n, *duration):g}" for n in spr],
+        "phys_range": [f"{lo:g}..{hi:g}" for lo, hi in zip(column("cal.phys_min"),
+                                                           column("cal.phys_max"))],
+        "dig_range": [f"{lo:g}..{hi:g}" for lo, hi in zip(column("cal.dig_min"),
+                                                          column("cal.dig_max"))],
+        "lowpass_hz": ["unknown" if v is None else f"{v:g}" for v in column("lowpass_hz")],
+        "highpass_hz": ["unknown" if v is None else f"{v:g}" for v in column("highpass_hz")],
+        "notch_hz": ["unknown" if v is None else "off" if v < 0 else f"{v:g}"
+                     for v in column("notch_hz")],
+        "position": [",".join(f"{v:g}" for v in xyz) for xyz in column("position")],
+        "impedance_ohm": _present(impedance),
+        "probe_frequency_hz": _present(probe),
     }
 
 
@@ -346,9 +352,10 @@ def cmd_validate(args) -> int:
         return FAILURE
     parsed = set(diags)
     diags.extend(d for d in validate(f) if d not in parsed)
+    labels = channel_column(f.channels, "label")
     for report in overflow_scan(f.signals, f.channels):
         if report.n_invalid:
-            label = f.channels[report.channel].label
+            label = labels[report.channel]
             diags.info("data.saturation",
                        f"channel {report.channel} ({label}): {report.n_invalid} of "
                        f"{report.n_samples} samples outside the digital bounds "
@@ -390,16 +397,17 @@ def _convert_gdf_to_csv(f: GdfFile, args) -> int:
     is an empty cell."""
     h = f.header
     headers, columns, skipped = [], [], []
-    for ch, raw in zip(f.channels, f.signals.samples):
-        if ch.is_sparse or type_info(ch.gdf_type).kind == "opaque":
-            skipped.append(ch.label)
+    for label, code, spr, gdf_type, cal, raw in zip(*(channel_column(f.channels, attr) for attr in (
+            "label", "phys_dim", "samples_per_record", "gdf_type", "cal")), f.signals.samples):
+        if spr == 0 or type_info(gdf_type).kind == "opaque":
+            skipped.append(label)
             continue
-        values = ch.cal.scale_array(raw) if args.scaled else raw
+        values = cal.scale_array(raw) if args.scaled else raw
         cells = list(map(repr, values.tolist()))  # Python ints and floats
         for i in np.flatnonzero(np.isnan(values)).tolist() if args.scaled else ():
             cells[i] = ""
-        rate = ch.sampling_rate(h.duration_num, h.duration_den)
-        headers.append(f"{ch.label} [{unit_symbol(ch.phys_dim)}] @{rate:g}Hz")
+        rate = sampling_rate(spr, h.duration_num, h.duration_den)
+        headers.append(f"{label} [{unit_symbol(code)}] @{rate:g}Hz")
         columns.append(cells)
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -450,20 +458,12 @@ def _parse_column_header(text: str) -> tuple[str, str, Fraction]:
     return label.strip(), unit.strip(), rate
 
 
-def _column_to_channel(label: str, unit: str, values: np.ndarray,
-                       gdf_type: GdfType, scaled: bool) -> tuple[ChannelInfo, np.ndarray]:
-    """Turn one CSV column (NaN = invalid cell) into a channel and raw samples.
-
-    Integer targets reserve the type maximum as the invalid marker, so the
-    digital range is [type min, type max - 1], each bound the nearest float64
-    inside the type; float targets use an identity calibration with NaN
-    marking invalid samples. A constant column's range is one unit wide, or
-    one float64 step where that is wider. An infinite cell, or a range wider
-    than float64 holds, raises GdfError.
-    """
-    info = type_info(gdf_type)
-    invalid = np.isnan(values)
-    valid = values[~invalid]
+def _column_range(label: str, values: np.ndarray) -> tuple[float, float]:
+    """The calibration range of a column's valid values (NaN = invalid). A
+    constant column's range is one unit wide, or one float64 step where that
+    is wider. An infinite value, or a range wider than float64 holds, raises
+    GdfError."""
+    valid = values[~np.isnan(values)]
     lo = float(valid.min()) if valid.size else 0.0
     hi = float(valid.max()) if valid.size else 1.0
     if math.isinf(lo) or math.isinf(hi):
@@ -471,25 +471,50 @@ def _column_to_channel(label: str, unit: str, values: np.ndarray,
     span = hi - lo if hi > lo else max(1.0, math.nextafter(lo, math.inf) - lo)
     if math.isinf(span):
         raise GdfError(f"column {label!r}: values {lo:g}..{hi:g} span more than float64 holds")
-    top = hi if hi > lo and info.kind != "float" else lo + span
+    return lo, hi if hi > lo else lo + span
+
+
+def _column_to_channel(label: str, unit: str, values: np.ndarray, gdf_type: GdfType,
+                       scaled: bool, cells: Sequence[str]) -> tuple[ChannelInfo, np.ndarray]:
+    """Turn one CSV column (NaN = invalid cell) into a channel and raw samples.
+
+    Integer targets reserve the type maximum as the invalid marker, so the
+    digital range is [type min, type max - 1], each bound the nearest float64
+    inside the type; float targets use an identity calibration over the
+    samples as stored (float32 rounds them), with NaN marking invalid
+    samples. A raw 64-bit integer target reads each cell beyond 2**53, which
+    float64 ``values`` round, exactly from its text ``cells[i]``.
+    """
+    info = type_info(gdf_type)
+    lo, top = _column_range(label, values)
+    invalid = np.isnan(values)
     if info.kind == "float":
-        cal = Calibration(lo, top, lo, top)
         raw = checked_cast(values, info.dtype, f"column {label!r} sample {{}}")
+        if raw.dtype != values.dtype:
+            lo, top = _column_range(label, raw.astype(values.dtype))
+        cal = Calibration(lo, top, lo, top)
     else:
         dig_min, dig_max = float(info.min), float(info.max - 1)
         if dig_max > info.max - 1:  # 64 bits: float64 rounds the bound beyond the type
             dig_max = math.nextafter(dig_max, 0)
+        exact = {}
         if scaled:
             cal = Calibration(lo, top, dig_min, dig_max)
             digital = np.rint(cal.digital(values))
         else:
             cal = Calibration(dig_min, dig_max, dig_min, dig_max)
             digital = np.rint(values)
-            if np.any((digital < dig_min) | (digital > dig_max)):  # False for NaN
+            if info.size == 8:  # rounded from the text, halves to even as np.rint does
+                exact = {i: int(Decimal(cells[i]).to_integral_value())
+                         for i in np.flatnonzero(np.abs(values) >= 2.0 ** 53).tolist()}
+            outside = (digital < dig_min) | (digital > dig_max)  # False for NaN
+            if np.any(outside) or not all(dig_min <= v <= dig_max for v in exact.values()):
                 raise GdfError(f"column {label!r}: raw values exceed the {info.name} range")
         digital[invalid] = dig_min  # NaN has no integer to cast to
         raw = digital.astype(info.dtype)
         raw[invalid] = info.max  # reserved invalid marker
+        for i, value in exact.items():
+            raw[i] = value
     channel = ChannelInfo(
         label=label,
         phys_dim=_CODE_BY_SYMBOL.get(unit, 0),
@@ -529,12 +554,12 @@ def _convert_csv_to_gdf(args) -> int:
         if any(c.strip() for c in column[1 + expected:]):
             raise GdfError(f"column {label!r}: values beyond the {expected} "
                            "samples its rate allows")
+        cells = column[1:1 + expected]
         try:
-            values = np.array([np.nan if not c.strip() else float(c)
-                               for c in column[1:1 + expected]])
+            values = np.array([np.nan if not c.strip() else float(c) for c in cells])
         except ValueError as exc:
             raise GdfError(f"column {label!r}: {exc}") from None
-        channel, raw = _column_to_channel(label, unit, values, gdf_type, args.scaled)
+        channel, raw = _column_to_channel(label, unit, values, gdf_type, args.scaled, cells)
         channels.append(channel)
         arrays.append(raw)
 

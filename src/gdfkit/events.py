@@ -18,7 +18,7 @@ import numpy as np
 from .core import checked_cast, float32_exact, type_info
 from .diagnostics import Diagnostics, sink
 from .errors import CapacityError, DomainError, StructureError
-from .header import ChannelInfo, _nan_checked
+from .header import ChannelInfo, _nan_checked, channel_column, sampling_rate
 from .records import ChannelLayout, RecordLayout, SignalBlock, decode_records, encode_records
 
 #: Bit or-ed into a mode-1 event type to mark the end of a span.
@@ -86,14 +86,23 @@ BUILTIN_EVENT_CODES = """\
 
 
 def parse_event_code_table(text: str) -> dict[int, str]:
-    """Parse '0xHHHH description' rows; lines starting with '#' are skipped."""
+    """Parse '0xHHHH description' rows; lines starting with '#' are skipped.
+    A row whose code is not a hexadecimal number in 0..0xFFFF raises
+    DomainError quoting the row."""
     table: dict[int, str] = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         code_text, _, description = line.partition(" ")
-        table[int(code_text, 16)] = description.strip()
+        try:
+            code = int(code_text, 16)
+        except ValueError:
+            code = -1
+        if not 0 <= code <= 0xFFFF:
+            raise DomainError(f"event code row {line!r}: the code is not a hexadecimal "
+                              "number in 0x0000..0xFFFF")
+        table[code] = description.strip()
     return table
 
 
@@ -444,8 +453,8 @@ def _usable_sparse_rows(table: EventTable, channels: Sequence[ChannelInfo],
     ns = len(channels)
     # indexed by the 1-based channel number; 0 and everything above NS stay False
     usable = np.zeros(ns + 2, bool)
-    usable[1:ns + 1] = [ch.is_sparse and type_info(ch.gdf_type).size <= 4
-                        for ch in channels]
+    usable[1:ns + 1] = [spr == 0 and type_info(code).size <= 4 for spr, code in zip(
+        channel_column(channels, "samples_per_record"), channel_column(channels, "gdf_type"))]
     ok = usable[np.minimum(table.chn, ns + 1, dtype=np.intp)]
     bad = np.flatnonzero(sparse & ~ok)
     for pos, chn in zip(table.pos[bad].tolist(), table.chn[bad].tolist()):
@@ -469,21 +478,26 @@ def extract_sparse_samples(table: EventTable, channels: Sequence[ChannelInfo],
         raise DomainError("sparse samples live in mode-3 event tables")
     diags = sink(diags)
     out: dict[int, list[SparseSample]] = {
-        i: [] for i, ch in enumerate(channels) if ch.is_sparse}
-    usable = _usable_sparse_rows(table, channels, diags)
-    for i in out:
-        group = np.flatnonzero(usable & (table.chn == i + 1))
-        if group.size:  # a degenerate calibration raises only once there are samples
-            ch = channels[i]
-            raw = decode_records(table.dur[group].tobytes(), _sparse_layout(ch.gdf_type),
-                                 len(group)).samples[0]
-            out[i] = list(map(SparseSample._make, zip(
-                table.pos[group].tolist(), raw.tolist(), ch.cal.scale_array(raw).tolist())))
+        i: [] for i, spr in enumerate(channel_column(channels, "samples_per_record"))
+        if spr == 0}
+    rows = np.flatnonzero(_usable_sparse_rows(table, channels, diags))
+    if not rows.size:
+        return out
+    rows = rows[table.chn[rows].argsort(kind="stable")]  # by channel, then row
+    chn = table.chn[rows]
+    cuts = np.flatnonzero(chn[1:] != chn[:-1]) + 1
+    for first, end in zip([0, *cuts.tolist()], [*cuts.tolist(), len(rows)]):
+        group, i = rows[first:end], int(chn[first]) - 1
+        ch = channels[i]  # a degenerate calibration raises only once there are samples
+        raw = decode_records(table.dur[group].tobytes(), _sparse_layout(ch.gdf_type),
+                             len(group)).samples[0]
+        out[i] = list(map(SparseSample._make, zip(
+            table.pos[group].tolist(), raw.tolist(), ch.cal.scale_array(raw).tolist())))
     return out
 
 
 def default_event_rate(channels: Sequence[ChannelInfo],
                        duration_num: int, duration_den: int) -> float:
     """The writer's default: the fastest channel sampling rate."""
-    rates = [ch.sampling_rate(duration_num, duration_den) for ch in channels]
-    return max(rates, default=0.0)
+    return max((sampling_rate(spr, duration_num, duration_den)
+                for spr in channel_column(channels, "samples_per_record")), default=0.0)

@@ -34,11 +34,12 @@ from .events import (
 from .header import (
     CHANNEL_HEADER_SIZE,
     ChannelInfo,
+    ChannelTable,
     FIXED_HEADER_SIZE,
     FixedHeader,
     _FIXED,
     _FIXED_OFFSETS,
-    _check_channel,
+    check_channels,
     parse_channel_headers,
     parse_fixed_header,
     write_channel_headers,
@@ -54,10 +55,15 @@ from .records import (
 
 @dataclass
 class GdfFile:
-    """A fully assembled file model."""
+    """A fully assembled file model.
+
+    ``channels`` is any sequence of channels; :func:`read_file` gives a
+    read-only :class:`~gdfkit.header.ChannelTable`. To change the channels
+    of a model that was read, store a new list (``replace(f, channels=...)``).
+    """
 
     header: FixedHeader = field(default_factory=FixedHeader)
-    channels: list[ChannelInfo] = field(default_factory=list)
+    channels: Sequence[ChannelInfo] = field(default_factory=list)
     tlv: list[tlvmod.TlvElement] = field(default_factory=list)
     signals: SignalBlock = field(default_factory=SignalBlock.empty)
     events: EventTable | None = None
@@ -348,8 +354,7 @@ def validate(f: GdfFile) -> Diagnostics:
                     "record duration denominator is zero", section="header1",
                     offset=_FIXED_OFFSETS["duration"])
 
-    for i, ch in enumerate(f.channels):
-        _check_channel(ch, i, diags)
+    check_channels(f.channels, diags)
 
     for e in f.tlv:
         try:
@@ -416,5 +421,7 @@ def anonymize(f: GdfFile, *, birthday_offset_days: int | None = None) -> GdfFile
     header = replace(f.header, patient=patient)
     elements = [e for e in f.tlv
                 if e.tag not in (tlvmod.TAG_TECHNICIAN, tlvmod.TAG_LAB)]
-    return GdfFile(header=header, channels=list(f.channels), tlv=elements,
+    # a table is read-only, so both models can hold it
+    channels = f.channels if isinstance(f.channels, ChannelTable) else list(f.channels)
+    return GdfFile(header=header, channels=channels, tlv=elements,
                    signals=f.signals, events=f.events)

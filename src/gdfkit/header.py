@@ -14,15 +14,16 @@ from __future__ import annotations
 import functools
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Sequence
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
 from . import units
-from .core import (Calibration, GdfTime, GdfType, checked_cast, float32_exact, is_known_type,
-                   type_info)
+from .core import (Calibration, GdfTime, GdfType, checked_cast, float32_exact,
+                   impedance_from_digval, is_known_type, type_info)
 from .diagnostics import Diagnostics, sink
 from .errors import DomainError, FormatError, StructureError, VersionError
 
@@ -284,9 +285,14 @@ class ChannelInfo:
 
     def sampling_rate(self, duration_num: int, duration_den: int) -> float:
         """Samples per second given the file's record duration."""
-        if self.is_sparse or duration_num == 0:
-            return 0.0
-        return self.samples_per_record * duration_den / duration_num
+        return sampling_rate(self.samples_per_record, duration_num, duration_den)
+
+
+def sampling_rate(samples_per_record: int, duration_num: int, duration_den: int) -> float:
+    """Samples per second of a channel; 0 for a sparse channel."""
+    if samples_per_record == 0 or duration_num == 0:
+        return 0.0
+    return samples_per_record * duration_den / duration_num
 
 
 def sensor_value_bytes(value: float | None) -> bytes:
@@ -295,9 +301,20 @@ def sensor_value_bytes(value: float | None) -> bytes:
     return np.array(value, "<f4").tobytes() + bytes(16)
 
 
-def _sensor_float(ch: ChannelInfo) -> float | None:
-    value = np.frombuffer(ch.sensor_info, "<f4", 1).item()
-    return None if math.isnan(value) else value
+def sensor_readings(channels: Sequence[ChannelInfo], version_minor: int = 20
+                    ) -> tuple[list[float | None], list[float | None]]:
+    """Each channel's electrode impedance in Ohm and probe frequency in Hz,
+    None where the channel does not record one (see :func:`electrode_impedance`
+    and :func:`probe_frequency`), from columns."""
+    sensors = channel_column(channels, "sensor_info")
+    if version_minor < 19:
+        return [impedance_from_digval(s[0]) for s in sensors], [None] * len(sensors)
+    values = np.frombuffer(b"".join(s[:4] for s in sensors), "<f4").tolist()
+    unit = [code & 0xFFE0 for code in channel_column(channels, "phys_dim")]
+
+    def where(base):
+        return [v if u == base and v == v else None for v, u in zip(values, unit)]
+    return where(units.VOLT), where(units.OHM)
 
 
 def electrode_impedance(ch: ChannelInfo, version_minor: int = 20) -> float | None:
@@ -306,19 +323,12 @@ def electrode_impedance(ch: ChannelInfo, version_minor: int = 20) -> float | Non
     Files older than v2.19 store a one-byte logarithmic code instead of the
     float32; pass the file's minor version to decode those correctly.
     """
-    if version_minor < 19:
-        from .core import impedance_from_digval
-        return impedance_from_digval(ch.sensor_info[0])
-    if ch.phys_dim & 0xFFE0 != units.VOLT:
-        return None
-    return _sensor_float(ch)
+    return sensor_readings([ch], version_minor)[0][0]
 
 
 def probe_frequency(ch: ChannelInfo, version_minor: int = 20) -> float | None:
     """Probe frequency in Hz, if the channel records an impedance."""
-    if version_minor < 19 or ch.phys_dim & 0xFFE0 != units.OHM:
-        return None
-    return _sensor_float(ch)
+    return sensor_readings([ch], version_minor)[1][0]
 
 
 def render_phys_dim_ascii(code: int) -> str:
@@ -386,18 +396,17 @@ def _variable_header(ns: int, legacy: bool) -> np.dtype:
 
 # --- field helpers -----------------------------------------------------------
 
-def _read_text(raw: bytes, offset: int, name: str, diags: Diagnostics,
-               section: str = "header1") -> str:
+def _read_text(raw: bytes, offset: int, name: str, diags: Diagnostics) -> str:
     head, _, tail = raw.partition(b"\x00")
     if tail.strip(b"\x00"):
         diags.warning("header.text_after_nul",
                       f"{name}: bytes after the NUL terminator are not zero",
-                      section=section, offset=offset)
+                      section="header1", offset=offset)
     text = head.decode("latin-1")
     stripped = text.rstrip(" ")
     if stripped != text:
         diags.info("header.text_space_padded", f"{name}: trailing space padding",
-                   section=section, offset=offset)
+                   section="header1", offset=offset)
     return stripped
 
 
@@ -469,13 +478,22 @@ def _check_reserved(raw: bytes, offset: int, diags: Diagnostics) -> None:
                       section="header1", offset=offset)
 
 
+def _noncanonical_nan(values: np.ndarray) -> np.ndarray:
+    """Mask of the float32 NaNs whose bits writing them back would not reproduce."""
+    return np.isnan(values) & (values.view("<u4") != _CANONICAL_NAN32)
+
+
+def _report_nan(diags: Diagnostics, section: str, offset: int, k: int) -> None:
+    """Report the float32 at index ``k`` of values stored from ``offset``."""
+    diags.info("header.noncanonical_nan", "NaN payload bits are not the canonical quiet NaN",
+               section=section, offset=offset + 4 * k)
+
+
 def _nan_checked(values: np.ndarray, offset: int, diags: Diagnostics, section: str) -> list:
     """The float32 ``values`` stored from ``offset``, as a list; report each
     NaN whose bits writing it back would not reproduce."""
-    bad = np.isnan(values) & (values.view("<u4") != _CANONICAL_NAN32)
-    for k in np.flatnonzero(bad).tolist():
-        diags.info("header.noncanonical_nan", "NaN payload bits are not the canonical quiet NaN",
-                   section=section, offset=offset + 4 * k)
+    for k in np.flatnonzero(_noncanonical_nan(values)).tolist():
+        _report_nan(diags, section, offset, k)
     return values.tolist()
 
 
@@ -598,81 +616,271 @@ def write_fixed_header(h: FixedHeader) -> bytes:
 
 # --- variable header ---------------------------------------------------------
 
+#: The ChannelInfo attribute each variable-header field holds, in file order.
+_ATTRS = ("label", "transducer", "phys_dim_ascii", "phys_dim", "cal.phys_min", "cal.phys_max",
+          "cal.dig_min", "cal.dig_max", "prefilter", "lowpass_hz", "highpass_hz", "notch_hz",
+          "samples_per_record", "gdf_type", "position", "sensor_info")
+_FIELD_OF = dict(zip(_ATTRS, (name for name, _ in _CHANNEL_FIELDS)))
+_CALIBRATION = ("phys_min", "phys_max", "dig_min", "dig_max")
+
+
+class ChannelTable(Sequence[ChannelInfo]):
+    """The variable header of a file that was read: one record of ``(ns,)``
+    columns over an owned copy of its ``256 * ns`` bytes, normalised as
+    writing its channels would store them (text ends, NaN payloads).
+
+    A read-only sequence of :class:`ChannelInfo`: ``len``, iteration and
+    indexing build each channel on demand (a slice gives a list), and it
+    compares equal to a list or tuple of equal channels. To change channels,
+    store a list (``list(table)``) in the model instead.
+    """
+
+    __slots__ = ("_data", "_record", "_ns", "_legacy")
+
+    def __init__(self, data: bytes, ns: int, legacy: bool):
+        self._data = data
+        self._record = np.ndarray((), _variable_header(ns, legacy), data)
+        self._ns = ns
+        self._legacy = legacy  # the sensor area as a 1-byte and a 19-byte column
+
+    def __len__(self) -> int:
+        return self._ns
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._channels(index)
+        i = range(self._ns)[index]  # IndexError, and negative indices
+        return self._channels(slice(i, i + 1))[0]
+
+    def __iter__(self):
+        return iter(self._channels(slice(None)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, tuple, ChannelTable)):
+            return NotImplemented
+        return len(self) == len(other) and list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"ChannelTable({list(self)!r})"
+
+    def _column(self, attr: str, rows: slice = slice(None)) -> list:
+        """The values ChannelInfo's ``attr`` holds for ``rows``."""
+        if attr == "cal":
+            return list(map(Calibration, *(self._column(f"cal.{name}", rows)
+                                           for name in _CALIBRATION)))
+        name = _FIELD_OF[attr]
+        values = self._record[name][rows]
+        kind = values.dtype.kind
+        if kind == "S":
+            return list(map(_text, values.tolist()))
+        if kind == "V" and self._legacy:
+            return list(map(bytes.__add__, values.tolist(),
+                            self._record["sensor tail"][rows].tolist()))
+        if values.ndim > 1:  # the position
+            return list(map(tuple, values.tolist()))
+        if values.dtype == np.float32:  # a filter frequency; NaN: unknown
+            return [None if v != v else v for v in values.tolist()]
+        return values.tolist()
+
+    def _channels(self, rows: slice) -> list[ChannelInfo]:
+        columns = [self._column(attr, rows) for attr in _ATTRS]
+        return [ChannelInfo(*row[:4], Calibration(*row[4:8]), *row[8:])  # fields in file order
+                for row in zip(*columns)]
+
+
+def channel_column(channels: Sequence[ChannelInfo], attr: str) -> list:
+    """The ChannelInfo attribute ``attr`` of every channel, in channel order;
+    ``"cal.dig_min"`` names a calibration field. A :class:`ChannelTable`
+    reads it from its columns, without building a ChannelInfo; its
+    ``gdf_type`` values are plain integer codes."""
+    if isinstance(channels, ChannelTable):
+        return channels._column(attr)
+    return list(map(attrgetter(attr), channels))
+
+
+def _text(raw: bytes) -> str:
+    """A stored text: up to its first NUL, latin-1, without trailing spaces."""
+    return raw.partition(b"\x00")[0].decode("latin-1").rstrip(" ")
+
+
 def parse_channel_headers(buf: bytes, ns: int, *, version_minor: int = 20,
-                          diags: Diagnostics | None = None) -> list[ChannelInfo]:
-    """Decode the 256*ns byte variable header column by column into
-    per-channel records; each channel's findings come in field order."""
+                          diags: Diagnostics | None = None) -> ChannelTable:
+    """Decode the 256*ns byte variable header into a :class:`ChannelTable`.
+
+    The findings are worked out a column at a time and reported channel by
+    channel, each channel's in field order. A channel with an unknown type
+    code raises StructureError once the channels before it have reported
+    theirs.
+    """
     diags = sink(diags)
     if len(buf) != CHANNEL_HEADER_SIZE * ns:
         raise StructureError(
             f"variable header needs {CHANNEL_HEADER_SIZE * ns} bytes, got {len(buf)}")
-    layout = _variable_header(ns, version_minor < 19)
-    record = np.ndarray((), layout, buf)
-    found = [Diagnostics() for _ in range(ns)]  # each channel's findings, in field order
-    columns = []
-    for name in layout.names:  # _CHANNEL_FIELDS order
+    legacy = version_minor < 19
+    layout = _variable_header(ns, legacy)
+    data = bytes(buf)
+    record = np.ndarray((), layout, data)
+    findings = []  # (mask, report): each finding of a column, in field order
+    for name in layout.names:
         column, start = record[name], layout.fields[name][1]
         if column.dtype.kind == "S":
             size = column.dtype.itemsize
-            columns.append([_read_text(raw, start + i * size, f"{name}[{i}]", found[i], "header2")
-                            for i, raw in enumerate(column.tolist())])
-        elif column.dtype == np.float32:  # a filter frequency (NaN: unknown), or the position
-            nans = Diagnostics()
-            values = _nan_checked(column, start, nans, "header2")
-            for d in nans:  # to the channel whose value it is
-                found[(d.offset - start) // column.strides[0]].append(d)
-            columns.append(values if column.ndim > 1 else [None if v != v else v for v in values])
-        else:
-            columns.append(column.tolist())
-    if version_minor < 19:  # the sensor area's 1-byte and 19-byte columns
-        tail = columns.pop()
-        columns.append(list(map(bytes.__add__, columns.pop(), tail)))
-
-    channels = []
-    for i, row in enumerate(zip(*columns)):  # row[13] is the type code
-        if not is_known_type(row[13]):
-            raise StructureError(f"channel {i}: unknown data type code {row[13]}",
-                                 rule="channel.type_unknown",
-                                 offset=FIXED_HEADER_SIZE + layout.fields["type"][1] + 4 * i)
-        ch = ChannelInfo(*row[:4], Calibration(*row[4:8]), *row[8:])  # fields in file order
-        diags.extend(found[i])
-        _check_channel(ch, i, diags)
-        channels.append(ch)
-    return channels
+            findings += _text_findings(np.ndarray((ns, size), np.uint8, data, start),
+                                       name, start, diags)
+        elif column.dtype == np.float32:  # a filter frequency, or the position
+            findings.append((_noncanonical_nan(column),
+                             functools.partial(_report_nan, diags, "header2", start)))
+    if any(mask.any() for mask, _ in findings):
+        data = _as_written(record)
+    types = record["type"]
+    unknown = ~_KNOWN[np.minimum(types, len(_KNOWN) - 1)]
+    stop = int(unknown.argmax()) if unknown.any() else ns
+    findings += _rule_findings(diags, types, record["samples_per_record"], record["dig_min"],
+                               record["dig_max"], record["phys_dim"])
+    _report(findings, stop)
+    if stop < ns:
+        raise StructureError(f"channel {stop}: unknown data type code {types[stop]}",
+                             rule="channel.type_unknown",
+                             offset=FIXED_HEADER_SIZE + layout.fields["type"][1] + 4 * stop)
+    return ChannelTable(data, ns, legacy)
 
 
-def _check_channel(ch: ChannelInfo, index: int, diags: Diagnostics) -> None:
-    """The header-2 rules of one channel, shared by parsing and validation."""
-    info = type_info(ch.gdf_type)
-    if info.kind == "int":
-        if not (info.min <= ch.cal.dig_min <= info.max
-                and info.min <= ch.cal.dig_max <= info.max):
-            diags.error("channel.dig_bounds_exceed_type",
-                        f"channel {index}: digital bounds [{ch.cal.dig_min}, "
-                        f"{ch.cal.dig_max}] exceed the {info.name} range",
-                        section="header2")
-    if ch.cal.dig_min > ch.cal.dig_max:
-        diags.error("channel.dig_bounds_reversed",
-                    f"channel {index}: dig_min > dig_max", section="header2")
-    elif ch.cal.is_degenerate and not ch.is_sparse:
-        diags.error("channel.dig_bounds_degenerate",
-                    f"channel {index}: dig_min == dig_max on a sampled channel",
-                    section="header2")
-    if ch.is_sparse and info.size > 4:
-        diags.error("channel.sparse_type_too_wide",
-                    f"channel {index}: sparse channel type {info.name} exceeds 32 bits",
-                    section="header2")
-    if not (hasattr(ch.phys_dim, "__index__") and 0 <= ch.phys_dim <= 0xFFFF):
-        diags.error("channel.physdim_invalid", f"channel {index}: unit code "
-                    f"{ch.phys_dim!r} is not an integer in 0..65535", section="header2")
-    elif (prefix := ch.phys_dim & 0x1F) in units.NONSTANDARD_PREFIXES:
-        diags.warning("channel.physdim_nonstandard_prefix",
-                      f"channel {index}: unit code {ch.phys_dim} uses reserved "
-                      f"decimal prefix {prefix}", section="header2")
+def _as_written(record: np.ndarray) -> bytes:
+    """The variable header as writing its channels stores it: each text cut
+    at its first NUL and trailing spaces, an unknown filter as the quiet
+    NaN, and a position through float64, as its channel holds it."""
+    record = record.copy()
+    for name in record.dtype.names:
+        column = record[name]
+        if column.dtype.kind == "S":
+            record[name] = [_text(raw).encode("latin-1") for raw in column.tolist()]
+        elif column.ndim > 1:  # the position: float64 quiets a signalling NaN
+            with np.errstate(invalid="ignore"):
+                column[...] = column.astype(np.float64)
+        elif column.dtype == np.float32:  # a filter: NaN is unknown
+            column[np.isnan(column)] = np.nan
+    return record.tobytes()
 
 
-def write_channel_headers(channels: list[ChannelInfo], *, version_minor: int = 20) -> bytes:
-    """Serialise channel records to the 256-bytes-per-channel layout."""
+def _text_findings(raw: np.ndarray, name: str, start: int, diags: Diagnostics) -> list:
+    """The findings of :func:`_read_text` on every text of a ``(ns, size)``
+    byte column stored from ``start``."""
+    ns, size = raw.shape
+    nul = raw == 0
+    count = size - nul.sum(1, dtype=np.intp)  # every byte before the first NUL counts
+    end = np.where(count < size, nul.argmax(1), size)  # the first NUL
+    after_nul = count > end
+    padded = (end > 0) & (raw[np.arange(ns), end - 1] == 0x20)
+
+    return [(after_nul, lambda i: diags.warning(
+                "header.text_after_nul", f"{name}[{i}]: bytes after the NUL terminator are "
+                "not zero", section="header2", offset=start + i * size)),
+            (padded, lambda i: diags.info(
+                "header.text_space_padded", f"{name}[{i}]: trailing space padding",
+                section="header2", offset=start + i * size))]
+
+
+# per type code, the last entry standing for every unknown code
+_TYPE_INFO = [type_info(code) if is_known_type(code) else None
+              for code in range(max(GdfType) + 2)]
+_KNOWN = np.array([info is not None for info in _TYPE_INFO])
+_SIZE = np.array([info.size if info else 0 for info in _TYPE_INFO])
+_INTEGER = np.array([bool(info) and info.kind == "int" for info in _TYPE_INFO])
+# an integer type's bounds as Python integers, for a model's values, and as
+# the nearest float64 inside them, which a float64 compares with the same
+# result (float64 rounds 2**63 - 1 and 2**64 - 1 up), for a file's columns
+_MIN, _MAX = (np.array([getattr(info, bound) if _INTEGER[i] else 0
+                        for i, info in enumerate(_TYPE_INFO)], object)
+              for bound in ("min", "max"))
+_MIN64 = _MIN.astype(np.float64)
+_MAX64 = np.array([math.nextafter(top, 0) if top > bound else top
+                   for top, bound in zip(_MAX.astype(np.float64).tolist(), _MAX)])
+_NONSTANDARD = np.isin(np.arange(32), list(units.NONSTANDARD_PREFIXES))
+
+
+def _rule_findings(diags: Diagnostics, types: np.ndarray, spr: np.ndarray,
+                   dig_min: np.ndarray, dig_max: np.ndarray, codes: np.ndarray) -> list:
+    """The header-2 rules on columns, shared by parsing and validation: a
+    file's (float64 digital bounds) or a model's (objects, compared by
+    Python's exact rules). Codes past the known types report nothing."""
+    index = np.minimum(types, len(_KNOWN) - 1)
+    lo, hi = (_MIN, _MAX) if dig_min.dtype == object else (_MIN64, _MAX64)
+    lo, hi = lo[index], hi[index]
+    with np.errstate(invalid="ignore"):  # a NaN bound compares False
+        exceed = _INTEGER[index] & ~((lo <= dig_min) & (dig_min <= hi)
+                                     & (lo <= dig_max) & (dig_max <= hi))
+        reverse = dig_min > dig_max
+        degenerate = ~reverse & (dig_min == dig_max) & (spr != 0)
+    too_wide = (spr == 0) & (_SIZE[index] > 4)
+    if codes.dtype.kind in "iu":  # a file's
+        valid = (codes >= 0) & (codes <= 0xFFFF)
+    else:
+        valid = np.fromiter((hasattr(c, "__index__") and 0 <= c <= 0xFFFF for c in codes),
+                            bool, len(codes))
+    nonstandard = valid & _NONSTANDARD[np.where(valid, codes, 0).astype(np.intp) & 0x1F]
+
+    def name(i):
+        return _TYPE_INFO[index[i]].name
+
+    def value(column, i):  # a Python number, as ChannelInfo holds it
+        return column[i:i + 1].tolist()[0]
+    return [
+        (exceed, lambda i: diags.error(
+            "channel.dig_bounds_exceed_type", f"channel {i}: digital bounds [{value(dig_min, i)}, "
+            f"{value(dig_max, i)}] exceed the {name(i)} range", section="header2")),
+        (reverse, lambda i: diags.error("channel.dig_bounds_reversed",
+                                        f"channel {i}: dig_min > dig_max", section="header2")),
+        (degenerate, lambda i: diags.error(
+            "channel.dig_bounds_degenerate",
+            f"channel {i}: dig_min == dig_max on a sampled channel", section="header2")),
+        (too_wide, lambda i: diags.error(
+            "channel.sparse_type_too_wide",
+            f"channel {i}: sparse channel type {name(i)} exceeds 32 bits", section="header2")),
+        (~valid, lambda i: diags.error(
+            "channel.physdim_invalid",
+            f"channel {i}: unit code {codes[i]!r} is not an integer in 0..65535",
+            section="header2")),
+        (nonstandard, lambda i: diags.warning(
+            "channel.physdim_nonstandard_prefix", f"channel {i}: unit code {codes[i]} uses "
+            f"reserved decimal prefix {codes[i] & 0x1F}", section="header2")),
+    ]
+
+
+def _report(findings: list, stop: int) -> None:
+    """Report the findings of the channels before ``stop``, channel by
+    channel, each channel's in the order of ``findings``. A mask of shape
+    ``(ns, k)`` reports its flat index, a mask of shape ``(ns,)`` the
+    channel."""
+    found = []
+    for order, (mask, report) in enumerate(findings):
+        width = mask.shape[1] if mask.ndim > 1 else 1
+        found += [(k // width, order, k, report) for k in np.flatnonzero(mask).tolist()
+                  if k < stop * width]
+    found.sort(key=itemgetter(0, 1, 2))
+    for _, _, k, report in found:
+        report(k)
+
+
+def check_channels(channels: Sequence[ChannelInfo], diags: Diagnostics) -> None:
+    """The header-2 rules of every channel, as parsing reports them."""
+    attrs = ("gdf_type", "samples_per_record", "cal.dig_min", "cal.dig_max", "phys_dim")
+    if isinstance(channels, ChannelTable):  # a file's columns
+        columns = [channels._record[_FIELD_OF[attr]] for attr in attrs]
+    else:  # a model's values
+        columns = [np.fromiter(channel_column(channels, attr), object, len(channels))
+                   for attr in attrs]
+        columns[0] = columns[0].astype(np.intp)
+    _report(_rule_findings(diags, *columns), len(channels))
+
+
+def write_channel_headers(channels: Sequence[ChannelInfo], *, version_minor: int = 20) -> bytes:
+    """Serialise channel records to the 256-bytes-per-channel layout. A
+    :class:`ChannelTable` in the layout of ``version_minor`` gives back the
+    bytes it holds, which are what this would write."""
+    if isinstance(channels, ChannelTable):
+        if channels._legacy == (version_minor < 19):
+            return channels._data
+        channels = list(channels)
     if not channels:
         return b""
     layout = _variable_header(len(channels), version_minor < 19)

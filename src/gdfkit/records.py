@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, starmap
 from typing import Sequence
 
 import numpy as np
 
 from .core import checked_cast, type_info
 from .errors import DomainError, TruncatedDataError
-from .header import ChannelInfo
+from .header import ChannelInfo, channel_column
 
 
 @dataclass(frozen=True)
@@ -79,17 +80,15 @@ class RecordLayout:
 
 
 def layout_from_channels(channels: Sequence[ChannelInfo]) -> RecordLayout:
-    """Assign record-local byte offsets in channel order."""
-    entries = []
-    offset = 0
-    for i, ch in enumerate(channels):
-        info = type_info(ch.gdf_type)
-        if ch.is_sparse:
-            entries.append(ChannelLayout(i, 0, int(ch.gdf_type), None))
-            continue
-        entries.append(ChannelLayout(i, ch.samples_per_record, int(ch.gdf_type), offset))
-        offset += ch.samples_per_record * info.size
-    return RecordLayout(tuple(entries), offset)
+    """Assign record-local byte offsets in channel order, from the type and
+    sample-count columns."""
+    types = list(map(int, channel_column(channels, "gdf_type")))
+    sprs = channel_column(channels, "samples_per_record")
+    sizes = [spr * type_info(code).size for code, spr in zip(types, sprs)]
+    offsets = list(accumulate(sizes, initial=0))
+    return RecordLayout(tuple(starmap(ChannelLayout, zip(
+        range(len(types)), sprs, types,
+        [offset if spr else None for offset, spr in zip(offsets, sprs)]))), offsets[-1])
 
 
 @dataclass
@@ -295,12 +294,13 @@ def _float32_bounds(lo: np.float64, hi: np.float64) -> tuple[np.float32, np.floa
 def overflow_scan(block: SignalBlock, channels: Sequence[ChannelInfo]) -> list[OverflowReport]:
     """Count samples outside each channel's digital bounds."""
     reports = []
-    for i, ch in enumerate(channels):
+    for i, (code, lo, hi) in enumerate(zip(*(channel_column(channels, attr) for attr in (
+            "gdf_type", "cal.dig_min", "cal.dig_max")))):
         arr = block.samples[i] if i < len(block.samples) else None
-        if arr is None or type_info(ch.gdf_type).kind == "opaque" or arr.size == 0:
+        if arr is None or type_info(code).kind == "opaque" or arr.size == 0:
             reports.append(OverflowReport(i, 0 if arr is None else len(arr), 0, None, None))
             continue
-        lo, hi = np.float64(ch.cal.dig_min), np.float64(ch.cal.dig_max)
+        lo, hi = np.float64(lo), np.float64(hi)
         if arr.dtype == np.float32:
             lo, hi = _float32_bounds(lo, hi)
         with np.errstate(invalid="ignore"):

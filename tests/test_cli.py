@@ -437,6 +437,40 @@ class TestConvertCsv:
         marker = type_info(GdfType[type_.upper()]).max
         assert f.signals.samples[0].tolist() == [1, int(middle) if middle else marker, 3]
 
+    @pytest.mark.parametrize("cells, type_", [
+        ("0.1\n0.3", "float32"),  # both round up in float32: 0.3 read back as NaN
+        ("-0.008657830405882161\n-0.00046558507337761835", "float64"),  # lo + (hi - lo) < hi
+        ("-0.008657830405882161\n-0.00046558507337761835", "float32")])
+    def test_float_target_keeps_its_extremes(self, tmp_path, capsys, cells, type_):
+        code, err, f = self._import(tmp_path, capsys, f"a [uV] @1Hz\n{cells}\n", "--type", type_)
+        assert (code, err) == (0, "")
+        stored = np.array(cells.split(), GdfType[type_.upper()].name.lower()).astype(float)
+        assert f.channels[0].cal.scale_array(f.signals.samples[0]).tolist() == stored.tolist()
+
+    @pytest.mark.parametrize("type_, cells, stored", [
+        ("int64", ["9007199254740993", "-9007199254740995", " 2e3 ", "-9223372036854775808"],
+         [9007199254740993, -9007199254740995, 2000, -2**63]),
+        ("int64", ["9223372036854774784", "9223372036854774783.5", "9223372036854774783"],
+         [2**63 - 1024, 2**63 - 1024, 2**63 - 1025]),
+        ("uint64", ["18446744073709549568", "9007199254740993.5", "18446744073709549567"],
+         [2**64 - 2048, 9007199254740994, 2**64 - 2049])])
+    def test_64_bit_raw_cells_read_exactly(self, tmp_path, capsys, type_, cells, stored):
+        """float64 rounds an integer beyond 2**53; the raw cells are read
+        from their text, rounding a fraction half to even."""
+        text = "a [uV] @1Hz\n" + "\n".join(cells) + "\n"
+        code, err, f = self._import(tmp_path, capsys, text, "--type", type_, "--raw")
+        assert (code, err) == (0, "")
+        assert f.signals.samples[0].tolist() == stored
+
+    @pytest.mark.parametrize("type_, cell", [
+        ("int64", "9223372036854774785"), ("int64", "-9223372036854775809"),
+        ("uint64", "18446744073709549569"), ("uint64", "-1")])
+    def test_64_bit_raw_cells_beyond_the_range_refused(self, tmp_path, capsys, type_, cell):
+        """Beyond the digital range, which float64 rounding of the cell hid."""
+        code, err, _ = self._import(tmp_path, capsys, f"a [uV] @1Hz\n{cell}\n",
+                                    "--type", type_, "--raw")
+        assert code == 2 and "raw values exceed the" in err
+
 
 # --- the CSV converter a cell at a time: the oracle of the column code -------
 
@@ -527,7 +561,8 @@ def _ref_convert_csv_to_gdf(args) -> int:
                                for c in cells[:expected]])
         except ValueError as exc:
             raise GdfError(f"column {label!r}: {exc}") from None
-        channel, raw = cli._column_to_channel(label, unit, values, gdf_type, args.scaled)
+        channel, raw = cli._column_to_channel(label, unit, values, gdf_type, args.scaled,
+                                              cells[:expected])
         channels.append(channel)
         arrays.append(raw)
 

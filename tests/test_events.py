@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from collections import Counter
 
@@ -20,6 +21,7 @@ from gdfkit.events import (
     PairedEvents,
     SparseSample,
     _pair_rows,
+    _sparse_layout,
     _usable_sparse_rows,
     convert_mode,
     describe_event,
@@ -36,6 +38,7 @@ from gdfkit.events import (
 from gdfkit.fileio import GdfFile, validate
 from gdfkit.header import (ChannelInfo, FixedHeader, parse_channel_headers, parse_fixed_header,
                            write_channel_headers, write_fixed_header)
+from gdfkit.records import decode_records
 from gdfkit.tlv import decode_device_ident, parse_tlv
 
 
@@ -743,6 +746,49 @@ class TestSparseAgainstReference:
                 assert _nan_equal(g.physical, w.physical)
 
 
+def _old_extract(table, channels, diags):
+    """The per-channel loop :func:`extract_sparse_samples` replaced: one mask
+    of the whole table per sparse channel."""
+    if table.mode != 3:
+        raise DomainError("sparse samples live in mode-3 event tables")
+    out = {i: [] for i, ch in enumerate(channels) if ch.is_sparse}
+    usable = _usable_sparse_rows(table, channels, diags)
+    for i in out:
+        group = np.flatnonzero(usable & (table.chn == i + 1))
+        if group.size:
+            ch = channels[i]
+            raw = decode_records(table.dur[group].tobytes(), _sparse_layout(ch.gdf_type),
+                                 len(group)).samples[0]
+            out[i] = list(map(SparseSample._make, zip(
+                table.pos[group].tolist(), raw.tolist(), ch.cal.scale_array(raw).tolist())))
+    return out
+
+
+@pytest.mark.parametrize("n_sparse", [0, 1, 64, 256])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_extract_groups_as_the_per_channel_loop(n_sparse, seed):
+    rng = np.random.default_rng(seed)
+    types = [GdfType.INT8, GdfType.UINT16, GdfType.INT24, GdfType.FLOAT32, GdfType.UINT32]
+    channels = [ChannelInfo(label=f"c{i}", samples_per_record=int(i >= n_sparse),
+                            gdf_type=types[rng.integers(len(types))],
+                            cal=Calibration(-1.0, 1.0, *sorted(rng.choice(99, 2, False) * 1.0)))
+                for i in range(n_sparse + 8)]
+    channels.append(ChannelInfo(samples_per_record=0, gdf_type=GdfType.INT64))  # rows refused
+    channels = [channels[i] for i in rng.permutation(len(channels))]  # sparse ones spread
+    n = 3000
+    t = mode3(rng.integers(1, 10**6, n), rng.choice([SPARSE_SAMPLE_TYPE] * 5 + [0x0300], n),
+              rng.integers(0, len(channels) + 2, n), rng.integers(0, 1 << 32, n))
+    want_diags, got_diags = Diagnostics(), Diagnostics()
+    want = _old_extract(t, channels, want_diags)
+    got = extract_sparse_samples(t, channels, got_diags)
+    assert list(got_diags) == list(want_diags)
+    assert list(got) == list(want)  # every sparse channel, in channel order
+    assert [len(v) for v in got.values()] == [len(v) for v in want.values()]
+    assert n_sparse == 0 or any(got.values())
+    assert all(_same_value(g, w) for key in want for a, b in zip(got[key], want[key])
+               for g, w in zip(a, b))
+
+
 class TestRegistry:
     def test_builtin_codes(self):
         assert describe_event(0x0300) == "Trigger, start of Trial (unspecific)"
@@ -773,6 +819,24 @@ class TestRegistry:
     def test_from_text(self):
         reg = EventCodeRegistry.from_text("# comment\n0x0010 blink\n")
         assert reg.describe(0x0010) == "blink"
+
+    def test_from_file(self, tmp_path):
+        path = tmp_path / "codes.txt"
+        path.write_text("# lab codes\n\n0x0300 my trigger\n  0xFFFF last  \n",
+                        encoding="utf-8")
+        reg = EventCodeRegistry.from_file(path)
+        assert reg.describe(0x0300) == "my trigger" and reg.get(0xFFFF) == "last"
+        assert reg.describe(0x0301) == "Left - cue onset (BCI experiment)"
+
+    @pytest.mark.parametrize("row", [
+        "zz", "0xZZ foo",                 # raised ValueError
+        "0x10000 big", "-0x1 neg",        # loaded as codes no 16-bit type holds
+    ])
+    def test_malformed_row_quoted(self, tmp_path, row):
+        path = tmp_path / "codes.txt"
+        path.write_text(f"0x0010 blink\n{row}\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=re.escape(f"event code row {row!r}: ")):
+            EventCodeRegistry.from_file(path)
 
 
 def test_default_event_rate():

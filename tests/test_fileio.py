@@ -1,8 +1,10 @@
 import functools
 import io
 import struct
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from gdfkit.fileio import (
     validate,
     write_file,
 )
-from gdfkit.header import ChannelInfo, FixedHeader, PatientInfo, write_fixed_header
+from gdfkit.header import ChannelInfo, ChannelTable, FixedHeader, PatientInfo, write_fixed_header
 from gdfkit.records import SignalBlock
 from gdfkit.synth import SynthSpec, corpus_specs, synthesize
 from gdfkit import tlv as tlvmod
@@ -715,6 +717,18 @@ def test_legacy_version_file_round_trip():
     assert to_bytes(back) == blob
 
 
+def _benchmark_recordings():
+    """The recordings of the benchmark's three workloads at full geometry."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    rng = np.random.default_rng(7)
+    return [item for geometry in workloads.GEOMETRIES.values()
+            for item in geometry(False).make(rng)]
+
+
 def test_corpus_round_trips():
     from gdfkit.synth import corpus_specs
     names = []
@@ -728,3 +742,8 @@ def test_corpus_round_trips():
         assert to_bytes(back) == blob, name
         names.append(name)
     assert len(names) >= 20
+    for name, f in _benchmark_recordings():
+        blob = to_bytes(f)
+        back = read_file(blob)[0]
+        assert isinstance(back.channels, ChannelTable) and len(back.channels) == f.ns, name
+        assert to_bytes(back) == blob, name

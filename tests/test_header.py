@@ -1,12 +1,14 @@
 import functools
+from dataclasses import replace
 import io
 import itertools
 import math
 import re
 import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gdfkit.core import Calibration, GdfTime, GdfType, is_known_type
@@ -19,11 +21,12 @@ from gdfkit.header import (
     FIXED_HEADER_SIZE,
     _FIXED,
     _LOCATION,
-    _check_channel,
     _check_reserved,
+    _nan_checked,
     _read_text,
     _variable_header,
     ChannelInfo,
+    ChannelTable,
     FixedHeader,
     Gender,
     Handedness,
@@ -45,9 +48,13 @@ from gdfkit.header import (
     sensor_value_bytes,
     unpack_demographics,
     unpack_physio,
+    channel_column,
+    check_channels,
     write_channel_headers,
     write_fixed_header,
 )
+from gdfkit import units
+from gdfkit.core import type_info
 
 
 class TestBitFields:
@@ -779,7 +786,7 @@ def _ref_parse_channels(buf, ns, minor, diags):
                                  rule="channel.type_unknown", offset=256 + f["type"][0])
 
         def text(name):
-            return _read_text(val[name], f[name][0], f"{name}[{i}]", diags, "header2")
+            return _old_read_text(val[name], f[name][0], f"{name}[{i}]", diags, "header2")
 
         def frequency(name):
             if val[name] == val[name]:
@@ -794,9 +801,96 @@ def _ref_parse_channels(buf, ns, minor, diags):
             frequency("notch"), val["samples_per_record"], GdfType(val["type"]),
             _ref_nan_checked(val["position"], buf, f["position"][0], diags, "header2"),
             val["sensor"])
-        _check_channel(ch, i, diags)
+        _old_check_channel(ch, i, diags)
         channels.append(ch)
     return channels
+
+
+# The variable-header parser that built one ChannelInfo per channel, with its
+# text reader and per-channel rules, kept as the oracle of ChannelTable.
+
+def _old_read_text(raw, offset, name, diags, section="header1"):
+    head, _, tail = raw.partition(b"\x00")
+    if tail.strip(b"\x00"):
+        diags.warning("header.text_after_nul",
+                      f"{name}: bytes after the NUL terminator are not zero",
+                      section=section, offset=offset)
+    text = head.decode("latin-1")
+    stripped = text.rstrip(" ")
+    if stripped != text:
+        diags.info("header.text_space_padded", f"{name}: trailing space padding",
+                   section=section, offset=offset)
+    return stripped
+
+
+def _old_parse_channel_headers(buf, ns, *, version_minor=20, diags=None):
+    diags = Diagnostics() if diags is None else diags
+    if len(buf) != CHANNEL_HEADER_SIZE * ns:
+        raise StructureError(
+            f"variable header needs {CHANNEL_HEADER_SIZE * ns} bytes, got {len(buf)}")
+    layout = _variable_header(ns, version_minor < 19)
+    record = np.ndarray((), layout, buf)
+    found = [Diagnostics() for _ in range(ns)]  # each channel's findings, in field order
+    columns = []
+    for name in layout.names:  # _CHANNEL_FIELDS order
+        column, start = record[name], layout.fields[name][1]
+        if column.dtype.kind == "S":
+            size = column.dtype.itemsize
+            columns.append([_old_read_text(raw, start + i * size, f"{name}[{i}]", found[i],
+                                           "header2")
+                            for i, raw in enumerate(column.tolist())])
+        elif column.dtype == np.float32:  # a filter frequency (NaN: unknown), or the position
+            nans = Diagnostics()
+            values = _nan_checked(column, start, nans, "header2")
+            for d in nans:  # to the channel whose value it is
+                found[(d.offset - start) // column.strides[0]].append(d)
+            columns.append(values if column.ndim > 1 else [None if v != v else v for v in values])
+        else:
+            columns.append(column.tolist())
+    if version_minor < 19:  # the sensor area's 1-byte and 19-byte columns
+        tail = columns.pop()
+        columns.append(list(map(bytes.__add__, columns.pop(), tail)))
+
+    channels = []
+    for i, row in enumerate(zip(*columns)):  # row[13] is the type code
+        if not is_known_type(row[13]):
+            raise StructureError(f"channel {i}: unknown data type code {row[13]}",
+                                 rule="channel.type_unknown",
+                                 offset=FIXED_HEADER_SIZE + layout.fields["type"][1] + 4 * i)
+        ch = ChannelInfo(*row[:4], Calibration(*row[4:8]), *row[8:])  # fields in file order
+        diags.extend(found[i])
+        _old_check_channel(ch, i, diags)
+        channels.append(ch)
+    return channels
+
+
+def _old_check_channel(ch, index, diags):
+    info = type_info(ch.gdf_type)
+    if info.kind == "int":
+        if not (info.min <= ch.cal.dig_min <= info.max
+                and info.min <= ch.cal.dig_max <= info.max):
+            diags.error("channel.dig_bounds_exceed_type",
+                        f"channel {index}: digital bounds [{ch.cal.dig_min}, "
+                        f"{ch.cal.dig_max}] exceed the {info.name} range",
+                        section="header2")
+    if ch.cal.dig_min > ch.cal.dig_max:
+        diags.error("channel.dig_bounds_reversed",
+                    f"channel {index}: dig_min > dig_max", section="header2")
+    elif ch.cal.is_degenerate and not ch.is_sparse:
+        diags.error("channel.dig_bounds_degenerate",
+                    f"channel {index}: dig_min == dig_max on a sampled channel",
+                    section="header2")
+    if ch.is_sparse and info.size > 4:
+        diags.error("channel.sparse_type_too_wide",
+                    f"channel {index}: sparse channel type {info.name} exceeds 32 bits",
+                    section="header2")
+    if not (hasattr(ch.phys_dim, "__index__") and 0 <= ch.phys_dim <= 0xFFFF):
+        diags.error("channel.physdim_invalid", f"channel {index}: unit code "
+                    f"{ch.phys_dim!r} is not an integer in 0..65535", section="header2")
+    elif (prefix := ch.phys_dim & 0x1F) in units.NONSTANDARD_PREFIXES:
+        diags.warning("channel.physdim_nonstandard_prefix",
+                      f"channel {index}: unit code {ch.phys_dim} uses reserved "
+                      f"decimal prefix {prefix}", section="header2")
 
 
 def _ref_two_bits(**fields):
@@ -896,12 +990,14 @@ def _same_write(got, want):
 
 
 def _parse_outcome(fn, *args):
+    """A parse's exception, or its model, shown as the list of channels a
+    ChannelTable stands for, and its diagnostics."""
     diags = Diagnostics()
     try:
         model = fn(*args, diags)
     except GdfError as exc:
         return type(exc), str(exc), exc.rule, exc.offset, list(diags)
-    return repr(model), list(diags), model
+    return repr(list(model) if isinstance(model, ChannelTable) else model), list(diags), model
 
 
 def _small(bits, signed=False, bad=False):
@@ -1032,3 +1128,181 @@ def test_channel_headers_against_struct_reference(data):
         assert _same_write(
             _write_outcome(write_channel_headers, got[2], version_minor=minor),
             _write_outcome(_ref_write_channels, ref[2], minor))
+
+
+# --- ChannelTable against the list-building parser and the struct reference
+#
+# A variable header of ns channels in either sensor layout, written from a
+# varied template, then patched cell by cell with the anomalies each finding
+# stands for.
+
+_TEMPLATE_TYPES = [GdfType.INT16, GdfType.UINT8, GdfType.INT24, GdfType.FLOAT32,
+                   GdfType.INT64, GdfType.UINT64, GdfType.FLOAT64, GdfType.UINT32]
+
+
+@functools.lru_cache
+def _template(ns, minor):
+    """A header without findings."""
+    return write_channel_headers([ChannelInfo(
+        label=f"ch{i}", transducer="AgAgCl" * (i % 3), phys_dim=(4256, 4275, 4288, 512)[i % 4],
+        cal=Calibration(-1.0 * i, 1.0 + i, float(i % 50), 100.0 + i % 100),
+        prefilter=None if i % 2 else "LP:?", lowpass_hz=None if i % 3 else 70.0 + i,
+        notch_hz=(None, -1.0, 50.0)[i % 3], samples_per_record=0 if i % 7 == 1 else i % 5 + 1,
+        gdf_type=GdfType.UINT32 if i % 7 == 1 else _TEMPLATE_TYPES[i % len(_TEMPLATE_TYPES)],
+        position=(float(i), -0.5, math.nan if i % 4 == 0 else 2.0),
+        sensor_info=sensor_value_bytes(1000.0 + i)) for i in range(ns)], version_minor=minor)
+
+
+_NANS = [b"\x01\x00\xc0\x7f", b"\x01\x00\x80\x7f", b"\x00\x00\xc0\xff", b"\x00\x00\xc0\x7f",
+         b"\x00\x00\x80\x7f"]
+_BOUNDS = [(5.0, 1.0), (3.0, 3.0), (-1e10, 1e10), (math.nan, 1.0), (-128.0, 255.0),
+           (-2.0 ** 63, 2.0 ** 63), (0.0, 2.0 ** 64), (0.0, 2.0 ** 64 - 2048), (-0.0, 0.0)]
+
+
+@st.composite
+def _anomalous_headers(draw):
+    ns = draw(st.sampled_from([0, 1, 9, 64, 512]))
+    minor = draw(st.sampled_from([10, 18, 19, 20]))
+    buf = bytearray(_template(ns, minor))
+    layout = _variable_header(ns, minor < 19)
+
+    def put(name, k, data, j=0):
+        sub, start = layout.fields[name]
+        at = start + k * (sub.itemsize // ns) + j
+        buf[at:at + len(data)] = data
+
+    for _ in range(draw(st.integers(0, 12)) if ns else 0):
+        k = draw(st.integers(0, ns - 1))
+        kind = draw(st.sampled_from(["after_nul", "spaces", "nan", "type", "bounds", "wide",
+                                     "prefix"]))
+        if kind in ("after_nul", "spaces"):
+            name = draw(st.sampled_from(["label", "transducer", "unit text", "prefilter"]))
+            size = layout[name].base.itemsize
+            text = draw(st.sampled_from([b"a\x00b", b"\x00\x00\x01", b"\x00" * (size - 1) + b"z"])
+                        if kind == "after_nul" else
+                        st.sampled_from([b"x ", b" ", b" " * size, b"ab  \x00\x00"]))
+            put(name, k, text.ljust(size, b"\x00")[:size])
+        elif kind == "nan":
+            name = draw(st.sampled_from(["lowpass", "highpass", "notch", "position"]))
+            put(name, k, draw(st.sampled_from(_NANS)),
+                4 * draw(st.integers(0, 2)) if name == "position" else 0)
+        elif kind == "type":
+            put("type", k, struct.pack("<I", draw(st.sampled_from([0, 9, 19, 280, 536, 2**32 - 1]))))
+        elif kind == "bounds":
+            lo, hi = draw(st.sampled_from(_BOUNDS))
+            put("dig_min", k, struct.pack("<d", lo))
+            put("dig_max", k, struct.pack("<d", hi))
+        elif kind == "wide":
+            put("samples_per_record", k, bytes(4))
+            put("type", k, struct.pack("<I", draw(st.sampled_from(
+                [GdfType.INT64, GdfType.UINT64, GdfType.FLOAT64, GdfType.FLOAT128, GdfType.INT24]))))
+        else:
+            put("phys_dim", k, struct.pack("<H", 4256 | draw(st.integers(0, 31))))
+    return bytes(buf), ns, minor
+
+
+@settings(max_examples=150, deadline=None)
+@given(_anomalous_headers())
+def test_channel_table_against_list_parser(case):
+    buf, ns, minor = case
+    got = _parse_outcome(lambda b, d: parse_channel_headers(b, ns, version_minor=minor, diags=d),
+                         buf)
+    old = _parse_outcome(lambda b, d: _old_parse_channel_headers(b, ns, version_minor=minor,
+                                                                 diags=d), buf)
+    ref = _parse_outcome(lambda b, d: _ref_parse_channels(b, ns, minor, d), buf)
+    assert got[:2] == old[:2] == ref[:2] if len(got) == 3 else got == old == ref
+    for rule in {d.rule for d in got[-2 if len(got) == 3 else -1]}:
+        event(rule)
+    if len(got) != 3:
+        event(got[2])
+        return
+    table, channels = got[2], old[2]
+    assert isinstance(table, ChannelTable) and len(table) == ns
+    assert repr([table[i] for i in range(-ns, ns)]) == repr(channels + channels)
+    assert repr(table[1::3]) == repr(channels[1::3])
+    for attr in _ATTRS_AND_CAL:  # a table's type codes are plain integers
+        want = channel_column(channels, attr)
+        want = list(map(int, want)) if attr == "gdf_type" else want
+        assert repr(channel_column(table, attr)) == repr(want), attr
+    for layout_minor in (10, 20):  # the stored bytes, or the channels written again
+        assert write_channel_headers(table, version_minor=layout_minor) \
+            == write_channel_headers(channels, version_minor=layout_minor)
+    if not [d for d in got[1] if d.rule.startswith("header.")]:
+        assert write_channel_headers(table, version_minor=minor) == buf
+    rules, by_list, by_old = Diagnostics(), Diagnostics(), Diagnostics()
+    check_channels(table, rules)
+    check_channels(channels, by_list)
+    for i, ch in enumerate(channels):
+        _old_check_channel(ch, i, by_old)
+    assert rules == by_list == by_old == [d for d in got[1] if d.rule.startswith("channel.")]
+
+
+_ATTRS_AND_CAL = ["label", "transducer", "phys_dim_ascii", "phys_dim", "cal", "cal.phys_min",
+                  "cal.dig_max", "prefilter", "lowpass_hz", "highpass_hz", "notch_hz",
+                  "samples_per_record", "gdf_type", "position", "sensor_info"]
+
+
+@pytest.mark.parametrize("dig_min, dig_max", [
+    (-2**63, 2**63 - 1), (-2**63, 2**63), (-2**63 - 1, 0), (0, 2**64 - 1), (-0.5, 2**64),
+    (-2.0**63, 2.0**63), (-1e300, 1.5), (math.nan, 0), ("x", 1), (5, 1)])
+def test_model_rules_compare_exactly(dig_min, dig_max):
+    """A model's bounds may be Python integers beyond float64 or values of
+    no number type; the rules compare them as the per-channel check did."""
+    channels = [ChannelInfo(cal=Calibration(0, 1, dig_min, dig_max), gdf_type=t,
+                            phys_dim=code, samples_per_record=spr)
+                for t in (GdfType.INT64, GdfType.UINT64, GdfType.INT16)
+                for code, spr in ((4256, 1), (4256 | 11, 0), (70000, 1), ("uV", 0), (2.0, 1))]
+
+    def outcome(check):
+        diags = Diagnostics()
+        try:
+            check(diags)
+        except TypeError as exc:
+            return type(exc), list(diags)
+        return list(diags)
+    want = outcome(lambda d: [_old_check_channel(ch, i, d) for i, ch in enumerate(channels)])
+    assert outcome(lambda d: check_channels(channels, d)) == (
+        want if isinstance(want, list) else (TypeError, []))
+
+
+def test_channel_table_sequence_contract():
+    channels = _demo_channels()
+    table = parse_channel_headers(write_channel_headers(channels), 3)
+    written = list(table)  # the unit and prefilter texts as written
+    assert table == written and written == table and table == tuple(written)
+    assert table == parse_channel_headers(write_channel_headers(channels), 3)
+    assert table != written[:2] and table != written[::-1] and table != "x"
+    assert parse_channel_headers(b"", 0) == [] and [] == parse_channel_headers(b"", 0)
+    assert table[-1] == written[2] and table[:2] == written[:2]
+    assert written[1] in table and table.index(written[2]) == 2
+    with pytest.raises(IndexError):
+        table[3]
+    with pytest.raises(TypeError):
+        table[0] = written[0]
+    edited = [written[0], replace(written[1], label="edited"), written[2]]
+    assert parse_channel_headers(write_channel_headers(edited), 3)[1].label == "edited"
+
+
+@pytest.mark.parametrize("minor", [10, 20])
+def test_channel_table_holds_what_its_channels_write(minor):
+    """Each anomaly a parse reports is normalised in the table's bytes as
+    the list writer would store it: a signalling NaN position comes back
+    quiet, a filter NaN canonical, a text cut at its NUL and spaces."""
+    ns = 9
+    buf = bytearray(_template(ns, minor))
+    layout = _variable_header(ns, minor < 19)
+    for name, k, data in [("position", 2, b"\x01\x00\x80\x7f"), ("position", 5, b"\x00\x00\xc0\xff"),
+                          ("lowpass", 3, b"\x01\x00\xc0\x7f"), ("label", 4, b"ab \x00c"),
+                          ("transducer", 0, b"x  ")]:
+        sub, start = layout.fields[name]
+        at = start + k * (sub.itemsize // ns)
+        buf[at:at + len(data)] = data
+    diags = Diagnostics()
+    table = parse_channel_headers(bytes(buf), ns, version_minor=minor, diags=diags)
+    assert {d.rule for d in diags} == {"header.noncanonical_nan", "header.text_after_nul",
+                                       "header.text_space_padded"}
+    written = write_channel_headers(table, version_minor=minor)
+    assert written == write_channel_headers(list(table), version_minor=minor) != bytes(buf)
+    again = Diagnostics()
+    parse_channel_headers(written, ns, version_minor=minor, diags=again)
+    assert not [d for d in again if d.rule != "header.noncanonical_nan"]
