@@ -630,8 +630,9 @@ class ChannelTable(Sequence[ChannelInfo]):
     writing its channels would store them (text ends, NaN payloads).
 
     A read-only sequence of :class:`ChannelInfo`: ``len``, iteration and
-    indexing build each channel on demand (a slice gives a list), and it
-    compares equal to a list or tuple of equal channels. To change channels,
+    indexing build each channel on demand (a slice gives a list). It
+    compares equal to a list or tuple of equal channels, and to a table whose
+    columns are equal, NaN positions and bounds included. To change channels,
     store a list (``list(table)``) in the model instead.
     """
 
@@ -656,7 +657,12 @@ class ChannelTable(Sequence[ChannelInfo]):
         return iter(self._channels(slice(None)))
 
     def __eq__(self, other):
-        if not isinstance(other, (list, tuple, ChannelTable)):
+        if isinstance(other, ChannelTable):  # column by column, NaN equal to NaN
+            return len(self) == len(other) and all(
+                np.array_equal(self._record[name], other._record[name], equal_nan=True)
+                if self._record[name].dtype.kind == "f" else
+                self._column(attr) == other._column(attr) for attr, name in _FIELD_OF.items())
+        if not isinstance(other, (list, tuple)):
             return NotImplemented
         return len(self) == len(other) and list(self) == list(other)
 
@@ -688,14 +694,17 @@ class ChannelTable(Sequence[ChannelInfo]):
                 for row in zip(*columns)]
 
 
-def channel_column(channels: Sequence[ChannelInfo], attr: str) -> list:
-    """The ChannelInfo attribute ``attr`` of every channel, in channel order;
-    ``"cal.dig_min"`` names a calibration field. A :class:`ChannelTable`
-    reads it from its columns, without building a ChannelInfo; its
-    ``gdf_type`` values are plain integer codes."""
+def channel_column(channels: Sequence[ChannelInfo], attr: str,
+                   rows: Sequence[int] | None = None) -> list:
+    """The ChannelInfo attribute ``attr`` of every channel, or of the channels
+    ``rows``, in that order; ``"cal.dig_min"`` names a calibration field. A
+    :class:`ChannelTable` reads it from its columns, without building a
+    ChannelInfo; its ``gdf_type`` values are plain integer codes."""
     if isinstance(channels, ChannelTable):
-        return channels._column(attr)
-    return list(map(attrgetter(attr), channels))
+        column = channels._column(attr)
+        return column if rows is None else list(map(column.__getitem__, rows))
+    return list(map(attrgetter(attr), channels if rows is None else
+                    map(channels.__getitem__, rows)))
 
 
 def _text(raw: bytes) -> str:

@@ -3,24 +3,26 @@
 A record holds ``samples_per_record`` consecutive samples of channel 1, then
 of channel 2, and so on; the data section is the concatenation of all
 records. Sparse channels (samples_per_record == 0) contribute no bytes here.
-Each continuous channel is thus a strided slice of the data section, which
-the codec reads and writes through a zero-copy numpy view. Consecutive
-channels of one type (a run) are one contiguous range of each record, so the
-encoder casts each channel's samples to the channel's sample dtype (checked,
-so nothing is rounded or wrapped) and writes each run with one concatenate.
-24-bit integers are stored in 3 little-endian bytes and go through two views:
-the low 16 bits and the top byte; their 32-bit container holds values beyond
-24 bits, so a 24-bit run is range-checked and split in staged chunks. The
-16-byte float type passes through as opaque rows of 16 bytes and is never
-scaled.
+Consecutive channels of one type (a run) are one contiguous range of each
+record, which the codec reads and writes through a zero-copy numpy view. The
+decoder copies each group of a run's channels with equal samples per record
+into one 2-D array, whose rows are the channels' samples, and the overflow
+scan compares such rows a chunk at a time. The encoder casts each channel's
+samples to the channel's sample dtype (checked, so nothing is rounded or
+wrapped) and writes each run with one concatenate. 24-bit integers are stored
+in 3 little-endian bytes and go through two views: the low 16 bits and the
+top byte; their 32-bit container holds values beyond 24 bits, so a 24-bit run
+is range-checked and split in staged chunks. The 16-byte float type passes
+through as opaque rows of 16 bytes and is never scaled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, starmap
-from typing import Sequence
+from itertools import accumulate, chain, count, groupby, repeat, starmap
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,7 +68,7 @@ class RecordLayout:
     @cached_property
     def runs(self) -> tuple[RunLayout, ...]:
         """The continuous channels grouped into runs; worked out on first use
-        (only the encoder needs them) and kept."""
+        and kept."""
         runs: list[list[ChannelLayout]] = []
         for entry in self.channels:
             if entry.is_sparse:
@@ -97,11 +99,15 @@ class SignalBlock:
 
     ``samples[i]`` is the record-concatenated raw array of channel ``i``
     (None for sparse channels; an (n, 16) uint8 array for the opaque 16-byte
-    float type).
+    float type). ``_decoded`` of a decoded block is ``samples`` as decoded,
+    each array a row of its group's array (``array.base``), the rows of a
+    group in channel order: :func:`overflow_scan` reads a group at once
+    where its channels still hold those rows.
     """
 
     samples: list[np.ndarray | None]
     n_records: int
+    _decoded: tuple[np.ndarray | None, ...] = field(default=(), repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, SignalBlock):
@@ -143,9 +149,13 @@ def decode_records(data: bytes | memoryview, layout: RecordLayout,
                    n_records: int) -> SignalBlock:
     """Split the data section into per-channel sample arrays.
 
-    ``data`` is any buffer (bytes, memoryview). Each channel is one owned,
-    C-contiguous copy of its strided view. The byte count must equal
-    ``n_records * bytes_per_record`` exactly; anything else raises
+    ``data`` is any buffer (bytes, memoryview). Each run of the layout is
+    split into groups of consecutive channels with equal samples per record,
+    and each group is one new ``(channels, samples)`` array (rows of 16 bytes
+    for the 16-byte float), filled with one copy; a channel's samples are a
+    writable, C-contiguous row view of it, so they keep the group alive and
+    cannot be resized. The byte count must equal ``n_records *
+    bytes_per_record`` exactly; anything else raises
     :class:`TruncatedDataError` reporting how many complete records are
     present.
     """
@@ -161,28 +171,30 @@ def decode_records(data: bytes | memoryview, layout: RecordLayout,
             rule="data.truncated",
             complete_records=complete,
             remainder_bytes=len(data) - complete * bpr)
-    samples: list[np.ndarray | None] = []
-    for entry in layout.channels:
-        if entry.is_sparse:
-            samples.append(None)
-            continue
-        info = type_info(entry.gdf_type)
-        shape = (n_records, entry.samples_per_record)
-        if info.kind == "opaque":
-            out = np.empty((n_records * entry.samples_per_record, 16), np.uint8)
-            out.reshape(*shape, 16)[...] = _channel_view(data, layout, entry, n_records,
-                                                         _OPAQUE)
-        else:
-            out = np.empty(n_records * entry.samples_per_record, info.dtype)
-            grid = out.reshape(shape)
+    samples: list[np.ndarray | None] = [None] * len(layout.channels)
+    for run in layout.runs:
+        info = type_info(run.gdf_type)
+        opaque = info.kind == "opaque"
+        for spr, entries in groupby(run.entries, attrgetter("samples_per_record")):
+            entries = tuple(entries)
+            k = len(entries)
+            group = RunLayout(entries[0].offset, k * spr, run.gdf_type, entries)
+
+            def view(dtype, skip=0):  # the group's samples as (k, n_records, spr)
+                v = _channel_view(data, layout, group, n_records, dtype, skip)
+                return v.reshape(n_records, k, spr, *v.shape[2:]).swapaxes(0, 1)
+            out = np.empty((k, n_records * spr) + (16,) * opaque, _OPAQUE.base if opaque
+                           else info.dtype)
+            grid = out.reshape(k, n_records, spr, *out.shape[2:])
             if info.size == 3:
-                high = _channel_view(data, layout, entry, n_records, _HIGH8[info.min < 0], 2)
-                np.left_shift(high, 16, out=grid, dtype=info.dtype)  # sign-extends int24
-                grid |= _channel_view(data, layout, entry, n_records, _LOW16)
+                np.copyto(grid, view(_HIGH8[info.min < 0], 2))  # sign-extends int24
+                grid <<= 16
+                grid |= view(_LOW16)
             else:
-                grid[...] = _channel_view(data, layout, entry, n_records, info.dtype)
-        samples.append(out)
-    return SignalBlock(samples, n_records)
+                np.copyto(grid, view(_OPAQUE if opaque else info.dtype))
+            for entry, row in zip(entries, out):
+                samples[entry.index] = row
+    return SignalBlock(samples, n_records, tuple(samples))
 
 
 def encode_records(block: SignalBlock, layout: RecordLayout, out=None):
@@ -263,8 +275,7 @@ def _encode_run(samples: list, layout: RecordLayout, run: RunLayout, n: int,
         del stage  # before the next chunk is staged, so one chunk is alive at a time
 
 
-@dataclass(frozen=True)
-class OverflowReport:
+class OverflowReport(NamedTuple):
     """Saturation summary of one channel."""
 
     channel: int
@@ -278,39 +289,89 @@ class OverflowReport:
         return self.n_invalid / self.n_samples if self.n_samples else 0.0
 
 
-def _float32_bounds(lo: np.float64, hi: np.float64) -> tuple[np.float32, np.float32]:
+def _float32_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The float32 bounds that admit exactly the float32 values within
     [lo, hi], so a float32 channel is compared in its own dtype (a float64
     comparison is several times slower) with the same result."""
     with np.errstate(over="ignore"):  # beyond the float32 range: +-inf
-        lo32, hi32 = np.float32(lo), np.float32(hi)
-        if lo32 < lo:
-            lo32 = np.nextafter(lo32, np.float32(np.inf))
-        if hi32 > hi:
-            hi32 = np.nextafter(hi32, np.float32(-np.inf))
-    return lo32, hi32
+        lo32, hi32 = lo.astype(np.float32), hi.astype(np.float32)
+        return (np.where(lo32 < lo, np.nextafter(lo32, np.float32(np.inf)), lo32),
+                np.where(hi32 > hi, np.nextafter(hi32, np.float32(-np.inf)), hi32))
+
+
+def _bounds(dtype: np.dtype, lo: np.ndarray, hi: np.ndarray):
+    """Per-row bounds that admit exactly the samples of ``dtype`` a float64
+    comparison with [lo, hi] admits. float32 and integers of at most 32 bits
+    are compared in their own dtype, integers within ``ceil(lo)..floor(hi)``
+    cut to the dtype, and max..min (empty) for a NaN, reversed or
+    out-of-dtype range; 64-bit integers compare in float64."""
+    if dtype == np.float32:
+        return _float32_bounds(lo, hi)
+    if dtype.kind not in "iu" or dtype.itemsize > 4:
+        return lo, hi
+    info = np.iinfo(dtype)
+    lo, hi = np.ceil(lo), np.floor(hi)
+    empty = ~(lo <= hi) | (lo > info.max) | (hi < info.min)
+    return (np.where(empty, info.max, np.maximum(lo, info.min)).astype(dtype),
+            np.where(empty, info.min, np.minimum(hi, info.max)).astype(dtype))
+
+
+# overflow_scan compares at most about this many bytes of samples at once, so
+# a large group is scanned in cache-sized chunks of whole channels, and counts
+# the valid samples of rows this long one row at a time
+_SCAN_BYTES = 1 << 18
+_LONG_ROW = 4096
 
 
 def overflow_scan(block: SignalBlock, channels: Sequence[ChannelInfo]) -> list[OverflowReport]:
-    """Count samples outside each channel's digital bounds."""
-    reports = []
-    for i, (code, lo, hi) in enumerate(zip(*(channel_column(channels, attr) for attr in (
-            "gdf_type", "cal.dig_min", "cal.dig_max")))):
-        arr = block.samples[i] if i < len(block.samples) else None
-        if arr is None or type_info(code).kind == "opaque" or arr.size == 0:
-            reports.append(OverflowReport(i, 0 if arr is None else len(arr), 0, None, None))
+    """Count samples outside each channel's digital bounds.
+
+    Consecutive channels whose arrays share a dtype and shape are scanned as
+    the rows of one 2-D array: for a decoded block, the group array whose
+    rows they still are, a stacked copy otherwise. Each chunk of rows takes
+    one compare against per-row bounds.
+    """
+    codes, lows, highs = (channel_column(channels, attr) for attr in (
+        "gdf_type", "cal.dig_min", "cal.dig_max"))
+    opaque = {code for code in dict.fromkeys(codes) if type_info(code).kind == "opaque"}
+    reports: list = [None] * len(codes)
+    spans = []  # [channels, arrays, group array or None, row of the first channel]
+    key = following = None
+    seen: dict[int, int] = {}  # the last row index taken from each group, by its id
+    for i, code, arr, row in zip(count(), codes, chain(block.samples, repeat(None)),
+                                 chain(block._decoded, repeat(None))):
+        if row is not None:
+            j = seen[id(row.base)] = seen.get(id(row.base), -1) + 1
+        if arr is None or code in opaque or arr.size == 0:
+            reports[i] = OverflowReport(i, 0 if arr is None else len(arr), 0, None, None)
             continue
-        lo, hi = np.float64(lo), np.float64(hi)
-        if arr.dtype == np.float32:
-            lo, hi = _float32_bounds(lo, hi)
-        with np.errstate(invalid="ignore"):
-            valid = (arr >= lo) & (arr <= hi)
-        finite = arr[~np.isnan(arr)] if arr.dtype.kind == "f" else arr
-        reports.append(OverflowReport(
-            channel=i,
-            n_samples=int(arr.size),
-            n_invalid=int(arr.size - np.count_nonzero(valid)),
-            raw_min=float(finite.min()) if finite.size else None,
-            raw_max=float(finite.max()) if finite.size else None,
-        ))
+        base, j = (arr.base, j) if arr is row and arr.dtype == arr.base.dtype else (None, None)
+        if key == (arr.dtype, arr.shape, id(base)) and j == following:
+            span[0].append(i)
+            span[1].append(arr)
+        else:
+            key, span = (arr.dtype, arr.shape, id(base)), [[i], [arr], base, j]
+            spans.append(span)
+        following = None if j is None else j + 1
+    lows, highs = np.array(lows, np.float64), np.array(highs, np.float64)
+    for indices, arrays, base, first in spans:
+        size, dtype = arrays[0].size, arrays[0].dtype
+        lo, hi = _bounds(dtype, lows[indices, None], highs[indices, None])
+        step = max(1, _SCAN_BYTES // arrays[0].nbytes)
+        for at in range(0, len(indices), step):
+            end = min(at + step, len(indices))
+            chunk = (np.stack(arrays[at:end]) if base is None
+                     else base[first + at:first + end]).reshape(end - at, size)
+            with np.errstate(invalid="ignore"):
+                valid = (chunk >= lo[at:end]) & (chunk <= hi[at:end])
+            extremes = ([None if v != v else v  # NaN is no extreme; all NaN: None
+                         for v in ufunc.reduce(chunk, axis=1).astype(np.float64).tolist()]
+                        for ufunc in ((np.fmin, np.fmax) if dtype.kind == "f"
+                                      else (np.minimum, np.maximum)))
+            # a row at a time, a long row is counted several times faster
+            counts = np.count_nonzero(valid, axis=1) if size < _LONG_ROW \
+                else np.fromiter(map(np.count_nonzero, valid), np.intp, end - at)
+            for i, report in zip(indices[at:end], map(OverflowReport._make, zip(
+                    indices[at:end], repeat(size), (size - counts).tolist(), *extremes))):
+                reports[i] = report
     return reports

@@ -127,7 +127,7 @@ def _make_events(rng, spec: SynthSpec, channels, total_event_samples: int) -> Ev
         return None
     for _ in range(spec.events):
         pos.append(int(rng.integers(1, max(total_event_samples, 2))))
-        typ.append(int(rng.choice(EVENT_POOL)))
+        typ.append(EVENT_POOL[rng.integers(0, len(EVENT_POOL))])
         chn.append(0)
         dur.append(int(rng.integers(0, max(total_event_samples - pos[-1], 1)))
                    if spec.event_mode == 3 else 0)

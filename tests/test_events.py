@@ -767,26 +767,51 @@ def _old_extract(table, channels, diags):
 @pytest.mark.parametrize("n_sparse", [0, 1, 64, 256])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_extract_groups_as_the_per_channel_loop(n_sparse, seed):
-    rng = np.random.default_rng(seed)
-    types = [GdfType.INT8, GdfType.UINT16, GdfType.INT24, GdfType.FLOAT32, GdfType.UINT32]
-    channels = [ChannelInfo(label=f"c{i}", samples_per_record=int(i >= n_sparse),
-                            gdf_type=types[rng.integers(len(types))],
-                            cal=Calibration(-1.0, 1.0, *sorted(rng.choice(99, 2, False) * 1.0)))
-                for i in range(n_sparse + 8)]
-    channels.append(ChannelInfo(samples_per_record=0, gdf_type=GdfType.INT64))  # rows refused
-    channels = [channels[i] for i in rng.permutation(len(channels))]  # sparse ones spread
-    n = 3000
-    t = mode3(rng.integers(1, 10**6, n), rng.choice([SPARSE_SAMPLE_TYPE] * 5 + [0x0300], n),
-              rng.integers(0, len(channels) + 2, n), rng.integers(0, 1 << 32, n))
-    want_diags, got_diags = Diagnostics(), Diagnostics()
-    want = _old_extract(t, channels, want_diags)
-    got = extract_sparse_samples(t, channels, got_diags)
-    assert list(got_diags) == list(want_diags)
-    assert list(got) == list(want)  # every sparse channel, in channel order
-    assert [len(v) for v in got.values()] == [len(v) for v in want.values()]
-    assert n_sparse == 0 or any(got.values())
-    assert all(_same_value(g, w) for key in want for a, b in zip(got[key], want[key])
-               for g, w in zip(a, b))
+    """Sparse channels of five types mixed in one table; then the same with
+    three more sparse channels whose calibration has dig_min == dig_max,
+    which raises once such a channel has samples."""
+    for degenerate in (False, True):
+        rng = np.random.default_rng(seed)
+        types = [GdfType.INT8, GdfType.UINT16, GdfType.INT24, GdfType.FLOAT32, GdfType.UINT32]
+        channels = [ChannelInfo(label=f"c{i}", samples_per_record=int(i >= n_sparse),
+                                gdf_type=types[rng.integers(len(types))],
+                                cal=Calibration(-1.0, 1.0,
+                                                *sorted(rng.choice(99, 2, False) * 1.0)))
+                    for i in range(n_sparse + 8)]
+        channels.append(ChannelInfo(samples_per_record=0, gdf_type=GdfType.INT64))  # refused
+        if degenerate:
+            channels += [ChannelInfo(samples_per_record=0, gdf_type=types[k],
+                                     cal=Calibration(-1.0, 1.0, 7.0, 7.0)) for k in range(3)]
+        channels = [channels[i] for i in rng.permutation(len(channels))]  # sparse ones spread
+        n = 3000
+        t = mode3(rng.integers(1, 10**6, n), rng.choice([SPARSE_SAMPLE_TYPE] * 5 + [0x0300], n),
+                  rng.integers(0, len(channels) + 2, n), rng.integers(0, 1 << 32, n))
+        want_diags, got_diags = Diagnostics(), Diagnostics()
+        want = _attempt(_old_extract, t, channels, want_diags)
+        got = _attempt(extract_sparse_samples, t, channels, got_diags)
+        assert list(got_diags) == list(want_diags)
+        if degenerate:
+            assert (type(got), str(got)) == (type(want), str(want)) == \
+                (DomainError, "degenerate calibration: dig_min == dig_max")
+            continue
+        assert list(got) == list(want)  # every sparse channel, in channel order
+        assert [len(v) for v in got.values()] == [len(v) for v in want.values()]
+        assert n_sparse == 0 or any(got.values())
+        assert n_sparse < 64 or len({channels[i].gdf_type for i, v in got.items() if v}) == 5
+        assert all(_same_value(g, w) for key in want for a, b in zip(got[key], want[key])
+                   for g, w in zip(a, b))
+
+
+def test_extract_degenerate_channel_without_samples():
+    """A degenerate calibration raises only for a channel that has samples."""
+    channels = [ChannelInfo(samples_per_record=2),
+                ChannelInfo(samples_per_record=0, gdf_type=GdfType.UINT16,
+                            cal=Calibration(-1.0, 1.0, 7.0, 7.0)),
+                ChannelInfo(samples_per_record=0, gdf_type=GdfType.FLOAT32)]
+    t = mode3([5, 9], [SPARSE_SAMPLE_TYPE] * 2, [3, 3], [0x3F800000, 0x40000000])
+    got = extract_sparse_samples(t, channels)
+    assert got == _old_extract(t, channels, Diagnostics())
+    assert [s.raw for s in got[2]] == [1.0, 2.0] and got[1] == []
 
 
 class TestRegistry:

@@ -1,5 +1,5 @@
 import functools
-from dataclasses import replace
+from dataclasses import astuple, replace
 import io
 import itertools
 import math
@@ -1218,12 +1218,13 @@ def test_channel_table_against_list_parser(case):
         return
     table, channels = got[2], old[2]
     assert isinstance(table, ChannelTable) and len(table) == ns
-    assert repr([table[i] for i in range(-ns, ns)]) == repr(channels + channels)
-    assert repr(table[1::3]) == repr(channels[1::3])
+    assert table == parse_channel_headers(buf, ns, version_minor=minor)  # NaN included
+    assert _same_channels([table[i] for i in range(-ns, ns)], channels + channels)
+    assert _same_channels(table[1::3], channels[1::3])
     for attr in _ATTRS_AND_CAL:  # a table's type codes are plain integers
         want = channel_column(channels, attr)
         want = list(map(int, want)) if attr == "gdf_type" else want
-        assert repr(channel_column(table, attr)) == repr(want), attr
+        assert _same_values(channel_column(table, attr), want), attr
     for layout_minor in (10, 20):  # the stored bytes, or the channels written again
         assert write_channel_headers(table, version_minor=layout_minor) \
             == write_channel_headers(channels, version_minor=layout_minor)
@@ -1235,6 +1236,26 @@ def test_channel_table_against_list_parser(case):
     for i, ch in enumerate(channels):
         _old_check_channel(ch, i, by_old)
     assert rules == by_list == by_old == [d for d in got[1] if d.rule.startswith("channel.")]
+
+
+def _same_values(got, want):
+    """Equal column values of equal Python types, NaN equal to NaN (numbers
+    and position triples are compared as float64 arrays)."""
+    if [type(v) for v in got] != [type(v) for v in want]:
+        return False
+    got, want = ([astuple(v) if isinstance(v, Calibration) else v for v in values]
+                 for values in (got, want))
+    numbers = [v for v in want if isinstance(v, (float, tuple))]
+    if not numbers:
+        return got == want
+    return np.array_equal(np.array(got, np.float64), np.array(want, np.float64), equal_nan=True)
+
+
+def _same_channels(got, want):
+    """Equal channel lists, compared column by column with NaN equal to NaN."""
+    return len(got) == len(want) and all(
+        _same_values(channel_column(got, attr), channel_column(want, attr))
+        for attr in _ATTRS_AND_CAL)
 
 
 _ATTRS_AND_CAL = ["label", "transducer", "phys_dim_ascii", "phys_dim", "cal", "cal.phys_min",
@@ -1281,6 +1302,28 @@ def test_channel_table_sequence_contract():
         table[0] = written[0]
     edited = [written[0], replace(written[1], label="edited"), written[2]]
     assert parse_channel_headers(write_channel_headers(edited), 3)[1].label == "edited"
+
+
+@pytest.mark.parametrize("minor", [10, 20])
+def test_channel_table_equal_with_nan(minor):
+    """Two reads of the same bytes are equal tables when a channel holds a
+    NaN position or digital bound (their channels, as dataclasses, are not
+    equal); a table still differs from one with another value in a column."""
+    nan = replace(_demo_channels()[0], position=(math.nan, 1.0, 2.0),
+                  cal=Calibration(-1.0, 1.0, math.nan, 5.0))
+    channels = [nan, *_demo_channels()[1:]]
+    data = write_channel_headers(channels, version_minor=minor)
+    table = parse_channel_headers(data, 3, version_minor=minor)
+    assert table == parse_channel_headers(data, 3, version_minor=minor)
+    assert list(table) != list(parse_channel_headers(data, 3, version_minor=minor))
+    for other in (replace(nan, position=(math.nan, 1.0, 3.0)),
+                  replace(nan, cal=Calibration(-1.0, 1.0, math.nan, 6.0)),
+                  replace(nan, label="other")):
+        assert table != parse_channel_headers(
+            write_channel_headers([other, *channels[1:]], version_minor=minor), 3,
+            version_minor=minor)
+    plain = parse_channel_headers(write_channel_headers(_demo_channels()), 3)
+    assert plain == list(plain) and plain != table
 
 
 @pytest.mark.parametrize("minor", [10, 20])

@@ -1,7 +1,9 @@
 import io
 import itertools
+import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +14,9 @@ from gdfkit import records
 from gdfkit.core import Calibration, GdfType, type_info
 from gdfkit.errors import DomainError, TruncatedDataError
 from gdfkit.fileio import GdfFile, StreamWriter, read_file, to_bytes
-from gdfkit.header import ChannelInfo, FixedHeader
+from gdfkit.header import ChannelInfo, FixedHeader, channel_column
 from gdfkit.records import (
+    OverflowReport,
     SignalBlock,
     decode_records,
     encode_records,
@@ -486,7 +489,8 @@ def test_codec_against_reference(case):
             assert got.dtype == np.dtype(_REFERENCE[ch.gdf_type][1])
             row = (16,) if ch.gdf_type == GdfType.FLOAT128 else ()
             assert got.shape == (len(values), *row)
-            assert got.flags.writeable and got.flags.owndata and got.flags.c_contiguous
+            assert got.flags.writeable and got.flags.c_contiguous
+            assert got.base is not None and got.base.ndim == got.ndim + 1  # a row of its group
             assert _as_reference(got) == values
         assert encode_records(block, layout) == data
 
@@ -696,6 +700,80 @@ def test_encoder_stages_in_chunks():
         (DomainError, "channel 5 cannot hold 1e+300 (float32)")
 
 
+# The per-channel decoder and scan that the run decoder and the chunked scan
+# replaced, kept as the oracles of the differential tests below.
+def _old_decode_records(data, layout, n_records):
+    if n_records < 0:
+        raise DomainError(f"record count {n_records} is negative")
+    expected = n_records * layout.bytes_per_record
+    if len(data) != expected:
+        bpr = layout.bytes_per_record
+        complete = len(data) // bpr if bpr else 0
+        raise TruncatedDataError(
+            f"data section has {len(data)} bytes, expected {expected} "
+            f"({complete} complete records)",
+            rule="data.truncated",
+            complete_records=complete,
+            remainder_bytes=len(data) - complete * bpr)
+    samples = []
+    for entry in layout.channels:
+        if entry.is_sparse:
+            samples.append(None)
+            continue
+        info = type_info(entry.gdf_type)
+        shape = (n_records, entry.samples_per_record)
+        if info.kind == "opaque":
+            out = np.empty((n_records * entry.samples_per_record, 16), np.uint8)
+            out.reshape(*shape, 16)[...] = records._channel_view(
+                data, layout, entry, n_records, records._OPAQUE)
+        else:
+            out = np.empty(n_records * entry.samples_per_record, info.dtype)
+            grid = out.reshape(shape)
+            if info.size == 3:
+                high = records._channel_view(data, layout, entry, n_records,
+                                             records._HIGH8[info.min < 0], 2)
+                np.left_shift(high, 16, out=grid, dtype=info.dtype)  # sign-extends int24
+                grid |= records._channel_view(data, layout, entry, n_records, records._LOW16)
+            else:
+                grid[...] = records._channel_view(data, layout, entry, n_records, info.dtype)
+        samples.append(out)
+    return SignalBlock(samples, n_records)
+
+
+def _old_float32_bounds(lo, hi):
+    with np.errstate(over="ignore"):  # beyond the float32 range: +-inf
+        lo32, hi32 = np.float32(lo), np.float32(hi)
+        if lo32 < lo:
+            lo32 = np.nextafter(lo32, np.float32(np.inf))
+        if hi32 > hi:
+            hi32 = np.nextafter(hi32, np.float32(-np.inf))
+    return lo32, hi32
+
+
+def _old_overflow_scan(block, channels):
+    reports = []
+    for i, (code, lo, hi) in enumerate(zip(*(channel_column(channels, attr) for attr in (
+            "gdf_type", "cal.dig_min", "cal.dig_max")))):
+        arr = block.samples[i] if i < len(block.samples) else None
+        if arr is None or type_info(code).kind == "opaque" or arr.size == 0:
+            reports.append(OverflowReport(i, 0 if arr is None else len(arr), 0, None, None))
+            continue
+        lo, hi = np.float64(lo), np.float64(hi)
+        if arr.dtype == np.float32:
+            lo, hi = _old_float32_bounds(lo, hi)
+        with np.errstate(invalid="ignore"):
+            valid = (arr >= lo) & (arr <= hi)
+        finite = arr[~np.isnan(arr)] if arr.dtype.kind == "f" else arr
+        reports.append(OverflowReport(
+            channel=i,
+            n_samples=int(arr.size),
+            n_invalid=int(arr.size - np.count_nonzero(valid)),
+            raw_min=float(finite.min()) if finite.size else None,
+            raw_max=float(finite.max()) if finite.size else None,
+        ))
+    return reports
+
+
 class TestOverflowScan:
     def test_clean(self):
         ch = make_channel(GdfType.INT16, spr=4, dig=(-1000.0, 1000.0))
@@ -737,6 +815,20 @@ class TestOverflowScan:
         wide = arr.astype(np.float64)
         assert report.n_invalid == np.count_nonzero(~((wide >= lo) & (wide <= hi)))
 
+    def test_float32_bounds_next_to_the_float32_extremes(self):
+        """A bound that rounds to the largest float32 in magnitude must not
+        step past it with an overflow warning, whichever bound of the row
+        is the one that moves."""
+        big = float(np.finfo(np.float32).max)
+        near = [big, -big, 3.402823364973241e+38, -3.402823364973241e+38,
+                3.4028235677973366e+38, -3.4028235677973366e+38, 0.0]
+        channels = [make_channel(GdfType.FLOAT32, spr=2, dig=(lo, hi))
+                    for lo in near for hi in near]
+        arr = np.array([-big, big], np.float32)
+        block = SignalBlock([arr.copy() for _ in channels], 1)
+        want = _outcome(_old_overflow_scan, block, channels)
+        assert _outcome(overflow_scan, block, channels) == want
+
     def test_sensor_off_nan(self):
         ch = make_channel(GdfType.FLOAT32, spr=2, dig=(-1.0, 1.0))
         layout = layout_from_channels([ch])
@@ -750,3 +842,228 @@ class TestOverflowScan:
         (report,) = overflow_scan(block, [ch])
         assert report.n_samples == 0
         assert report.saturation_ratio == 0.0
+
+
+# --- the run decoder and the chunked scan against the per-channel oracles ----
+
+@st.composite
+def _run_layouts(draw):
+    """Channels and a record count: runs of one type whose samples per record
+    change inside the run, sparse channels among them, 0-4 records."""
+    spec = []
+    for gdf_type, sprs in draw(st.lists(st.tuples(
+            st.sampled_from(ALL_TYPES), st.lists(st.integers(1, 3), min_size=1, max_size=4)),
+            max_size=4)):
+        for spr in sprs:
+            if draw(st.integers(0, 4)) == 0:
+                spec.append((GdfType.UINT32, 0))
+            spec.append((gdf_type, spr))
+    return spec, draw(st.integers(0, 4))
+
+
+# digital bounds: fractional, reversed, NaN, infinite, beyond every integer
+# type, beyond the float32 range, and near 2**63 and 2**64
+_SCAN_BOUNDS = [(-0.5, 0.5), (-100.25, 100.75), (1.5, 1.5), (3.0, 3.0), (5.0, 1.0),
+                (math.nan, 1.0), (0.0, math.nan), (-math.inf, math.inf), (math.inf, -math.inf),
+                (-1e10, 1e10), (300.0, 400.0), (-1e10, -1e9), (-1e300, 1e300), (3.5e38, 1e39),
+                (-3.5e38, -3.4e38), (-2.0 ** 63, 2.0 ** 63 - 1024), (0.0, 2.0 ** 64 - 2048),
+                (2.0 ** 63 - 2048, 2.0 ** 63), (2.0 ** 64 - 4096, 2.0 ** 64),
+                (-(2.0 ** 31) - 0.5, 2.0 ** 31 + 0.5), (-8388608.5, 8388607.0),
+                (0.0, 16777215.5), (-32768.0, 32767.0), (-128.0, 255.0)]
+_SCAN_DTYPES = ["int8", "uint8", "int16", "uint16", "int32", "uint32", "int64", "uint64",
+                "float16", "float32", "float64"]
+
+
+@st.composite
+def _scan_values(draw, dtype, count):
+    """``count`` samples of ``dtype``: values at its bounds and near 2**63,
+    2**64 and the drawn digital bounds, or (floats) NaN, infinities and one
+    channel in four of NaN only."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "f":
+        if draw(st.integers(0, 3)) == 0:
+            return np.full(count, np.nan, dtype)
+        width = 16 if dtype.itemsize == 2 else 32 if dtype.itemsize == 4 else 64
+        edges = st.sampled_from([math.nan, math.inf, -math.inf, 0.5, -0.5, 1.5, 3.0, 100.5,
+                                 float(np.finfo(dtype).max), -float(np.finfo(dtype).max)])
+        values = draw(st.lists(st.one_of(edges, st.floats(width=width)), min_size=count,
+                               max_size=count))
+        return np.array(values, dtype)
+    bounds = np.iinfo(dtype)
+    near = [bounds.min, bounds.max, 0, 1, -1, 2, 3, 100, -100, 300, 1 << 23, -(1 << 23),
+            (1 << 24) - 1, 1 << 31, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
+    near += [v + d for v in (1 << 63, 1 << 64) for d in (-2048, -1024, -1000, -1, 1, 1000)]
+    pool = st.sampled_from([v for v in near if bounds.min <= v <= bounds.max])
+    values = draw(st.lists(st.one_of(pool, st.integers(int(bounds.min), int(bounds.max))),
+                           min_size=count, max_size=count))
+    return np.array(values, dtype)
+
+
+def _channels_of(spec, draw):
+    return [ChannelInfo(label=f"c{i}", gdf_type=t, samples_per_record=spr,
+                        cal=Calibration(0, 1, *draw(st.one_of(
+                            st.sampled_from(_SCAN_BOUNDS),
+                            st.tuples(st.floats(), st.floats())))))
+            for i, (t, spr) in enumerate(spec)]
+
+
+@st.composite
+def _decoded_blocks(draw):
+    """(channels, block): a decoded block, some of whose arrays may then be
+    swapped, copied, replaced, dropped or given another dtype in place."""
+    spec, n = draw(_run_layouts())
+    channels = _channels_of(spec, draw)
+    samples = []
+    for ch in channels:
+        info = type_info(ch.gdf_type)
+        count = n * ch.samples_per_record
+        if ch.is_sparse:
+            samples.append(None)
+        elif info.kind == "opaque":
+            samples.append(np.frombuffer(draw(st.binary(min_size=16 * count,
+                                                        max_size=16 * count)),
+                                         np.uint8).reshape(count, 16))
+        elif info.size == 3:
+            samples.append(draw(_scan_values(info.dtype, count)).clip(info.min, info.max))
+        else:
+            samples.append(draw(_scan_values(info.dtype, count)))
+    layout = layout_from_channels(channels)
+    block = decode_records(encode_records(SignalBlock(samples, n), layout), layout, n)
+    for _ in range(draw(st.integers(0, 2))):
+        held = [i for i, a in enumerate(block.samples) if a is not None]
+        if not held:
+            break
+        i, j = draw(st.sampled_from(held)), draw(st.sampled_from(held))
+        change = draw(st.sampled_from(["swap", "copy", "other", "dtype", "none"]))
+        if change == "none":
+            block.samples[i] = None
+        elif change == "swap":
+            block.samples[i], block.samples[j] = block.samples[j], block.samples[i]
+        elif change == "copy":
+            block.samples[i] = block.samples[i].copy()
+        elif change == "other":
+            block.samples[i] = draw(_scan_values(draw(st.sampled_from(_SCAN_DTYPES)),
+                                                 len(block.samples[i])))
+        elif block.samples[i].dtype.kind in "iu":  # the same bytes, read as the other sign
+            arr = block.samples[i]
+            arr.dtype = np.dtype(arr.dtype.str.replace("i", "u") if arr.dtype.kind == "i"
+                                 else arr.dtype.str.replace("u", "i"))
+    return channels, block
+
+
+@st.composite
+def _built_blocks(draw):
+    """(channels, block): arrays built in code, of any dtype and length (one
+    in eight of shape (n, 1)), some of them strided views, for a block of as
+    many channels as the layout, one fewer or one more."""
+    spec, _ = draw(_run_layouts())
+    channels = _channels_of(spec, draw)
+    samples = []
+    for ch in channels + [None]:
+        if ch is not None and ch.is_sparse and draw(st.booleans()):
+            samples.append(None)
+            continue
+        count = draw(st.integers(0, 6))
+        arr = draw(_scan_values(draw(st.sampled_from(_SCAN_DTYPES)), 2 * count))
+        arr = arr[::2] if draw(st.booleans()) else arr[:count]  # strided, or contiguous
+        samples.append(arr.reshape(count, 1) if draw(st.integers(0, 7)) == 0 else arr)
+    size = draw(st.sampled_from([len(channels) - 1, len(channels), len(channels) + 1]))
+    return channels, SignalBlock(samples[:max(size, 0)], 1)
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns, or the type and text of what it raises; a
+    warning is raised as an error and fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return fn(*args)
+        except Warning:
+            raise
+        except Exception as exc:
+            return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_run_layouts(), st.data())
+def test_run_decoder_against_channel_decoder(case, data):
+    """Equal blocks (the bytes of every sample included), or the same
+    exception; every decoded array is a writable, C-contiguous row view of
+    its group, the array of its run's channels with its samples per record."""
+    spec, n = case
+    channels = _channels_of(spec, data.draw)
+    layout = layout_from_channels(channels)
+    size = n * layout.bytes_per_record
+    raw = data.draw(st.binary(min_size=size, max_size=size))
+    if size and data.draw(st.integers(0, 9)) == 0:
+        raw = raw[:-1]  # truncated
+    count = data.draw(st.sampled_from([n, n, n, -1]))
+    want = _outcome(_old_decode_records, raw, layout, count)
+    got = _outcome(decode_records, raw, layout, count)
+    assert got == want
+    if not isinstance(got, SignalBlock):
+        return
+    assert [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in got.samples] == \
+        [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in want.samples]
+    assert len(got._decoded) == len(got.samples)
+    assert all(a is b for a, b in zip(got._decoded, got.samples))
+    groups = {}  # each group array's channels, in row order
+    for entry, arr in zip(layout.channels, got.samples):
+        if arr is None:
+            continue
+        assert arr.flags.writeable and arr.flags.c_contiguous
+        assert arr.base.ndim == arr.ndim + 1 and arr.base.flags.c_contiguous
+        base, members = groups.setdefault(id(arr.base), (arr.base, []))
+        assert base[len(members)].tobytes() == arr.tobytes()
+        assert not arr.size or np.shares_memory(arr, base[len(members)])
+        members.append(entry)
+    for base, members in groups.values():
+        assert len(members) == len(base)
+        assert len({(e.gdf_type, e.samples_per_record) for e in members}) == 1
+        indices = [e.index for e in members]
+        between = [c for c in layout.channels[indices[0]:indices[-1] + 1]
+                   if c.index not in indices]
+        assert all(c.is_sparse for c in between)  # a group does not span another type
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_decoded_blocks(), _built_blocks()), st.sampled_from([records._SCAN_BYTES, 1]),
+       st.sampled_from([records._LONG_ROW, 1]))
+def test_scan_against_channel_scan(case, budget, long_row):
+    """The same reports, or the same exception, for decoded blocks (as
+    decoded, or with arrays swapped, copied, replaced, dropped or retyped in
+    place) and blocks built in code; a budget of one byte scans a row at a
+    time, and a long row of one sample counts every row on its own."""
+    channels, block = case
+    want = _outcome(_old_overflow_scan, block, channels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(records, "_SCAN_BYTES", budget)
+        mp.setattr(records, "_LONG_ROW", long_row)
+        assert _outcome(overflow_scan, block, channels) == want
+
+
+def test_scan_reads_the_arrays_the_channels_hold():
+    """A decoded group is read at once only where its channels still hold
+    their rows: after a swap, a dropped channel between two rows, a row
+    retyped in place and a row replaced by a copy before the group changes,
+    the reports are those of the arrays the block holds."""
+    rows = [[0, 0, 0, 0], [-1, 0, 0, 0], [-1, -1, 0, 0], [-1, -1, -1, 0], [-1, -1, -1, -1],
+            [-1, -1, 0, 0], [5, 5, 5, 5], [-1, 0, 0, 0]]
+    channels = [make_channel(GdfType.INT16, spr=2, dig=(0.0, 70000.0)) for _ in rows]
+    layout = layout_from_channels(channels)
+    block = decode_records(encode_records(SignalBlock([np.array(r, np.int16) for r in rows], 2),
+                                          layout), layout, 2)
+    assert len({id(a.base) for a in block.samples}) == 1
+    block.samples[0], block.samples[1] = block.samples[1], block.samples[0]
+    block.samples[3] = None
+    block.samples[5].dtype = np.uint16  # -1 reads as 65535
+    copy = block.samples[6].copy()
+    block.samples[6][:] = -1  # the group changes, the copy does not
+    block.samples[6] = copy
+    want = _old_overflow_scan(block, channels)
+    assert [r.n_invalid for r in want] == [1, 0, 2, 0, 4, 0, 0, 1]
+    for budget, long_row in ((records._SCAN_BYTES, records._LONG_ROW), (1, 1)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(records, "_SCAN_BYTES", budget)
+            mp.setattr(records, "_LONG_ROW", long_row)
+            assert overflow_scan(block, channels) == want
