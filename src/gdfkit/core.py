@@ -221,8 +221,13 @@ class Calibration:
         """Vectorised :meth:`scale`; returns float64 with NaN where invalid."""
         if self.is_degenerate:
             raise DomainError("degenerate calibration: dig_min == dig_max")
-        return scale_samples(raw, self.phys_min, self.phys_max, self.dig_min, self.dig_max,
-                             self.dig_max - self.dig_min)
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf, as scale gives them
+            x = np.asarray(raw, dtype=np.float64)  # a float32 signalling NaN is invalid
+            w = (x - self.dig_min) / (self.dig_max - self.dig_min)
+            out = self.phys_min * (1.0 - w) + self.phys_max * w
+            invalid = ~((x >= self.dig_min) & (x <= self.dig_max))
+        out[invalid] = np.nan
+        return out
 
     def digital(self, physical: float) -> float:
         """Physical -> digital (unrounded); inverse of :meth:`scale`."""
@@ -230,19 +235,6 @@ class Calibration:
             return self.dig_min
         w = (physical - self.phys_min) / (self.phys_max - self.phys_min)
         return self.dig_min * (1.0 - w) + self.dig_max * w
-
-
-def scale_samples(raw, phys_min, phys_max, dig_min, dig_max, dig_span) -> np.ndarray:
-    """:meth:`Calibration.scale_array`'s arithmetic, with scalars or with one
-    calibration per sample (arrays of ``raw``'s shape); ``dig_span`` is
-    ``dig_max - dig_min`` as the calibration works it out."""
-    with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf, as scale gives them
-        x = np.asarray(raw, dtype=np.float64)  # a float32 signalling NaN is invalid
-        w = (x - dig_min) / dig_span
-        out = phys_min * (1.0 - w) + phys_max * w
-        invalid = ~((x >= dig_min) & (x <= dig_max))
-    out[invalid] = np.nan
-    return out
 
 
 #: Sentinel digital value for "impedance undefined or out of range".

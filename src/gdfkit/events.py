@@ -10,14 +10,12 @@ a sparse channel in the duration field.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import checked_cast, float32_exact, scale_samples, type_info
+from .core import checked_cast, float32_exact, type_info
 from .diagnostics import Diagnostics, sink
 from .errors import CapacityError, DomainError, StructureError
 from .header import ChannelInfo, _nan_checked, channel_column, sampling_rate
@@ -487,33 +485,14 @@ def extract_sparse_samples(table: EventTable, channels: Sequence[ChannelInfo],
         return out
     rows = rows[table.chn[rows].argsort(kind="stable")]  # by channel, then row
     chn = table.chn[rows]
-    cuts = (np.flatnonzero(chn[1:] != chn[:-1]) + 1).tolist()
-    used = (chn[[0, *cuts]] - 1).tolist()
-    # each channel's rows, the channels of one sparse type together
-    blocks = sorted(zip(channel_column(channels, "gdf_type", used), used, [0, *cuts],
-                        [*cuts, len(rows)]), key=operator.itemgetter(0))
-    rows = np.concatenate([rows[at:end] for _, _, at, end in blocks])
-    codes, used, lengths = zip(*((code, i, end - at) for code, i, at, end in blocks))
-    ends = list(accumulate(lengths))
-    starts = [0, *ends[:-1]]
-    cals = [channel_column(channels, f"cal.{name}", used)
-            for name in ("phys_min", "phys_max", "dig_min", "dig_max")]
-    if any(map(operator.eq, cals[2], cals[3])):  # a channel with samples, as scale_array does
-        raise DomainError("degenerate calibration: dig_min == dig_max")
-    cals.append(list(map(operator.sub, cals[3], cals[2])))  # as scale_array works it out
-    cals = np.repeat(np.array(cals, np.float64), lengths, axis=1)  # per row
-    raw, physical = [], []
-    for code, group in groupby(zip(codes, starts, ends), operator.itemgetter(0)):
-        group = list(group)  # all rows of one sparse type at once
-        at, end = group[0][1], group[-1][2]
-        values = decode_records(table.dur[rows[at:end]].tobytes(), _sparse_layout(code),
-                                end - at).samples[0]
-        raw += values.tolist()
-        physical.append(scale_samples(values, *cals[:, at:end]))
-    samples = list(map(SparseSample._make, zip(table.pos[rows].tolist(), raw,
-                                                 np.concatenate(physical).tolist())))
-    for i, at, end in zip(used, starts, ends):
-        out[i] = samples[at:end]
+    cuts = np.flatnonzero(chn[1:] != chn[:-1]) + 1
+    for first, end in zip([0, *cuts.tolist()], [*cuts.tolist(), len(rows)]):
+        group, i = rows[first:end], int(chn[first]) - 1
+        ch = channels[i]  # a degenerate calibration raises only once there are samples
+        raw = decode_records(table.dur[group].tobytes(), _sparse_layout(ch.gdf_type),
+                             len(group)).samples[0]
+        out[i] = list(map(SparseSample._make, zip(
+            table.pos[group].tolist(), raw.tolist(), ch.cal.scale_array(raw).tolist())))
     return out
 
 

@@ -694,17 +694,14 @@ class ChannelTable(Sequence[ChannelInfo]):
                 for row in zip(*columns)]
 
 
-def channel_column(channels: Sequence[ChannelInfo], attr: str,
-                   rows: Sequence[int] | None = None) -> list:
-    """The ChannelInfo attribute ``attr`` of every channel, or of the channels
-    ``rows``, in that order; ``"cal.dig_min"`` names a calibration field. A
-    :class:`ChannelTable` reads it from its columns, without building a
-    ChannelInfo; its ``gdf_type`` values are plain integer codes."""
+def channel_column(channels: Sequence[ChannelInfo], attr: str) -> list:
+    """The ChannelInfo attribute ``attr`` of every channel, in channel order;
+    ``"cal.dig_min"`` names a calibration field. A :class:`ChannelTable`
+    reads it from its columns, without building a ChannelInfo; its
+    ``gdf_type`` values are plain integer codes."""
     if isinstance(channels, ChannelTable):
-        column = channels._column(attr)
-        return column if rows is None else list(map(column.__getitem__, rows))
-    return list(map(attrgetter(attr), channels if rows is None else
-                    map(channels.__getitem__, rows)))
+        return channels._column(attr)
+    return list(map(attrgetter(attr), channels))
 
 
 def _text(raw: bytes) -> str:

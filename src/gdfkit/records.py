@@ -18,7 +18,8 @@ through as opaque rows of 16 bytes and is never scaled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ctypes import addressof, c_char
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, count, groupby, repeat, starmap
 from operator import attrgetter
@@ -69,16 +70,10 @@ class RecordLayout:
     def runs(self) -> tuple[RunLayout, ...]:
         """The continuous channels grouped into runs; worked out on first use
         and kept."""
-        runs: list[list[ChannelLayout]] = []
-        for entry in self.channels:
-            if entry.is_sparse:
-                continue
-            if runs and runs[-1][0].gdf_type == entry.gdf_type:
-                runs[-1].append(entry)
-            else:
-                runs.append([entry])
+        runs = [tuple(run) for _, run in groupby(
+            (entry for entry in self.channels if not entry.is_sparse), attrgetter("gdf_type"))]
         return tuple(RunLayout(run[0].offset, sum(e.samples_per_record for e in run),
-                               run[0].gdf_type, tuple(run)) for run in runs)
+                               run[0].gdf_type, run) for run in runs)
 
 
 def layout_from_channels(channels: Sequence[ChannelInfo]) -> RecordLayout:
@@ -99,15 +94,11 @@ class SignalBlock:
 
     ``samples[i]`` is the record-concatenated raw array of channel ``i``
     (None for sparse channels; an (n, 16) uint8 array for the opaque 16-byte
-    float type). ``_decoded`` of a decoded block is ``samples`` as decoded,
-    each array a row of its group's array (``array.base``), the rows of a
-    group in channel order: :func:`overflow_scan` reads a group at once
-    where its channels still hold those rows.
+    float type).
     """
 
     samples: list[np.ndarray | None]
     n_records: int
-    _decoded: tuple[np.ndarray | None, ...] = field(default=(), repr=False)
 
     def __eq__(self, other):
         if not isinstance(other, SignalBlock):
@@ -194,7 +185,7 @@ def decode_records(data: bytes | memoryview, layout: RecordLayout,
                 np.copyto(grid, view(_OPAQUE if opaque else info.dtype))
             for entry, row in zip(entries, out):
                 samples[entry.index] = row
-    return SignalBlock(samples, n_records, tuple(samples))
+    return SignalBlock(samples, n_records)
 
 
 def encode_records(block: SignalBlock, layout: RecordLayout, out=None):
@@ -289,24 +280,18 @@ class OverflowReport(NamedTuple):
         return self.n_invalid / self.n_samples if self.n_samples else 0.0
 
 
-def _float32_bounds(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float32 bounds that admit exactly the float32 values within
-    [lo, hi], so a float32 channel is compared in its own dtype (a float64
-    comparison is several times slower) with the same result."""
-    with np.errstate(over="ignore"):  # beyond the float32 range: +-inf
-        lo32, hi32 = lo.astype(np.float32), hi.astype(np.float32)
-        return (np.where(lo32 < lo, np.nextafter(lo32, np.float32(np.inf)), lo32),
-                np.where(hi32 > hi, np.nextafter(hi32, np.float32(-np.inf)), hi32))
-
-
 def _bounds(dtype: np.dtype, lo: np.ndarray, hi: np.ndarray):
     """Per-row bounds that admit exactly the samples of ``dtype`` a float64
-    comparison with [lo, hi] admits. float32 and integers of at most 32 bits
-    are compared in their own dtype, integers within ``ceil(lo)..floor(hi)``
-    cut to the dtype, and max..min (empty) for a NaN, reversed or
-    out-of-dtype range; 64-bit integers compare in float64."""
+    comparison with [lo, hi] admits, so that float32 and integers of at most
+    32 bits are compared in their own dtype (a float64 comparison is several
+    times slower): the float32 values within [lo, hi], and integers within
+    ``ceil(lo)..floor(hi)`` cut to the dtype, with max..min (empty) for a
+    NaN, reversed or out-of-dtype range; 64-bit integers compare in float64."""
     if dtype == np.float32:
-        return _float32_bounds(lo, hi)
+        with np.errstate(over="ignore"):  # beyond the float32 range: +-inf
+            lo32, hi32 = lo.astype(np.float32), hi.astype(np.float32)
+            return (np.where(lo32 < lo, np.nextafter(lo32, np.float32(np.inf)), lo32),
+                    np.where(hi32 > hi, np.nextafter(hi32, np.float32(-np.inf)), hi32))
     if dtype.kind not in "iu" or dtype.itemsize > 4:
         return lo, hi
     info = np.iinfo(dtype)
@@ -323,29 +308,41 @@ _SCAN_BYTES = 1 << 18
 _LONG_ROW = 4096
 
 
+def _address(arr: np.ndarray) -> int | None:
+    """Where a writable C-contiguous array's data starts, through ctypes'
+    buffer (several times faster than ``arr.ctypes``); None for any other."""
+    try:
+        return addressof(c_char.from_buffer(arr))
+    except (TypeError, ValueError):  # read-only, not C-contiguous, or no buffer format
+        return None
+
+
 def overflow_scan(block: SignalBlock, channels: Sequence[ChannelInfo]) -> list[OverflowReport]:
     """Count samples outside each channel's digital bounds.
 
     Consecutive channels whose arrays share a dtype and shape are scanned as
-    the rows of one 2-D array: for a decoded block, the group array whose
-    rows they still are, a stacked copy otherwise. Each chunk of rows takes
-    one compare against per-row bounds.
+    the rows of one 2-D array: the array they are consecutive rows of (a
+    decoded group), a stacked copy otherwise. Each chunk of rows takes one
+    compare against per-row bounds.
     """
     codes, lows, highs = (channel_column(channels, attr) for attr in (
         "gdf_type", "cal.dig_min", "cal.dig_max"))
     opaque = {code for code in dict.fromkeys(codes) if type_info(code).kind == "opaque"}
     reports: list = [None] * len(codes)
     spans = []  # [channels, arrays, group array or None, row of the first channel]
-    key = following = None
-    seen: dict[int, int] = {}  # the last row index taken from each group, by its id
-    for i, code, arr, row in zip(count(), codes, chain(block.samples, repeat(None)),
-                                 chain(block._decoded, repeat(None))):
-        if row is not None:
-            j = seen[id(row.base)] = seen.get(id(row.base), -1) + 1
+    key = following = origin = start = None
+    for i, code, arr in zip(count(), codes, chain(block.samples, repeat(None))):
         if arr is None or code in opaque or arr.size == 0:
             reports[i] = OverflowReport(i, 0 if arr is None else len(arr), 0, None, None)
             continue
-        base, j = (arr.base, j) if arr is row and arr.dtype == arr.base.dtype else (None, None)
+        if arr.base is not origin:  # a decoded group array, its data at `start`
+            origin = arr.base
+            start = _address(origin) if type(origin) is np.ndarray and origin.ndim > 1 else None
+        at = _address(arr) if (start is not None and arr.dtype == origin.dtype
+                               and arr.shape == origin.shape[1:]) else None
+        # arr's group array and row in it: a view lies within its base
+        j, rest = (None, 1) if at is None else divmod(at - start, arr.nbytes)
+        base, j = (None, None) if rest else (origin, j)
         if key == (arr.dtype, arr.shape, id(base)) and j == following:
             span[0].append(i)
             span[1].append(arr)
@@ -368,8 +365,9 @@ def overflow_scan(block: SignalBlock, channels: Sequence[ChannelInfo]) -> list[O
                          for v in ufunc.reduce(chunk, axis=1).astype(np.float64).tolist()]
                         for ufunc in ((np.fmin, np.fmax) if dtype.kind == "f"
                                       else (np.minimum, np.maximum)))
-            # a row at a time, a long row is counted several times faster
-            counts = np.count_nonzero(valid, axis=1) if size < _LONG_ROW \
+            # a long row is counted several times faster a row at a time
+            counts = np.add.reduce(valid.view(np.uint8), axis=1, dtype=np.uint32) \
+                if size < _LONG_ROW \
                 else np.fromiter(map(np.count_nonzero, valid), np.intp, end - at)
             for i, report in zip(indices[at:end], map(OverflowReport._make, zip(
                     indices[at:end], repeat(size), (size - counts).tolist(), *extremes))):

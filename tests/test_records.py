@@ -1,6 +1,8 @@
+import copy
 import io
 import itertools
 import math
+import pickle
 import re
 import struct
 import warnings
@@ -948,7 +950,42 @@ def _decoded_blocks(draw):
             arr = block.samples[i]
             arr.dtype = np.dtype(arr.dtype.str.replace("i", "u") if arr.dtype.kind == "i"
                                  else arr.dtype.str.replace("u", "i"))
+    # a deep or unpickled copy holds arrays that are rows of no group array
+    duplicate = draw(st.sampled_from([None, "deepcopy", *range(pickle.HIGHEST_PROTOCOL + 1)]))
+    if duplicate == "deepcopy":
+        block = copy.deepcopy(block)
+    elif duplicate is not None:
+        block = pickle.loads(pickle.dumps(block, duplicate))
     return channels, block
+
+
+@st.composite
+def _row_blocks(draw):
+    """(channels, block): arrays built in code as rows of one 2-D array (its
+    own, a slice of it, Fortran-ordered, with reversed rows or the transpose
+    of a Fortran-ordered square), in order or drawn in any order with
+    repeats; or views of the same length that are no row: every step-th
+    sample, or a slice starting inside a row."""
+    spec, _ = draw(_run_layouts())
+    channels = _channels_of(spec, draw)
+    k = draw(st.integers(1, 4))
+    square = draw(st.integers(0, 3)) == 0  # its rows are columns of the array owning them
+    count = k + 1 if square else draw(st.integers(1, 4))
+    values = draw(_scan_values(draw(st.sampled_from(_SCAN_DTYPES)), (k + 1) * count))
+    grid = values.reshape(k + 1, count).copy()
+    grid = np.asfortranarray(grid).T if square else grid
+    grid = draw(st.sampled_from([grid, grid[1:], np.asfortranarray(grid), grid[:, ::-1]]))
+    flat = grid.reshape(-1) if grid.flags.c_contiguous else None
+    views = [grid[i] for i in range(len(grid))]
+    if flat is not None:
+        views += [flat[at:at + count] for at in range(len(flat) - count + 1)]
+        views += [flat[at::step][:count] for step in (2, 3) for at in range(count)
+                  if len(flat[at::step]) >= count]
+    picks = draw(st.lists(st.integers(0, len(views) - 1), min_size=len(channels),
+                          max_size=len(channels)))
+    if draw(st.booleans()):
+        picks = [i % len(grid) for i in range(picks[0], picks[0] + len(picks))] if picks else []
+    return channels, SignalBlock([views[i] for i in picks], 1)
 
 
 @st.composite
@@ -1005,8 +1042,6 @@ def test_run_decoder_against_channel_decoder(case, data):
         return
     assert [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in got.samples] == \
         [None if a is None else (a.dtype, a.shape, a.tobytes()) for a in want.samples]
-    assert len(got._decoded) == len(got.samples)
-    assert all(a is b for a, b in zip(got._decoded, got.samples))
     groups = {}  # each group array's channels, in row order
     for entry, arr in zip(layout.channels, got.samples):
         if arr is None:
@@ -1024,16 +1059,20 @@ def test_run_decoder_against_channel_decoder(case, data):
         between = [c for c in layout.channels[indices[0]:indices[-1] + 1]
                    if c.index not in indices]
         assert all(c.is_sparse for c in between)  # a group does not span another type
+    with pytest.MonkeyPatch.context() as mp:  # the scan reads the groups, stacking no copy
+        mp.setattr(np, "stack", None)
+        assert _outcome(overflow_scan, got, channels) == _old_overflow_scan(got, channels)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(_decoded_blocks(), _built_blocks()), st.sampled_from([records._SCAN_BYTES, 1]),
-       st.sampled_from([records._LONG_ROW, 1]))
+@given(st.one_of(_decoded_blocks(), _built_blocks(), _row_blocks()),
+       st.sampled_from([records._SCAN_BYTES, 1]), st.sampled_from([records._LONG_ROW, 1]))
 def test_scan_against_channel_scan(case, budget, long_row):
     """The same reports, or the same exception, for decoded blocks (as
     decoded, or with arrays swapped, copied, replaced, dropped or retyped in
-    place) and blocks built in code; a budget of one byte scans a row at a
-    time, and a long row of one sample counts every row on its own."""
+    place, and deep or pickled copies of them) and blocks built in code (rows
+    of a 2-D array among them); a budget of one byte scans a row at a time,
+    and a long row of one sample counts every row on its own."""
     channels, block = case
     want = _outcome(_old_overflow_scan, block, channels)
     with pytest.MonkeyPatch.context() as mp:
@@ -1067,3 +1106,34 @@ def test_scan_reads_the_arrays_the_channels_hold():
             mp.setattr(records, "_SCAN_BYTES", budget)
             mp.setattr(records, "_LONG_ROW", long_row)
             assert overflow_scan(block, channels) == want
+
+
+@pytest.mark.parametrize("duplicate", ["deepcopy", *range(pickle.HIGHEST_PROTOCOL + 1)])
+def test_scan_of_a_copied_block(duplicate):
+    """A deep copy or an unpickled copy of a decoded block holds arrays whose
+    base is None, bytes or a 1-D buffer array, not their group: the scan
+    gives the reports of the block it copies."""
+    rows = [[0, 0, 0, 0], [-1, 0, 0, 0], [-1, -1, 0, 0], [5, 5, 5, 5]]
+    channels = [make_channel(GdfType.INT16, spr=2, dig=(0.0, 70000.0)) for _ in rows]
+    layout = layout_from_channels(channels)
+    block = decode_records(encode_records(SignalBlock([np.array(r, np.int16) for r in rows], 2),
+                                          layout), layout, 2)
+    copied = (copy.deepcopy(block) if duplicate == "deepcopy"
+              else pickle.loads(pickle.dumps(block, duplicate)))
+    want = _old_overflow_scan(block, channels)
+    assert [r.n_invalid for r in want] == [0, 1, 2, 0]
+    assert _outcome(overflow_scan, copied, channels) == want
+
+
+def test_scan_of_rows_ctypes_cannot_address():
+    """Rows of a read-only array or of a dtype without a buffer format
+    (datetime64) are read as stacked copies: the per-channel scan's outcome."""
+    grid = np.arange(8, dtype=np.int16).reshape(2, 4)
+    read_only = grid.copy()
+    read_only.flags.writeable = False
+    channels = [make_channel(GdfType.INT16, spr=4, dig=(1.0, 6.0)) for _ in grid]
+    for rows in (read_only, grid.astype("M8[s]")):
+        block = SignalBlock(list(rows), 1)
+        assert _outcome(overflow_scan, block, channels) == \
+            _outcome(_old_overflow_scan, block, channels)
+    assert [r.n_invalid for r in overflow_scan(SignalBlock(list(read_only), 1), channels)] == [1, 1]
