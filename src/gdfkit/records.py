@@ -338,10 +338,11 @@ def overflow_scan(block: SignalBlock, channels: Sequence[ChannelInfo]) -> list[O
         if arr.base is not origin:  # a decoded group array, its data at `start`
             origin = arr.base
             start = _address(origin) if type(origin) is np.ndarray and origin.ndim > 1 else None
-        at = _address(arr) if (start is not None and arr.dtype == origin.dtype
-                               and arr.shape == origin.shape[1:]) else None
-        # arr's group array and row in it: a view lies within its base
-        j, rest = (None, 1) if at is None else divmod(at - start, arr.nbytes)
+        address = _address(arr) if (start is not None and arr.dtype == origin.dtype
+                                    and arr.shape == origin.shape[1:]) else None
+        # arr is row j of its base if its data starts j whole rows in (a view
+        # lies within its base)
+        j, rest = (None, 1) if address is None else divmod(address - start, arr.nbytes)
         base, j = (None, None) if rest else (origin, j)
         if key == (arr.dtype, arr.shape, id(base)) and j == following:
             span[0].append(i)
