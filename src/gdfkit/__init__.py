@@ -31,7 +31,8 @@ from .events import (
     extract_sparse_samples,
     pair_mode1_events,
 )
-from .fileio import GdfFile, StreamWriter, anonymize, read_file, to_bytes, validate, write_file
+from .fileio import (GdfFile, StreamWriter, anonymize, read_file, read_window, to_bytes, validate,
+                     write_file)
 from .header import (
     ChannelInfo,
     FixedHeader,
@@ -59,8 +60,8 @@ __all__ = [
     "GdfError", "StructureError", "TruncatedDataError", "VersionError",
     "EventCodeRegistry", "EventTable", "convert_mode", "describe_event",
     "event_table_position", "extract_sparse_samples", "pair_mode1_events",
-    "GdfFile", "StreamWriter", "anonymize", "read_file", "to_bytes",
-    "validate", "write_file",
+    "GdfFile", "StreamWriter", "anonymize", "read_file", "read_window",
+    "to_bytes", "validate", "write_file",
     "ChannelInfo", "FixedHeader", "Gender", "Handedness", "HeartImpairment",
     "Location", "PatientInfo", "RecordingInfo", "TriState", "VisualImpairment",
     "OverflowReport", "RecordLayout", "SignalBlock", "layout_from_channels",

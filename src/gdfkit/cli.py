@@ -25,7 +25,7 @@ from .core import Calibration, GdfType, checked_cast, type_info
 from .diagnostics import Severity
 from .errors import DiagnosticError, GdfError, StructureError
 from .events import EventCodeRegistry, EventTable, default_event_rate
-from .fileio import GdfFile, anonymize, read_file, validate, write_file
+from .fileio import GdfFile, anonymize, read_file, read_window, validate, write_file
 from .header import ChannelInfo, FixedHeader, channel_column, sampling_rate, sensor_readings
 from .records import SignalBlock, overflow_scan
 from .synth import SynthSpec, synthesize
@@ -328,8 +328,8 @@ def _render_rows(rows: Rows, width: int, line, machine: bool) -> str:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        f, diags = read_file(args.path, lenient=args.lenient)
+    try:  # prints no sample, so decodes none
+        f, diags = read_window(args.path, 0, 0, lenient=args.lenient)
     except DiagnosticError as exc:
         sys.stderr.writelines(f"{d}\n" for d in exc.diagnostics)
         return FAILURE
@@ -382,7 +382,9 @@ def cmd_convert(args) -> int:
                            "pass --to")
     if direction == "gdf":
         return _convert_csv_to_gdf(args)
-    f, diags = read_file(args.input, lenient=args.lenient)
+    # the text form prints no sample, so it decodes none
+    f, diags = read_window(args.input, 0, 0, lenient=args.lenient) if direction == "text" \
+        else read_file(args.input, lenient=args.lenient)
     sys.stderr.writelines(f"{d}\n" for d in diags)
     if direction == "text":
         with open(args.output, "w", encoding="utf-8") as fh:

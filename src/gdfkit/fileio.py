@@ -1,9 +1,14 @@
-"""Whole-file reading, writing, streaming and validation.
+"""Whole-file and windowed reading, writing, streaming and validation.
 
 A file is five consecutive sections: the 256-byte fixed header, 256 bytes of
 variable header per channel, an optional tag-length-value header padded to
 256-byte blocks, the record-oriented data section, and (only once the record
 count is known) the event table.
+
+Records have a fixed size, so :func:`read_window` decodes only a range of
+them, and :func:`read_file` is its whole-file case. A path is read range by
+range (the fixed header, the rest of the header, the window's records, the
+event table): records outside the window are never read.
 
 Reading is strict by default: error-severity findings raise
 :class:`~gdfkit.errors.DiagnosticError`. Lenient reading recovers whatever it
@@ -12,7 +17,9 @@ can and reports everything through the returned diagnostics.
 
 from __future__ import annotations
 
+import operator
 import os
+import stat
 from dataclasses import dataclass, field, replace
 from typing import BinaryIO, Sequence
 
@@ -143,15 +150,6 @@ def _header_sections(f: GdfFile) -> list[bytes]:
             tlvmod.write_tlv_region(f.tlv, 256 * (blocks - ns - 1))]
 
 
-def _open_source(source) -> bytes | memoryview:
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        return memoryview(source).cast("B")
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as fh:
-            return fh.read()
-    return source.read()
-
-
 def read_file(source, *, lenient: bool = False) -> tuple[GdfFile, Diagnostics]:
     """Read and decode a whole file from a path, file object or bytes.
 
@@ -160,31 +158,84 @@ def read_file(source, *, lenient: bool = False) -> tuple[GdfFile, Diagnostics]:
     :class:`DiagnosticError`; unrecoverable structural problems raise their
     specific error in either mode.
     """
-    data = _open_source(source)
+    return _read(source, None, lenient)
+
+
+def read_window(source, start_record: int, n_records: int, *,
+                lenient: bool = False) -> tuple[GdfFile, Diagnostics]:
+    """Read a file as :func:`read_file` does, decoding only records
+    ``[start_record, start_record + n_records)``.
+
+    The headers and the event table are parsed, and every diagnostic and
+    exception is the one :func:`read_file` gives for the same input. The
+    model's ``header.n_records`` is the file's record count (inferred or cut
+    as :func:`read_file` would), while ``signals`` holds the window, so
+    :func:`to_bytes` and :func:`validate` report ``data.length_mismatch`` for
+    any window but the whole file. A negative start or count, or a window
+    past the last complete record, raises :class:`DomainError` naming the
+    record count; the window is checked last, so a file :func:`read_file`
+    refuses raises what :func:`read_file` raises. ``n_records=0`` decodes no
+    samples, and reads none from a path.
+    """
+    return _read(source, (operator.index(start_record), operator.index(n_records)), lenient)
+
+
+def _read(source, window: tuple[int, int] | None, lenient: bool):
+    """Read a regular file's path range by range (its size from ``fstat``),
+    a bytes-like source through zero-copy slices, and anything else whole."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode):
+                size = info.st_size
+
+                def read(start: int, end: int) -> bytes:
+                    fh.seek(start)
+                    chunk = fh.read(end - start)
+                    if len(chunk) < end - start:
+                        now = os.fstat(fh.fileno()).st_size
+                        raise StructureError(f"file is {now} bytes long now, {size} when "
+                                             "reading began", rule="file.shrank", offset=now)
+                    return chunk
+                return _read_sections(size, read, window, lenient)
+            source = fh.read()  # a pipe or a device has no size
+    elif not isinstance(source, (bytes, bytearray, memoryview)):
+        source = source.read()
+    data = memoryview(source).cast("B")
+    return _read_sections(len(data), lambda start, end: data[start:end], window, lenient)
+
+
+def _read_sections(size: int, read, window: tuple[int, int] | None,
+                   lenient: bool) -> tuple[GdfFile, Diagnostics]:
+    """The body of both readers: ``read(start, end)`` gives bytes [start, end)
+    of a file of ``size`` bytes, and ``window`` the records to decode (all of
+    them if None)."""
     diags = Diagnostics()
-    if len(data) < FIXED_HEADER_SIZE:
-        raise StructureError(f"file is only {len(data)} bytes; the fixed header "
+    if size < FIXED_HEADER_SIZE:
+        raise StructureError(f"file is only {size} bytes; the fixed header "
                              f"needs {FIXED_HEADER_SIZE}", rule="header.truncated")
-    header = parse_fixed_header(data[:FIXED_HEADER_SIZE], diags)
+    header = parse_fixed_header(read(0, FIXED_HEADER_SIZE), diags)
     ns = header.ns
 
-    h2_end = FIXED_HEADER_SIZE + CHANNEL_HEADER_SIZE * ns
+    h2_size = CHANNEL_HEADER_SIZE * ns
+    h2_end = FIXED_HEADER_SIZE + h2_size
     header_end = 256 * header.header_blocks
-    if len(data) < header_end:
-        raise StructureError(f"file ends inside the header ({len(data)} of "
+    if size < header_end:
+        raise StructureError(f"file ends inside the header ({size} of "
                              f"{header_end} bytes)", rule="header.truncated")
-    channels = parse_channel_headers(data[FIXED_HEADER_SIZE:h2_end], ns,
+    rest = memoryview(read(FIXED_HEADER_SIZE, header_end))
+    channels = parse_channel_headers(rest[:h2_size], ns,
                                      version_minor=header.version_minor,
                                      diags=diags)
     try:
-        elements = tlvmod.parse_tlv(data[h2_end:header_end], diags=diags, lenient=lenient)
+        elements = tlvmod.parse_tlv(rest[h2_size:], diags=diags, lenient=lenient)
     except StructureError as exc:
         exc.offset += h2_end  # absolute; lenient diagnostics stay section-relative
         raise
 
     layout = layout_from_channels(channels)
     bpr = layout.bytes_per_record
-    available = len(data) - header_end
+    available = size - header_end
     complete = available // bpr if bpr else 0
     remainder = available - complete * bpr
     declared_ongoing = header.n_records == -1
@@ -208,15 +259,14 @@ def read_file(source, *, lenient: bool = False) -> tuple[GdfFile, Diagnostics]:
                                      remainder_bytes=remainder)
         diags.warning("data.truncated", message, section="data", offset=header_end)
     # the event table follows all declared records: a file cut before that has none
-    tail = b"" if declared_ongoing else \
-        data[event_table_position(header.header_blocks, header.n_records, bpr):]
+    tail_start = size if declared_ongoing else \
+        event_table_position(header.header_blocks, header.n_records, bpr)
     header = replace(header, n_records=n_records)
     data_end = header_end + n_records * bpr
 
-    signals = decode_records(memoryview(data)[header_end:data_end], layout, n_records)
-
     events = None
-    if tail:
+    if tail_start < size:
+        tail = read(tail_start, size)
         try:
             events = parse_event_table(tail, diags)
         except StructureError as exc:
@@ -230,16 +280,21 @@ def read_file(source, *, lenient: bool = False) -> tuple[GdfFile, Diagnostics]:
                 message = f"{leftover} trailing bytes after the event table"
                 if not lenient:
                     raise StructureError(message, rule="file.trailing_bytes",
-                                         offset=len(data) - leftover)
+                                         offset=size - leftover)
                 diags.warning("file.trailing_bytes", message, section="events")
 
-    f = GdfFile(header=header, channels=channels, tlv=elements,
-                signals=signals, events=events)
     if not lenient and diags.has_errors:
         first = next(d for d in diags if d.severity == Severity.ERROR)
         raise DiagnosticError(f"strict read failed: {first.message}", diags,
                               rule=first.rule)
-    return f, diags
+    begin, count = (0, n_records) if window is None else window
+    if begin < 0 or count < 0 or begin + count > n_records:
+        raise DomainError(f"a window of {count} records from record {begin} does not "
+                          f"lie within the {n_records} records of the file")
+    start = header_end + begin * bpr
+    signals = decode_records(read(start, start + count * bpr), layout, count)
+    return GdfFile(header=header, channels=channels, tlv=elements,
+                   signals=signals, events=events), diags
 
 
 def write_file(f: GdfFile, sink) -> int:

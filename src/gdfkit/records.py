@@ -323,7 +323,9 @@ def overflow_scan(block: SignalBlock, channels: Sequence[ChannelInfo]) -> list[O
     Consecutive channels whose arrays share a dtype and shape are scanned as
     the rows of one 2-D array: the array they are consecutive rows of (a
     decoded group), a stacked copy otherwise. Each chunk of rows takes one
-    compare against per-row bounds.
+    compare against per-row bounds. Samples that are not an array (a list or
+    tuple built in code) go through :func:`checked_cast` to the channel's
+    sample dtype, as the encoder takes them.
     """
     codes, lows, highs = (channel_column(channels, attr) for attr in (
         "gdf_type", "cal.dig_min", "cal.dig_max"))
@@ -332,6 +334,8 @@ def overflow_scan(block: SignalBlock, channels: Sequence[ChannelInfo]) -> list[O
     spans = []  # [channels, arrays, group array or None, row of the first channel]
     key = following = origin = start = None
     for i, code, arr in zip(count(), codes, chain(block.samples, repeat(None))):
+        if not (arr is None or code in opaque or isinstance(arr, np.ndarray)):
+            arr = checked_cast(arr, type_info(code).dtype, f"channel {i}")
         if arr is None or code in opaque or arr.size == 0:
             reports[i] = OverflowReport(i, 0 if arr is None else len(arr), 0, None, None)
             continue

@@ -845,6 +845,30 @@ class TestOverflowScan:
         assert report.n_samples == 0
         assert report.saturation_ratio == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("form", [list, tuple])
+    def test_sequence_samples_scanned_as_arrays(self, form):
+        """Samples built in code as a list or tuple are cast to the channel's
+        sample dtype, as the encoder takes them, and report as that array."""
+        channels = [ChannelInfo(samples_per_record=3),
+                    make_channel(GdfType.INT16, spr=3, dig=(-1.0, 1.0)),
+                    make_channel(GdfType.FLOAT32, spr=3, dig=(-1.0, 1.0)),
+                    make_channel(GdfType.INT24, spr=3, dig=(-1.0, 1.0)),
+                    make_channel(GdfType.UINT32, spr=0),
+                    make_channel(GdfType.FLOAT64, spr=0)]
+        values = [[1, 2, 3], [1, -2, 0], [0.5, 2.0, float("nan")], [2, 1, 1.0], [], []]
+        arrays = [np.array(v, type_info(ch.gdf_type).dtype) for ch, v in zip(channels, values)]
+        want = overflow_scan(SignalBlock(arrays, 1), channels)
+        assert [r.n_invalid for r in want] == [0, 1, 2, 1, 0, 0]
+        assert overflow_scan(SignalBlock(list(map(form, values)), 1), channels) == want
+        assert overflow_scan(SignalBlock([form(values[0])], 1), channels[:1]) == want[:1]
+
+    @pytest.mark.parametrize("value", [40000, 1.5, float("nan"), "x"])
+    def test_sequence_sample_the_dtype_cannot_hold_refused(self, value):
+        with pytest.raises(DomainError, match="channel 1"):
+            overflow_scan(SignalBlock([[1], [0, value]], 1),
+                          [make_channel(spr=1), make_channel(spr=2)])
+
 
 # --- the run decoder and the chunked scan against the per-channel oracles ----
 
