@@ -6,9 +6,9 @@ variable header per channel, an optional tag-length-value header padded to
 count is known) the event table.
 
 Records have a fixed size, so :func:`read_window` decodes only a range of
-them, and :func:`read_file` is its whole-file case. A path is read range by
-range (the fixed header, the rest of the header, the window's records, the
-event table): records outside the window are never read.
+them, and :func:`read_file` is its whole-file case. A regular file's path is
+read range by range (the fixed header, the rest of the header, the event
+table, the window's records): records outside the window are never read.
 
 Reading is strict by default: error-severity findings raise
 :class:`~gdfkit.errors.DiagnosticError`. Lenient reading recovers whatever it
