@@ -366,14 +366,21 @@ def overflow_scan(block: SignalBlock, channels: Sequence[ChannelInfo]) -> list[O
                      else base[first + at:first + end]).reshape(end - at, size)
             with np.errstate(invalid="ignore"):
                 valid = (chunk >= lo[at:end]) & (chunk <= hi[at:end])
-            extremes = ([None if v != v else v  # NaN is no extreme; all NaN: None
-                         for v in ufunc.reduce(chunk, axis=1).astype(np.float64).tolist()]
-                        for ufunc in ((np.fmin, np.fmax) if dtype.kind == "f"
-                                      else (np.minimum, np.maximum)))
             # a long row is counted several times faster a row at a time
             counts = np.add.reduce(valid.view(np.uint8), axis=1, dtype=np.uint32) \
                 if size < _LONG_ROW \
                 else np.fromiter(map(np.count_nonzero, valid), np.intp, end - at)
+            # NaN is no extreme (all NaN: None). A NaN sample is never valid,
+            # so only a chunk with invalid samples is searched for one; fmin
+            # is not used, as a signalling NaN makes it drop the values before
+            nan = np.isnan(chunk) if dtype.kind == "f" and (counts < size).any() else None
+            if nan is not None and not nan.any():
+                nan = None
+            extremes = ([None if gone else v for v, gone in zip(
+                            ufunc.reduce(chunk if nan is None else np.where(nan, fill, chunk),
+                                         axis=1).astype(np.float64).tolist(),
+                            repeat(False) if nan is None else nan.all(axis=1).tolist())]
+                        for ufunc, fill in ((np.minimum, np.inf), (np.maximum, -np.inf)))
             for i, report in zip(indices[at:end], map(OverflowReport._make, zip(
                     indices[at:end], repeat(size), (size - counts).tolist(), *extremes))):
                 reports[i] = report

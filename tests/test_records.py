@@ -838,6 +838,22 @@ class TestOverflowScan:
         (report,) = overflow_scan(block, [ch])
         assert report.n_invalid == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signalling_nan_is_no_extreme(self, dtype):
+        """A signalling NaN hides no value of its row from the extremes (as
+        fmin would, dropping the values before it) and raises no warning."""
+        rows = np.array([[np.nan, 0.0, 5.0], [5.0, np.nan, 0.0], [np.nan] * 3,
+                         [np.nan, -2.0, 3.0]], dtype)
+        bits = rows[:3].view(np.uint32 if dtype == np.float32 else np.uint64)
+        bits[np.isnan(rows[:3])] = 0x7f810000 if dtype == np.float32 else 0x7ff0000000000001
+        assert np.isnan(rows).sum() == 6
+        channels = [make_channel(GdfType.FLOAT32 if dtype == np.float32 else GdfType.FLOAT64,
+                                 spr=3, dig=(-1.0, 1.0)) for _ in rows]
+        block = decode_records(rows.tobytes(), layout_from_channels(channels), 1)
+        got = [(r.n_invalid, r.raw_min, r.raw_max) for r in overflow_scan(block, channels)]
+        assert got == [(2, 0.0, 5.0), (2, 0.0, 5.0), (3, None, None), (3, -2.0, 3.0)]
+
     def test_sparse_channel_empty_report(self):
         ch = make_channel(GdfType.UINT32, spr=0)
         block = SignalBlock([None], 3)
