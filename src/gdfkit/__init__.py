@@ -9,7 +9,6 @@ from .core import (
     impedance_from_digval,
     impedance_to_digval,
     type_info,
-    type_size,
 )
 from .diagnostics import Diagnostic, Diagnostics, Severity
 from .errors import (
@@ -26,7 +25,6 @@ from .events import (
     EventCodeRegistry,
     EventTable,
     convert_mode,
-    describe_event,
     event_table_position,
     extract_sparse_samples,
     pair_mode1_events,
@@ -54,11 +52,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Calibration", "GdfTime", "GdfType", "IMPEDANCE_UNDEFINED",
     "TIME_RESOLUTION_S", "impedance_from_digval", "impedance_to_digval",
-    "type_info", "type_size",
+    "type_info",
     "Diagnostic", "Diagnostics", "Severity",
     "CapacityError", "DiagnosticError", "DomainError", "FormatError",
     "GdfError", "StructureError", "TruncatedDataError", "VersionError",
-    "EventCodeRegistry", "EventTable", "convert_mode", "describe_event",
+    "EventCodeRegistry", "EventTable", "convert_mode",
     "event_table_position", "extract_sparse_samples", "pair_mode1_events",
     "GdfFile", "StreamWriter", "anonymize", "read_file", "read_window",
     "to_bytes", "validate", "write_file",

@@ -445,6 +445,8 @@ def _positive_fraction(text: str, what: str) -> Fraction:
         value = 0
     if value <= 0:
         raise GdfError(f"{what}: {text!r} is not a positive rational number")
+    if max(value.numerator, value.denominator) >> 32:  # the duration fields are uint32
+        raise GdfError(f"{what}: {text!r} needs a numerator or denominator beyond 32 bits")
     return value
 
 

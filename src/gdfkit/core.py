@@ -182,11 +182,6 @@ def type_info(code: int) -> TypeInfo:
         raise DomainError(f"unsupported data type code {code}", rule="channel.type_unknown") from None
 
 
-def type_size(code: int) -> int:
-    """Bytes one sample of this type occupies on disk."""
-    return type_info(code).size
-
-
 def is_known_type(code: int) -> bool:
     return code in _TYPES
 
@@ -269,6 +264,16 @@ def impedance_from_digval(digval: int) -> float | None:
     return 2.0 ** (digval / 8)
 
 
+def _quote(value, form=repr) -> str:
+    """``form(value)``; an int too long for Python to print, by its size."""
+    try:
+        return form(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
+
+
 def checked_cast(values, dtype, label: str) -> np.ndarray:
     """``values`` (a scalar, a sequence or an array) as ``dtype``.
 
@@ -298,17 +303,17 @@ def checked_cast(values, dtype, label: str) -> np.ndarray:
             if not scalar:  # the first row with a lost value
                 i = np.argwhere(lost)[0][0]
                 value = values.tolist()[i] if isinstance(values, np.ndarray) else values[i]
-                raise DomainError(f"{label.format(i)} cannot hold {value!r} ({dtype})")
+                raise DomainError(f"{label.format(i)} cannot hold {_quote(value)} ({dtype})")
     except (TypeError, ValueError, OverflowError):  # not a number, or uneven rows
         pass
     if scalar:  # quote the value, not a 0-d array or numpy scalar around it
         value = values.tolist() if isinstance(values, (np.ndarray, np.generic)) else values
-        raise DomainError(f"{label} cannot hold {value!r} ({dtype})")
+        raise DomainError(f"{label} cannot hold {_quote(value)} ({dtype})")
     for i, value in enumerate(values.tolist() if isinstance(values, np.ndarray) else values):
         try:  # a value numpy cannot cast: the first item that fails alone
             checked_cast(value, dtype, label)
         except DomainError:
-            raise DomainError(f"{label.format(i)} cannot hold {value!r} ({dtype})") from None
+            raise DomainError(f"{label.format(i)} cannot hold {_quote(value)} ({dtype})") from None
     raise DomainError(f"{label.format('')}: values of uneven shape")
 
 
@@ -324,5 +329,5 @@ def float32_exact(value: float, name: str) -> float:
             pass
     stored = checked_cast(value, "<f4", name)
     if stored.ndim:
-        raise DomainError(f"{name} cannot hold {value!r} (float32)")
+        raise DomainError(f"{name} cannot hold {_quote(value)} (float32)")
     return stored.item()

@@ -142,13 +142,6 @@ class EventCodeRegistry:
         return known if known is not None else f"user-defined (0x{code:04X})"
 
 
-_DEFAULT_REGISTRY = EventCodeRegistry()
-
-
-def describe_event(code: int, registry: EventCodeRegistry | None = None) -> str:
-    return (registry or _DEFAULT_REGISTRY).describe(code)
-
-
 # The on-disk columns of an event table in file order; a table of mode m
 # stores the first m + 1 of them.
 _COLUMNS = (("pos", "<u4"), ("typ", "<u2"), ("chn", "<u2"), ("dur", "<u4"))
@@ -203,10 +196,6 @@ class EventTable:
                       or (np.isnan(self.sample_rate_hz) and np.isnan(other.sample_rate_hz)))
         return rate_equal and all(np.array_equal(getattr(self, name), getattr(other, name))
                                   for name, _ in _COLUMNS[:self.mode + 1])
-
-    @classmethod
-    def empty(cls, mode: int = 1, sample_rate_hz: float = 0.0) -> "EventTable":
-        return cls(mode, sample_rate_hz, [], [])
 
 
 def event_table_size(mode: int, n_events: int) -> int:

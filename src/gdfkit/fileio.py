@@ -26,7 +26,7 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from . import tlv as tlvmod
-from .core import GdfTime
+from .core import GdfTime, _quote
 from .diagnostics import Diagnostics, Severity
 from .errors import DiagnosticError, DomainError, GdfError, StructureError, TruncatedDataError
 from .events import (
@@ -101,16 +101,17 @@ def _check_geometry(f: GdfFile, diags: Diagnostics) -> int:
         diags.error("header.ns_range", f"{ns} channels exceed the 16-bit channel count",
                     section="header1", offset=_FIXED_OFFSETS["ns"])
     if h.ns not in (0, ns):
-        diags.error("header.ns_mismatch", f"header says {h.ns} channels, model has {ns}",
+        diags.error("header.ns_mismatch",
+                    f"header says {_quote(h.ns, str)} channels, model has {ns}",
                     section="header1", offset=_FIXED_OFFSETS["ns"])
     blocks = h.header_blocks or required_header_blocks(ns, f.tlv)
     if blocks < ns + 1:
         diags.error("header.blocks_too_small",
-                    f"header length {blocks} blocks is less than NS+1 = {ns + 1}",
+                    f"header length {_quote(blocks, str)} blocks is less than NS+1 = {ns + 1}",
                     section="header1", offset=_FIXED_OFFSETS["header_blocks"])
     elif blocks > 0xFFFF:
-        diags.error("header.blocks_range", f"header length {blocks} blocks exceeds the "
-                    "16-bit header_blocks field", section="header1",
+        diags.error("header.blocks_range", f"header length {_quote(blocks, str)} blocks "
+                    "exceeds the 16-bit header_blocks field", section="header1",
                     offset=_FIXED_OFFSETS["header_blocks"])
     elif tlvmod.serialized_size(f.tlv) > 256 * (blocks - ns - 1):
         diags.error("header.tlv_overflow", f"{blocks - ns - 1} optional-header blocks "
@@ -122,7 +123,7 @@ def _check_geometry(f: GdfFile, diags: Diagnostics) -> int:
                         section="header3")
         seen.add(e.tag)
     if h.n_records < -1:
-        diags.error("header.nrec_invalid", f"record count {h.n_records} is invalid",
+        diags.error("header.nrec_invalid", f"record count {_quote(h.n_records, str)} is invalid",
                     section="header1", offset=_FIXED_OFFSETS["n_records"])
     elif h.n_records == -1:
         if f.events is not None:
@@ -132,7 +133,7 @@ def _check_geometry(f: GdfFile, diags: Diagnostics) -> int:
     elif f.signals.n_records != h.n_records:
         diags.error("data.length_mismatch",
                     f"signal block holds {f.signals.n_records} records, header "
-                    f"says {h.n_records}", section="data")
+                    f"says {_quote(h.n_records, str)}", section="data")
     return blocks
 
 

@@ -22,7 +22,7 @@ from operator import attrgetter, itemgetter
 import numpy as np
 
 from . import units
-from .core import (Calibration, GdfTime, GdfType, checked_cast, float32_exact,
+from .core import (Calibration, GdfTime, GdfType, _quote, checked_cast, float32_exact,
                    impedance_from_digval, is_known_type, type_info)
 from .diagnostics import Diagnostics, sink
 from .errors import DomainError, FormatError, StructureError, VersionError
@@ -78,7 +78,7 @@ def _two_bit_fields(**fields: int) -> int:
     byte = 0
     for shift, (name, value) in zip((0, 2, 4, 6), fields.items()):
         if not 0 <= value <= 3:
-            raise DomainError(f"{name} cannot hold {value!r} (two bits, 0..3)")
+            raise DomainError(f"{name} cannot hold {_quote(value)} (two bits, 0..3)")
         byte |= int(value) << shift
     return byte
 
@@ -112,7 +112,7 @@ def _triple(values, name: str) -> tuple:
     try:
         values = tuple(values)
     except TypeError:  # a scalar or None
-        raise DomainError(f"{name} needs 3 values, got {values!r}") from None
+        raise DomainError(f"{name} needs 3 values, got {_quote(values)}") from None
     if len(values) != 3:
         raise DomainError(f"{name} needs 3 values, got {len(values)}")
     return values
@@ -186,10 +186,6 @@ class PatientInfo:
         parts += ["X"] * (3 - len(parts))
         return (parts[0] or "X", parts[1] or "X", parts[2] or "X")
 
-    @property
-    def name(self) -> str:
-        return self.pid_subfields()[1]
-
 
 @dataclass(frozen=True)
 class RecordingInfo:
@@ -247,8 +243,7 @@ class ChannelInfo:
     ``samples_per_record == 0`` marks a sparse (non-equidistantly sampled)
     channel whose samples live in the event table. ``sensor_info`` is the raw
     20-byte sensor-specific area; its first four bytes hold a float32 whose
-    meaning depends on the unit (see :func:`electrode_impedance` and
-    :func:`probe_frequency`).
+    meaning depends on the unit (see :func:`sensor_readings`).
     """
 
     label: str = ""
@@ -283,10 +278,6 @@ class ChannelInfo:
     def is_sparse(self) -> bool:
         return self.samples_per_record == 0
 
-    def sampling_rate(self, duration_num: int, duration_den: int) -> float:
-        """Samples per second given the file's record duration."""
-        return sampling_rate(self.samples_per_record, duration_num, duration_den)
-
 
 def sampling_rate(samples_per_record: int, duration_num: int, duration_den: int) -> float:
     """Samples per second of a channel; 0 for a sparse channel."""
@@ -303,9 +294,11 @@ def sensor_value_bytes(value: float | None) -> bytes:
 
 def sensor_readings(channels: Sequence[ChannelInfo], version_minor: int = 20
                     ) -> tuple[list[float | None], list[float | None]]:
-    """Each channel's electrode impedance in Ohm and probe frequency in Hz,
-    None where the channel does not record one (see :func:`electrode_impedance`
-    and :func:`probe_frequency`), from columns."""
+    """Each channel's electrode impedance in Ohm (a voltage channel) and probe
+    frequency in Hz (an impedance channel), None where the channel does not
+    record one, from columns. Files older than v2.19 store the impedance as a
+    one-byte logarithmic code instead of the float32; pass the file's minor
+    version to decode those correctly."""
     sensors = channel_column(channels, "sensor_info")
     if version_minor < 19:
         return [impedance_from_digval(s[0]) for s in sensors], [None] * len(sensors)
@@ -315,20 +308,6 @@ def sensor_readings(channels: Sequence[ChannelInfo], version_minor: int = 20
     def where(base):
         return [v if u == base and v == v else None for v, u in zip(values, unit)]
     return where(units.VOLT), where(units.OHM)
-
-
-def electrode_impedance(ch: ChannelInfo, version_minor: int = 20) -> float | None:
-    """Electrode impedance in Ohm, if the channel records a voltage.
-
-    Files older than v2.19 store a one-byte logarithmic code instead of the
-    float32; pass the file's minor version to decode those correctly.
-    """
-    return sensor_readings([ch], version_minor)[0][0]
-
-
-def probe_frequency(ch: ChannelInfo, version_minor: int = 20) -> float | None:
-    """Probe frequency in Hz, if the channel records an impedance."""
-    return sensor_readings([ch], version_minor)[1][0]
 
 
 def render_phys_dim_ascii(code: int) -> str:
@@ -372,26 +351,32 @@ _LOCATION = np.dtype([
     ("version", "u1"), ("latitude", "<i4"), ("longitude", "<i4"), ("altitude_cm", "<i4"),
 ])
 
-#: One channel's 256 bytes. The variable header stores them transposed
-#: (struct-of-arrays): the column of a field holds its value for every
-#: channel, so the section is one record whose fields are ``(ns,)`` columns.
+#: One channel's 256 bytes as (field, dtype, ChannelInfo attribute) rows. The
+#: variable header stores them transposed (struct-of-arrays): one record whose
+#: fields are ``(ns,)`` columns, each holding a field of every channel.
 _CHANNEL_FIELDS = (
-    ("label", "S16"), ("transducer", "S80"), ("unit text", "S6"),
-    ("phys_dim", "<u2"), ("phys_min", "<f8"), ("phys_max", "<f8"),
-    ("dig_min", "<f8"), ("dig_max", "<f8"), ("prefilter", "S68"),
-    ("lowpass", "<f4"), ("highpass", "<f4"), ("notch", "<f4"),
-    ("samples_per_record", "<u4"), ("type", "<u4"), ("position", "3<f4"),
-    ("sensor", "V20"),
+    ("label", "S16", "label"), ("transducer", "S80", "transducer"),
+    ("unit text", "S6", "phys_dim_ascii"), ("phys_dim", "<u2", "phys_dim"),
+    ("phys_min", "<f8", "cal.phys_min"), ("phys_max", "<f8", "cal.phys_max"),
+    ("dig_min", "<f8", "cal.dig_min"), ("dig_max", "<f8", "cal.dig_max"),
+    ("prefilter", "S68", "prefilter"), ("lowpass", "<f4", "lowpass_hz"),
+    ("highpass", "<f4", "highpass_hz"), ("notch", "<f4", "notch_hz"),
+    ("samples_per_record", "<u4", "samples_per_record"), ("type", "<u4", "gdf_type"),
+    ("position", "3<f4", "position"), ("sensor", "V20", "sensor_info"),
 )
 # before v2.19 the sensor area holds a 1-byte column and a 19-byte column
-_LEGACY_CHANNEL_FIELDS = _CHANNEL_FIELDS[:-1] + (("sensor", "V1"), ("sensor tail", "V19"))
+_LEGACY_CHANNEL_FIELDS = _CHANNEL_FIELDS[:-1] + (("sensor", "V1", "sensor_info"),
+                                                 ("sensor tail", "V19", None))
+#: The field that holds each ChannelInfo attribute, in file order.
+_FIELD_OF = {attr: name for name, _, attr in _CHANNEL_FIELDS}
 
 
 @functools.lru_cache
 def _variable_header(ns: int, legacy: bool) -> np.dtype:
     """The variable header of ``ns`` channels as one record of columns."""
     fields = _LEGACY_CHANNEL_FIELDS if legacy else _CHANNEL_FIELDS
-    return np.dtype([(name, np.dtype(t).base, (ns, *np.dtype(t).shape)) for name, t in fields])
+    return np.dtype([(name, np.dtype(t).base, (ns, *np.dtype(t).shape))
+                     for name, t, _ in fields])
 
 
 # --- field helpers -----------------------------------------------------------
@@ -439,7 +424,7 @@ def _cast(values, dtype: np.dtype, label: str) -> np.ndarray:
     if column is not None and column.dtype.kind not in "biu":
         for i, value in enumerate(values if column.ndim else [values]):
             if not hasattr(value, "__index__"):
-                raise DomainError(f"{label.format(i)} cannot hold {value!r} ({dtype})")
+                raise DomainError(f"{label.format(i)} cannot hold {_quote(value)} ({dtype})")
             checked_cast(value, dtype, label.format(i))  # an earlier bad integer first
     return checked_cast(values if column is None else column, dtype, label)
 
@@ -616,14 +601,6 @@ def write_fixed_header(h: FixedHeader) -> bytes:
 
 # --- variable header ---------------------------------------------------------
 
-#: The ChannelInfo attribute each variable-header field holds, in file order.
-_ATTRS = ("label", "transducer", "phys_dim_ascii", "phys_dim", "cal.phys_min", "cal.phys_max",
-          "cal.dig_min", "cal.dig_max", "prefilter", "lowpass_hz", "highpass_hz", "notch_hz",
-          "samples_per_record", "gdf_type", "position", "sensor_info")
-_FIELD_OF = dict(zip(_ATTRS, (name for name, _ in _CHANNEL_FIELDS)))
-_CALIBRATION = ("phys_min", "phys_max", "dig_min", "dig_max")
-
-
 class ChannelTable(Sequence[ChannelInfo]):
     """The variable header of a file that was read: one record of ``(ns,)``
     columns over an owned copy of its ``256 * ns`` bytes, normalised as
@@ -672,8 +649,8 @@ class ChannelTable(Sequence[ChannelInfo]):
     def _column(self, attr: str, rows: slice = slice(None)) -> list:
         """The values ChannelInfo's ``attr`` holds for ``rows``."""
         if attr == "cal":
-            return list(map(Calibration, *(self._column(f"cal.{name}", rows)
-                                           for name in _CALIBRATION)))
+            return list(map(Calibration, *(self._column(a, rows) for a in _FIELD_OF
+                                           if a.startswith("cal."))))
         name = _FIELD_OF[attr]
         values = self._record[name][rows]
         kind = values.dtype.kind
@@ -689,7 +666,7 @@ class ChannelTable(Sequence[ChannelInfo]):
         return values.tolist()
 
     def _channels(self, rows: slice) -> list[ChannelInfo]:
-        columns = [self._column(attr, rows) for attr in _ATTRS]
+        columns = [self._column(attr, rows) for attr in _FIELD_OF]
         return [ChannelInfo(*row[:4], Calibration(*row[4:8]), *row[8:])  # fields in file order
                 for row in zip(*columns)]
 
@@ -829,7 +806,7 @@ def _rule_findings(diags: Diagnostics, types: np.ndarray, spr: np.ndarray,
         return _TYPE_INFO[index[i]].name
 
     def value(column, i):  # a Python number, as ChannelInfo holds it
-        return column[i:i + 1].tolist()[0]
+        return _quote(column[i:i + 1].tolist()[0], str)
     return [
         (exceed, lambda i: diags.error(
             "channel.dig_bounds_exceed_type", f"channel {i}: digital bounds [{value(dig_min, i)}, "
@@ -844,7 +821,7 @@ def _rule_findings(diags: Diagnostics, types: np.ndarray, spr: np.ndarray,
             f"channel {i}: sparse channel type {name(i)} exceeds 32 bits", section="header2")),
         (~valid, lambda i: diags.error(
             "channel.physdim_invalid",
-            f"channel {i}: unit code {codes[i]!r} is not an integer in 0..65535",
+            f"channel {i}: unit code {_quote(codes[i])} is not an integer in 0..65535",
             section="header2")),
         (nonstandard, lambda i: diags.warning(
             "channel.physdim_nonstandard_prefix", f"channel {i}: unit code {codes[i]} uses "

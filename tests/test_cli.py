@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gdfkit import cli
@@ -24,8 +24,8 @@ from gdfkit.core import Calibration, GdfType, type_info
 from gdfkit.errors import GdfError
 from gdfkit.fileio import GdfFile, read_file, to_bytes, write_file
 from gdfkit.events import EventTable
-from gdfkit.header import (ChannelInfo, FixedHeader, Location, RecordingInfo,
-                           electrode_impedance, probe_frequency, sensor_value_bytes)
+from gdfkit.header import (ChannelInfo, FixedHeader, Location, RecordingInfo, sampling_rate,
+                           sensor_readings, sensor_value_bytes)
 from gdfkit.records import SignalBlock, overflow_scan
 from gdfkit.synth import corpus_specs, synthesize
 from gdfkit.units import unit_symbol
@@ -286,8 +286,16 @@ def test_cut_file_exit_codes(tmp_path, capsys, monkeypatch):
     (["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @0Hz\n1\n"}, "@0Hz"),
     (["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @abcHz\n1\n"}, "@abcHz"),
     (["synthesize", "out.gdf", "--duration", "abc"], {}, "--duration: 'abc'"),
+    # a numerator or denominator beyond the 32-bit duration fields
+    (["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @1e-5000Hz\n1\n2\n"}, "'1e-5000'"),
+    (["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @1e5000Hz\n1\n2\n"}, "'1e5000'"),
+    (["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @4294967296Hz\n1\n2\n"},
+     "'4294967296'"),
+    (["synthesize", "out.gdf", "--duration", "1e5000"], {}, "--duration: '1e5000'"),
+    (["synthesize", "out.gdf", "--duration", "1e-5000"], {}, "--duration: '1e-5000'"),
 ], ids=["sidecar-pos", "sidecar-pos-negative", "sidecar-pos-wide", "sidecar-typ-wide",
-        "csv-cell", "zero-rate", "bad-rate", "duration"])
+        "csv-cell", "zero-rate", "bad-rate", "duration", "rate-tiny", "rate-huge",
+        "rate-33-bits", "duration-huge", "duration-tiny"])
 def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, files, names):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -295,6 +303,74 @@ def test_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv, files, names):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ") and names in err
+
+
+# --- CLI inputs fuzzed: every call exits 0, 1 or 2 ---------------------------
+
+_NUMBER_TEXTS = st.one_of(
+    st.integers(-3, 10**10).map(str),
+    st.builds("{}e{}".format, st.sampled_from(["1", "2.5", "-1", "0", ".5"]),
+              st.integers(-5000, 5000)),
+    st.builds("{}/{}".format, st.integers(-1, 10**10), st.integers(0, 10**10)),
+    st.text(st.sampled_from("0123456789.e-+/_ "), max_size=6),
+)
+# up to 5000 digits: more than Python converts between int and text
+_DIGIT_TEXTS = st.builds("{}{}".format, st.sampled_from(["", "-", "+", "0x"]),
+                         st.integers(1, 5000).map("9".__mul__))
+# each drawn text is as often plain as mutated, so that some files convert
+_CSV_HEADERS = st.builds(
+    str.format, st.sampled_from(["{} [{}] @{}Hz"] * 4 + ["{} [{}] @{}", "{} [{}] {}Hz",
+                                                          "{} {} @{}Hz", "{} [{}]] @{}Hz"]),
+    st.sampled_from(["a", "b c"]) | st.text(st.sampled_from("a ,[]@"), max_size=4),
+    st.sampled_from(["uV", "", "mV", "K", "[", "]"]),
+    st.sampled_from(["1", "2", "0.5"]) | _NUMBER_TEXTS)
+_CSV_CELLS = st.one_of(
+    st.sampled_from(["", " ", "nan", "inf", "-inf", "1", "-2.5", "1e308", "x"]),
+    st.integers(-2**64, 2**64).map(str), st.floats().map(repr), _DIGIT_TEXTS, _NUMBER_TEXTS)
+_EVENT_CELLS = st.sampled_from(["1", "2", "0x0300", "0x8300", "0x7fff"]) | st.one_of(
+    st.sampled_from(["", "pos", "abc"]), _DIGIT_TEXTS, _NUMBER_TEXTS)
+
+
+def _csv_text(rows) -> str:
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+_CLI_CASES = st.one_of(
+    st.builds(lambda headers, rows, sidecar, type_, raw: (
+        ["convert", "in.csv", "out.gdf", "--type", type_] + ["--raw"] * raw,
+        {"in.csv": _csv_text([headers, *rows])}
+        | ({} if sidecar is None else {"in.events.csv": _csv_text(sidecar)})),
+        st.lists(_CSV_HEADERS, min_size=1, max_size=3),
+        st.lists(st.lists(_CSV_CELLS, max_size=3), min_size=1, max_size=5),
+        st.none() | st.lists(st.lists(_EVENT_CELLS, min_size=2, max_size=4), max_size=3),
+        st.sampled_from([t.name.lower() for t in GdfType]), st.booleans()),
+    st.builds(lambda duration: (["synthesize", "out.gdf", f"--duration={duration}",
+                                 "--channels", "2", "--records", "2", "--spr", "2"], {}),
+              _NUMBER_TEXTS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CLI_CASES)
+@example((["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @1e-5000Hz\n1\n2\n"}))
+@example((["convert", "in.csv", "out.gdf"], {"in.csv": "a [uV] @1e5000Hz\n1\n2\n"}))
+@example((["synthesize", "out.gdf", "--duration=1e5000"], {}))
+@example((["synthesize", "out.gdf", "--duration=1e-5000"], {}))
+def test_cli_inputs_exit_0_1_or_2(case):
+    """Mutated CSVs and event sidecars through ``convert`` with every
+    ``--type``, and rational texts through ``synthesize --duration``: each
+    call returns 0, 1 or 2, lets no exception out and raises no warning."""
+    argv, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        argv = [str(Path(tmp, arg)) if arg in ("in.csv", "out.gdf") else arg for arg in argv]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
 
 
 class TestConvertCsv:
@@ -516,7 +592,8 @@ def _ref_convert_gdf_to_csv(f: GdfFile, args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([
             _ref_column_header(f.channels[i],
-                               f.channels[i].sampling_rate(h.duration_num, h.duration_den))
+                               sampling_rate(f.channels[i].samples_per_record,
+                                             h.duration_num, h.duration_den))
             for i in exported])
         for row in range(n_rows):
             writer.writerow([c[row] if row < len(c) else "" for c in columns])
@@ -768,7 +845,8 @@ def _ref_inspect_lines(f: GdfFile) -> list[tuple[str, str]]:
             (f"{key}.unit_code", str(ch.phys_dim)),
             (f"{key}.type", type_info(ch.gdf_type).name),
             (f"{key}.samples_per_record", str(ch.samples_per_record)),
-            (f"{key}.rate_hz", f"{ch.sampling_rate(h.duration_num, h.duration_den):g}"),
+            (f"{key}.rate_hz",
+             f"{sampling_rate(ch.samples_per_record, h.duration_num, h.duration_den):g}"),
             (f"{key}.phys_range", f"{ch.cal.phys_min:g}..{ch.cal.phys_max:g}"),
             (f"{key}.dig_range", f"{ch.cal.dig_min:g}..{ch.cal.dig_max:g}"),
             (f"{key}.lowpass_hz", "unknown" if ch.lowpass_hz is None else f"{ch.lowpass_hz:g}"),
@@ -777,8 +855,9 @@ def _ref_inspect_lines(f: GdfFile) -> list[tuple[str, str]]:
              else "off" if ch.notch_hz < 0 else f"{ch.notch_hz:g}"),
             (f"{key}.position", ",".join(f"{v:g}" for v in ch.position)),
         ]
-        for name, value in (("impedance_ohm", electrode_impedance(ch, h.version_minor)),
-                            ("probe_frequency_hz", probe_frequency(ch, h.version_minor))):
+        for name, value in (("impedance_ohm", sensor_readings([ch], h.version_minor)[0][0]),
+                            ("probe_frequency_hz",
+                             sensor_readings([ch], h.version_minor)[1][0])):
             if value is not None:
                 out.append((f"{key}.{name}", f"{value:g}"))
     for i, e in enumerate(f.tlv):

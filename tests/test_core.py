@@ -20,7 +20,6 @@ from gdfkit.core import (
     impedance_to_digval,
     is_known_type,
     type_info,
-    type_size,
 )
 from gdfkit.errors import DomainError
 
@@ -125,7 +124,7 @@ class TestGdfType:
         (GdfType.INT24, 3), (GdfType.UINT24, 3),
     ])
     def test_sizes(self, code, size):
-        assert type_size(code) == size
+        assert type_info(code).size == size
 
     def test_int24_range(self):
         info = type_info(GdfType.INT24)
@@ -137,7 +136,7 @@ class TestGdfType:
         for code in (0, 9, 15, 19, 100, 278, 280, 534, 536, 1000):
             assert not is_known_type(code)
             with pytest.raises(DomainError):
-                type_size(code)
+                type_info(code).size
 
     def test_float128_is_opaque(self):
         info = type_info(GdfType.FLOAT128)
@@ -269,6 +268,14 @@ class TestCheckedCast:
         ([1, 10**40], "<f4", f"x[1] cannot hold {10**40} (float32)"),
         # numpy truncates the object to 1; naming it raised AttributeError
         (np.array([1.5], object), "<i2", "x[0] cannot hold 1.5 (int16)"),
+        # 5000 digits, more than Python prints: quoted by size
+        pytest.param(10**4999, "<u4", "x cannot hold an integer of 16607 bits (uint32)",
+                     id="int-5000-digits"),
+        pytest.param([1, -10**4999], "<f4",
+                     "x[1] cannot hold an integer of 16607 bits (float32)", id="list-5000-digits"),
+        pytest.param([[1], [10**4999]], "<u4",
+                     "x[1] cannot hold a list holding an integer too long to print (uint32)",
+                     id="nested-5000-digits"),
     ])
     def test_bad_value_named(self, values, dtype, message):
         label = "x" if np.ndim(values) == 0 else "x[{}]"

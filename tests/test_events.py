@@ -24,7 +24,6 @@ from gdfkit.events import (
     _sparse_layout,
     _usable_sparse_rows,
     convert_mode,
-    describe_event,
     default_event_rate,
     dur_from_sparse_value,
     event_table_position,
@@ -65,14 +64,14 @@ class TestPosition:
 
 class TestSerialization:
     def test_empty_mode1_is_8_bytes(self):
-        data = write_event_table(EventTable.empty(1, 100.0))
+        data = write_event_table(EventTable(1, 100.0, [], []))
         assert len(data) == 8
         assert data[0] == 1
         parsed = parse_event_table(data)
         assert parsed.n_events == 0
 
     def test_empty_mode3_is_8_bytes(self):
-        assert len(write_event_table(EventTable.empty(3, 100.0))) == 8
+        assert len(write_event_table(EventTable(3, 100.0, [], []))) == 8
 
     def test_mode3_two_events_is_32_bytes(self):
         t = mode3([1, 5], [0x0300, 0x0411], [0, 2], [0, 100])
@@ -102,7 +101,7 @@ class TestSerialization:
         assert t.times_seconds()[0] == 0.0
 
     def test_bad_mode(self):
-        data = bytearray(write_event_table(EventTable.empty(1, 1.0)))
+        data = bytearray(write_event_table(EventTable(1, 1.0, [], [])))
         data[0] = 2
         with pytest.raises(StructureError):
             parse_event_table(bytes(data))
@@ -729,7 +728,7 @@ class TestSparseAgainstReference:
             st.integers(1, (1 << 32) - 1),
             st.sampled_from([SPARSE_SAMPLE_TYPE] * 3 + [0x0300]),
             st.integers(0, len(channels) + 1), _WORDS), max_size=30))
-        t = mode3(*zip(*rows)) if rows else EventTable.empty(3, 256.0)
+        t = mode3(*zip(*rows)) if rows else EventTable(3, 256.0, [], [])
         want_diags, got_diags = Diagnostics(), Diagnostics()
         want = _attempt(_ref_extract, t, channels, want_diags)
         got = _attempt(extract_sparse_samples, t, channels, got_diags)
@@ -816,19 +815,19 @@ def test_extract_degenerate_channel_without_samples():
 
 class TestRegistry:
     def test_builtin_codes(self):
-        assert describe_event(0x0300) == "Trigger, start of Trial (unspecific)"
-        assert describe_event(0x0000) == "No event"
-        assert describe_event(0x7FFF) == "non-equidistant sampled value"
+        assert EventCodeRegistry().describe(0x0300) == "Trigger, start of Trial (unspecific)"
+        assert EventCodeRegistry().describe(0x0000) == "No event"
+        assert EventCodeRegistry().describe(0x7FFF) == "non-equidistant sampled value"
 
     def test_end_flag(self):
-        assert describe_event(0x8101) == "end of: artifact:EOG"
-        assert describe_event(0x8411) == "end of: Stage 1"
+        assert EventCodeRegistry().describe(0x8101) == "end of: artifact:EOG"
+        assert EventCodeRegistry().describe(0x8411) == "end of: Stage 1"
         # pairing ends code 0x0000 with 0x8000, so it is described as that end
-        assert describe_event(0x8000) == "end of: No event"
+        assert EventCodeRegistry().describe(0x8000) == "end of: No event"
         assert EventCodeRegistry({0x8000: "mine"}).describe(0x8000) == "end of: No event"
 
     def test_unknown(self):
-        assert describe_event(0x0223) == "user-defined (0x0223)"
+        assert EventCodeRegistry().describe(0x0223) == "user-defined (0x0223)"
 
     def test_user_entries_shadow(self):
         reg = EventCodeRegistry({0x0300: "my trigger"})

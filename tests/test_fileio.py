@@ -43,6 +43,8 @@ GEOMETRY_RULES = ("header.ns_range", "header.ns_mismatch", "header.blocks_too_sm
                   "header.blocks_range", "header.tlv_overflow", "tlv.duplicate_tag",
                   "header.nrec_invalid", "event.with_ongoing", "data.length_mismatch")
 SWEEP_BASES = ("events_mode1", "sparse_mode3", "tlv_full", "exactly_full")
+# 5000 digits, more than Python prints (sys.get_int_max_str_digits), and its size
+LONG_INT, LONG_INT_SIZE = 10**4999, "an integer of 16607 bits"
 
 # one fixed-header value outside its field's struct range, by field name
 FIXED_FIELD_EDITS = {
@@ -275,7 +277,7 @@ class TestNRecUnknown:
         samples = np.zeros(64, np.uint8)
         samples[48:52] = [1, 0, 0, 0]
         f = GdfFile(header=FixedHeader(n_records=4), channels=[ch],
-                    signals=SignalBlock([samples], 4), events=EventTable.empty(1, 8.0))
+                    signals=SignalBlock([samples], 4), events=EventTable(1, 8.0, [], []))
         blob = to_bytes(f)
         record3 = 512 + 3 * 16
         for cut in [record3 + 12] + list(range(record3, record3 + 16)):
@@ -411,6 +413,41 @@ class TestWriteValidation:
         with pytest.raises(DomainError, match=rf"{field}\[1\] cannot hold {value} "):
             StreamWriter(sink, f.header, channels)
         assert sink.getvalue() == b""
+
+    @pytest.mark.parametrize("f, finding, error", [
+        pytest.param(GdfFile(header=FixedHeader(duration_num=LONG_INT)), None,
+                     f"duration cannot hold {LONG_INT_SIZE} (uint32)", id="duration"),
+        pytest.param(GdfFile(header=FixedHeader(n_records=-LONG_INT)),
+                     f"record count {LONG_INT_SIZE} is invalid", None, id="n_records"),
+        pytest.param(GdfFile(header=FixedHeader(ns=LONG_INT)),
+                     f"header says {LONG_INT_SIZE} channels, model has 0", None, id="ns"),
+        pytest.param(GdfFile(header=FixedHeader(header_blocks=-LONG_INT)),
+                     f"header length {LONG_INT_SIZE} blocks is less than NS+1 = 1", None,
+                     id="header_blocks"),
+        pytest.param(GdfFile(channels=[ChannelInfo(phys_dim=LONG_INT)]),
+                     f"channel 0: unit code {LONG_INT_SIZE} is not an integer in 0..65535",
+                     f"phys_dim[0] cannot hold {LONG_INT_SIZE} (uint16)", id="phys_dim"),
+        pytest.param(GdfFile(channels=[ChannelInfo(cal=Calibration(dig_min=-LONG_INT))]),
+                     f"channel 0: digital bounds [{LONG_INT_SIZE}, 32767.0] exceed the "
+                     "int16 range", f"dig_min[0] cannot hold {LONG_INT_SIZE} (float64)",
+                     id="dig_min"),
+        pytest.param(GdfFile(header=FixedHeader(n_records=1), channels=[ChannelInfo()],
+                             signals=SignalBlock([[LONG_INT]], 1)), None,
+                     f"channel 0 cannot hold {LONG_INT_SIZE} (int16)", id="sample"),
+    ])
+    def test_int_too_long_to_print_named_by_size(self, f, finding, error):
+        """An int with more digits than Python prints is quoted by its size:
+        validate returns its finding, and to_bytes and StreamWriter raise a
+        DomainError, a layout rule's with the finding's message."""
+        assert [d.message for d in validate(f)] == ([finding] if finding else [])
+        with pytest.raises(DomainError) as exc:
+            to_bytes(f)
+        assert str(exc.value) == (error or finding)
+        if f.signals.n_records:  # a record to stream
+            writer = StreamWriter(io.BytesIO(), f.header, f.channels)
+            with pytest.raises(DomainError) as exc:
+                writer.append_record(f.signals.samples)
+            assert str(exc.value) == error
 
 
 class TestStreamWriter:
@@ -693,7 +730,7 @@ class TestAnonymize:
 def test_legacy_version_file_round_trip():
     """A pre-2.19 file keeps its version tag and its one-byte impedance
     sensor layout through a read/write cycle."""
-    from gdfkit.header import electrode_impedance
+    from gdfkit.header import sensor_readings
 
     f = synthesize(SynthSpec(channels=2, records=3, events=0, seed=50))
     legacy_channels = [
@@ -712,7 +749,7 @@ def test_legacy_version_file_round_trip():
     assert not diags.has_errors
     assert back.header.version == "GDF 2.10"
     assert back.channels == legacy_channels
-    assert electrode_impedance(back.channels[0], back.header.version_minor) \
+    assert sensor_readings([back.channels[0]], back.header.version_minor)[0][0] \
         == pytest.approx(2 ** (96 / 8))
     assert to_bytes(back) == blob
 

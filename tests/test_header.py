@@ -36,15 +36,14 @@ from gdfkit.header import (
     RecordingInfo,
     TriState,
     VisualImpairment,
-    electrode_impedance,
     pack_demographics,
     pack_physio,
     parse_channel_headers,
     parse_fixed_header,
     parse_location,
-    probe_frequency,
     render_phys_dim_ascii,
     render_prefilter,
+    sensor_readings,
     sensor_value_bytes,
     unpack_demographics,
     unpack_physio,
@@ -244,7 +243,7 @@ class TestFixedHeader:
     def test_pid_subfields(self):
         p = PatientInfo(pid="P123 Doe M45")
         assert p.pid_subfields() == ("P123", "Doe", "M45")
-        assert p.name == "Doe"
+        assert p.pid_subfields()[1] == "Doe"
         assert PatientInfo(pid="P123").pid_subfields() == ("P123", "X", "X")
 
 
@@ -313,10 +312,10 @@ class TestChannelHeaders:
 
     def test_sensor_dispatch(self):
         parsed = parse_channel_headers(write_channel_headers(_demo_channels()), 3)
-        assert electrode_impedance(parsed[0]) == 5000.0
-        assert probe_frequency(parsed[0]) is None
-        assert electrode_impedance(parsed[2]) is None
-        assert probe_frequency(parsed[2]) == 128.0
+        assert sensor_readings([parsed[0]])[0][0] == 5000.0
+        assert sensor_readings([parsed[0]])[1][0] is None
+        assert sensor_readings([parsed[2]])[0][0] is None
+        assert sensor_readings([parsed[2]])[1][0] == 128.0
 
     def test_notch_off_serialized_negative(self):
         buf = write_channel_headers(_demo_channels())
@@ -352,7 +351,7 @@ class TestChannelHeaders:
         buf = write_channel_headers([ch], version_minor=10)
         assert buf[236] == 104
         parsed = parse_channel_headers(buf, 1, version_minor=10)
-        z = electrode_impedance(parsed[0], version_minor=10)
+        z = sensor_readings([parsed[0]], version_minor=10)[0][0]
         assert z == pytest.approx(2 ** (104 / 8))
 
     def test_empty_channel_list(self):
@@ -434,7 +433,7 @@ def test_noncanonical_nan_diagnosed():
     assert [(d.rule, d.section, d.offset) for d in diags] == \
         [("header.noncanonical_nan", "header2", 224 * ns)]
 
-    table = bytearray(write_event_table(EventTable.empty(1, 1.0)))
+    table = bytearray(write_event_table(EventTable(1, 1.0, [], [])))
     table[4:8] = b"\x01\x00\x80\x7f"
     diags = Diagnostics()
     assert math.isnan(parse_event_table(bytes(table), diags).sample_rate_hz)
