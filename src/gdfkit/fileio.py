@@ -17,10 +17,12 @@ can and reports everything through the returned diagnostics.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import stat
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -54,6 +56,7 @@ from .header import (
 )
 from .records import (
     RecordLayout,
+    RecordPlan,
     SignalBlock,
     decode_records,
     encode_records,
@@ -345,8 +348,9 @@ class StreamWriter:
                  tlv: Sequence[tlvmod.TlvElement] = ()):
         skeleton = GdfFile(header=replace(header, n_records=-1),
                            channels=list(channels), tlv=list(tlv))
-        self._layout = skeleton.layout()
+        layout = skeleton.layout()
         sections = _header_sections(skeleton)
+        self._plan = RecordPlan(layout)  # its buffer only once the header checks pass
         self._own_file = isinstance(sink, (str, os.PathLike))
         self._fh: BinaryIO = open(sink, "wb") if self._own_file else sink
         self._fh.writelines(sections)
@@ -361,13 +365,13 @@ class StreamWriter:
     def append_record(self, samples: Sequence) -> None:
         """Write one record; ``samples[i]`` holds channel i's samples for this
         record (None or empty for sparse channels, ``(spr, 16)`` byte rows for
-        the 16-byte float type)."""
+        the 16-byte float type). A caller's sink gets the record as new
+        bytes, which it may keep."""
         if self._finalized:
             raise GdfError("cannot append: the writer is already finalized")
-        chunk = encode_records(SignalBlock(list(samples), 1), self._layout,
-                               out=np.empty(self._layout.bytes_per_record, np.uint8))
-        self._fh.write(chunk)
-        self._bytes += len(chunk)
+        record = self._plan.encode(samples)  # reused by the next append
+        self._fh.write(record if self._own_file else record.tobytes())
+        self._bytes += record.nbytes
         self._n_records += 1
 
     def finalize(self, events: EventTable | None = None) -> int:
@@ -431,7 +435,11 @@ def _validate_events(f: GdfFile, diags: Diagnostics) -> None:
                     "event positions are one-based; position 0 is invalid",
                     section="events")
     if h.n_records >= 0 and h.duration_den and t.sample_rate_hz > 0:
-        limit = h.n_records * h.duration_num * t.sample_rate_hz / h.duration_den
+        try:  # exact, as the product of the counts may lie beyond float64
+            limit = float(Fraction(h.n_records * h.duration_num, h.duration_den)
+                          * Fraction(t.sample_rate_hz))
+        except OverflowError:  # beyond float64, or an infinite rate
+            limit = math.copysign(math.inf, h.duration_num * h.duration_den)
         ends = t.pos.astype(np.float64)
         if t.mode == 3:
             ends = ends + t.dur.astype(np.float64) * (t.typ != SPARSE_SAMPLE_TYPE)

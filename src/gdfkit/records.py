@@ -14,6 +14,11 @@ in 3 little-endian bytes and go through two views: the low 16 bits and the
 top byte; their 32-bit container holds values beyond 24 bits, so a 24-bit run
 is range-checked and split in staged chunks. The 16-byte float type passes
 through as opaque rows of 16 bytes and is never scaled.
+
+A :class:`RecordPlan` encodes one record at a time, as a stream writer
+appends them: built once per layout, it writes each run into a record buffer
+with one concatenate that refuses any cast, and leaves any other input to
+:func:`encode_records`.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from ctypes import addressof, c_char
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, count, groupby, repeat, starmap
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -200,15 +205,19 @@ def encode_records(block: SignalBlock, layout: RecordLayout, out=None):
                           f"{len(layout.channels)}")
     n = block.n_records
     for entry, arr in zip(layout.channels, block.samples):
+        try:
+            have = len(arr)
+        except TypeError:  # None or a scalar
+            have = None
         if entry.offset is None:  # sparse
-            if arr is not None and len(arr) > 0:
+            if arr is not None and have != 0:
                 raise DomainError(f"channel {entry.index} is sparse but carries samples")
             continue
-        if arr is None or len(arr) != n * entry.samples_per_record:
-            have = "none" if arr is None else str(len(arr))
+        if have != n * entry.samples_per_record:
             raise DomainError(
                 f"channel {entry.index} needs {n * entry.samples_per_record} "
-                f"samples for {n} records, has {have}")
+                f"samples for {n} records, has "
+                + ("none" if arr is None else "a scalar" if have is None else str(have)))
     size = n * layout.bytes_per_record
     buffer = bytearray(size) if out is None else out
     if memoryview(buffer).nbytes != size:
@@ -255,15 +264,78 @@ def _encode_run(samples: list, layout: RecordLayout, run: RunLayout, n: int,
     step = max(1, _STAGING_BYTES // (dtype.itemsize * run.samples_per_record))
     for r in range(0, n, step):
         stage = np.concatenate(arrays if step >= n else [a[r:r + step] for a in arrays], axis=1)
-        if not info.min <= stage.min() <= stage.max() <= info.max:
+        if not _split24(stage, info, low[r:r + step], high[r:r + step]):
             # the first failing channel over all records, as a
             # channel-by-channel check would find it
             for entry, a in zip(run.entries, arrays):
                 if not info.min <= a.min() <= a.max() <= info.max:
                     raise DomainError(f"channel {entry.index}: sample outside {info.name} range")
-        low[r:r + step] = stage  # the cast keeps the low 16 bits
-        np.right_shift(stage, 16, out=high[r:r + step], casting="unsafe")
         del stage  # before the next chunk is staged, so one chunk is alive at a time
+
+
+def _split24(stage: np.ndarray, info, low: np.ndarray, high: np.ndarray) -> bool:
+    """Store 24-bit samples staged in their 32-bit container through the
+    low-16 and top-byte views; False, storing nothing, if a sample is beyond
+    24 bits."""
+    if not info.min <= stage.min() <= stage.max() <= info.max:
+        return False
+    np.copyto(low, stage, casting="unsafe")  # the cast keeps the low 16 bits
+    np.right_shift(stage, 16, out=high, casting="unsafe")
+    return True
+
+
+class RecordPlan:
+    """One-record encoder of a layout, built once: a record buffer, and for
+    each run the channels it takes (one ``itemgetter``), their samples per
+    record, and the run's typed view into the buffer (for a 24-bit run, a
+    32-bit stage and the low-16 and top-byte views).
+
+    Whatever the one concatenate per run does not take (another dtype or
+    byte order, a list, a ``(spr, 1)`` array, None, a scalar, samples on a
+    sparse channel, a 24-bit value beyond 24 bits) goes through
+    :func:`encode_records`: the same bytes, or its :class:`DomainError`.
+    """
+
+    def __init__(self, layout: RecordLayout):
+        self._layout = layout
+        self._buffer = np.empty(layout.bytes_per_record, np.uint8)
+        self._sparse = [entry.index for entry in layout.channels if entry.is_sparse]
+        self._runs = []
+        for run in layout.runs:
+            info = type_info(run.gdf_type)
+            first, last = run.entries[0].index, run.entries[-1].index
+            pick = itemgetter(slice(first, last + 1)) if last - first == len(run.entries) - 1 \
+                else itemgetter(*(entry.index for entry in run.entries))
+            sprs = [entry.samples_per_record for entry in run.entries]
+            split = None
+            if info.size == 3:
+                split = (info, _channel_view(self._buffer, layout, run, 1, _LOW16)[0],
+                         _channel_view(self._buffer, layout, run, 1, _HIGH8[info.min < 0], 2)[0])
+                out = np.empty(run.samples_per_record, info.dtype)
+            else:
+                out = _channel_view(self._buffer, layout, run, 1,
+                                    _OPAQUE if info.kind == "opaque" else info.dtype)[0]
+            self._runs.append((pick, sprs, out, split))
+
+    def encode(self, samples: Sequence) -> np.ndarray:
+        """The record of ``samples[i]``, channel i's samples, as the plan's
+        buffer: valid until the next call, which overwrites it."""
+        samples = list(samples)
+        if len(samples) == len(self._layout.channels) and \
+                all(samples[i] is None for i in self._sparse):
+            try:
+                for pick, sprs, out, split in self._runs:
+                    arrays = pick(samples)
+                    if list(map(len, arrays)) != sprs:
+                        break
+                    np.concatenate(arrays, out=out, casting="no")
+                    if split and not _split24(out, *split):
+                        break
+                else:
+                    return self._buffer
+            except (TypeError, ValueError):  # not 1-D arrays (rows of 16 bytes) of the dtype
+                pass
+        return encode_records(SignalBlock(samples, 1), self._layout, out=self._buffer)
 
 
 class OverflowReport(NamedTuple):

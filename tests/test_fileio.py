@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gdfkit.core import Calibration, GdfTime, GdfType
+from gdfkit.core import Calibration, GdfTime, GdfType, type_info
 from gdfkit.diagnostics import Diagnostics
 from gdfkit.errors import (
     DiagnosticError,
@@ -450,6 +452,23 @@ class TestWriteValidation:
             assert str(exc.value) == error
 
 
+def _extreme_samples(rng, gdf_type, count):
+    """Random samples of a type, with its smallest and largest values (NaN
+    and infinities for a float type) among them."""
+    info = type_info(gdf_type)
+    if info.kind == "opaque":
+        return rng.integers(0, 256, (count, 16)).astype(np.uint8)
+    if info.kind == "float":
+        values = rng.normal(size=count).astype(info.dtype)
+        ends = [np.nan, -np.inf, np.inf, np.finfo(info.dtype).max]
+    else:
+        values = rng.integers(info.min, info.max, count, info.dtype, endpoint=True)
+        ends = [info.min, info.max]
+    at = rng.choice(count, min(count, len(ends)), replace=False)
+    values[at] = ends[:len(at)]
+    return values
+
+
 class TestStreamWriter:
     def _pieces(self, spec=SynthSpec(channels=3, records=6, events=3)):
         f = synthesize(spec)
@@ -497,39 +516,75 @@ class TestStreamWriter:
         assert any(d.rule == "data.nrec_inferred" for d in diags)
 
     @pytest.mark.parametrize("finalized", [False, True], ids=["unfinished", "finalized"])
-    def test_every_cut_recovers_complete_records(self, finalized):
+    @settings(max_examples=40, deadline=None)
+    @given(channels=st.lists(st.tuples(st.sampled_from(list(GdfType)), st.integers(0, 3)),
+                             min_size=1, max_size=5),
+           n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_every_cut_recovers_complete_records(self, finalized, channels, n, seed):
         """Each prefix of a stream, from the end of its header on, reads
-        leniently to exactly its complete records and no event table."""
-        def channel(label, gdf_type, spr, dig):
-            return ChannelInfo(label=label, gdf_type=gdf_type, samples_per_record=spr,
-                               cal=Calibration(-1.0, 1.0, *dig))
-        channels = [channel("eeg", GdfType.INT24, 3, (-8388608.0, 8388607.0)),
-                    channel("aux", GdfType.FLOAT32, 2, (-1e3, 1e3)),
-                    channel("marker", GdfType.INT16, 0, (-100.0, 100.0)),
-                    channel("status", GdfType.UINT16, 1, (0.0, 65535.0))]
-        n = 5
-        rng = np.random.default_rng(11)
-        eeg = rng.integers(-(1 << 23), 1 << 23, 3 * n).astype(np.int32)
-        eeg[:2] = -(1 << 23), (1 << 23) - 1
-        aux = rng.normal(size=2 * n).astype(np.float32)
-        aux[3] = np.nan
-        status = rng.integers(0, 1 << 16, n).astype(np.uint16)
+        leniently to exactly its complete records and no event table, for
+        drawn channel sets: every type, sparse channels (0 samples per
+        record) among them, values at the ends of each type's range."""
+        channels = [ChannelInfo(label=f"c{i}", gdf_type=t, samples_per_record=spr,
+                                cal=Calibration(-1.0, 1.0, 0.0, 100.0))
+                    for i, (t, spr) in enumerate(channels)]
+        rng = np.random.default_rng(seed)
+        samples = [None if ch.samples_per_record == 0 else
+                   _extreme_samples(rng, ch.gdf_type, n * ch.samples_per_record)
+                   for ch in channels]
         sink = io.BytesIO()
         writer = StreamWriter(sink, FixedHeader(), channels)
         for r in range(n):
-            writer.append_record([eeg[3 * r:3 * r + 3], aux[2 * r:2 * r + 2], None,
-                                  status[r:r + 1]])
+            writer.append_record([None if s is None else
+                                  s[r * len(s) // n:(r + 1) * len(s) // n] for s in samples])
         if finalized:
             writer.finalize()
         blob = sink.getvalue()
-        header_end = 256 * read_file(blob)[0].header.header_blocks
-        bpr = 3 * 3 + 2 * 4 + 2
+        header_end = 256 * (len(channels) + 1)
+        bpr = sum(ch.samples_per_record * type_info(ch.gdf_type).size for ch in channels)
         assert len(blob) == header_end + n * bpr
         for cut in range(header_end, len(blob) + 1):
             back, _ = read_file(blob[:cut], lenient=True)
-            k = (cut - header_end) // bpr
-            assert back.signals == SignalBlock([eeg[:3 * k], aux[:2 * k], None, status[:k]], k), cut
+            # with no data bytes, only a patched count tells the records
+            k = (cut - header_end) // bpr if bpr else n * finalized
+            assert back.signals == SignalBlock(
+                [None if s is None else s[:k * len(s) // n] for s in samples], k), cut
             assert back.events is None, cut
+
+    def test_sink_keeps_what_it_is_given(self):
+        """A sink may keep every object the writer gives it: the parts join
+        to the one-shot bytes, so no record reaches it in a buffer that the
+        writer overwrites later."""
+        class Keeping(io.RawIOBase):
+            def __init__(self):
+                self.parts = []
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.parts.append(b)
+                return memoryview(b).nbytes
+
+        channels = [ChannelInfo(label="eeg", gdf_type=GdfType.INT24, samples_per_record=3),
+                    ChannelInfo(label="marker", gdf_type=GdfType.UINT32, samples_per_record=0),
+                    ChannelInfo(label="aux", gdf_type=GdfType.FLOAT32, samples_per_record=2),
+                    ChannelInfo(label="raw", gdf_type=GdfType.FLOAT128, samples_per_record=1)]
+        rng = np.random.default_rng(3)
+        n = 6
+        samples = [rng.integers(-(1 << 23), 1 << 23, 3 * n).astype(np.int32), None,
+                   rng.normal(size=2 * n).astype(np.float32),
+                   rng.integers(0, 256, (n, 16)).astype(np.uint8)]
+        f = GdfFile(header=FixedHeader(n_records=-1), channels=channels,
+                    signals=SignalBlock(samples, n))
+        sink = Keeping()
+        writer = StreamWriter(sink, f.header, channels)
+        for r in range(n):
+            writer.append_record([samples[0][3 * r:3 * r + 3], None,
+                                  samples[2][2 * r:2 * r + 2], samples[3][r:r + 1]])
+        writer.finalize()  # an unseekable sink: the count stays -1
+        assert len(sink.parts) > n
+        assert b"".join(map(bytes, sink.parts)) == to_bytes(f)
 
     def test_append_after_finalize_rejected(self):
         f, per_record = self._pieces(SynthSpec(channels=2, records=1, events=0))
@@ -668,6 +723,24 @@ class TestValidate:
         broken = GdfFile(header=f.header, channels=f.channels,
                          signals=f.signals, events=events)
         assert any(d.rule == "event.pos_past_end" for d in validate(broken))
+
+    @pytest.mark.parametrize("header, past", [
+        (FixedHeader(n_records=10**400), None),
+        (FixedHeader(n_records=10**400, duration_num=-1), "2 event(s) lie past the end of "
+                                                          "the recording (-inf samples)"),
+        (FixedHeader(n_records=10**400, duration_den=10**400), "1 event(s) lie past the end "
+                                                               "of the recording (1 samples)"),
+        (FixedHeader(n_records=10**400, duration_num=3, duration_den=10**400 - 1),
+         "1 event(s) lie past the end of the recording (3 samples)"),
+    ], ids=["beyond-float64", "negative-beyond-float64", "exact-ratio", "rounded-ratio"])
+    def test_event_limit_beyond_float64(self, header, past):
+        """validate never raises: the end of a recording whose record count
+        is beyond float64 is worked out exactly, and is infinite only if it
+        lies beyond float64 too."""
+        events = EventTable(1, 1.0, [1, 4], [1, 1])
+        found = [d.message for d in validate(GdfFile(header=header, events=events))
+                 if d.rule == "event.pos_past_end"]
+        assert found == ([] if past is None else [past])
 
     def test_sparse_in_mode1(self):
         f = synthesize(SynthSpec(records=2, events=0))

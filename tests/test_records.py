@@ -179,17 +179,42 @@ class TestEncodeRecords:
         with pytest.raises(DomainError):
             writer.append_record([samples])
 
-    @pytest.mark.parametrize("gdf_type, samples, match", [
-        (GdfType.INT16, np.zeros((4, 2), np.int16), r"channel 0: samples of shape \(4, 2\)"),
-        (GdfType.FLOAT128, np.zeros((4, 8), np.uint8), "channel 0: .* rows of 16 bytes"),
-    ], ids=["int16-2d", "float128-short-rows"])
-    def test_wrong_shape_rejected(self, gdf_type, samples, match):
-        ch = make_channel(gdf_type, spr=4)
+    @pytest.mark.parametrize("gdf_type, spr, samples, match", [
+        (GdfType.INT16, 4, np.zeros((4, 2), np.int16), r"channel 0: samples of shape \(4, 2\)"),
+        (GdfType.FLOAT128, 4, np.zeros((4, 8), np.uint8), "channel 0: .* rows of 16 bytes"),
+        (GdfType.INT16, 1, 5, "channel 0 needs 1 samples for 1 records, has a scalar"),
+        (GdfType.INT24, 4, np.int32(5), "channel 0 needs 4 samples for 1 records, has a scalar"),
+        (GdfType.FLOAT128, 1, np.zeros((), np.uint8), "channel 0 needs 1 samples .* a scalar"),
+        (GdfType.INT16, 0, 5, "channel 0 is sparse but carries samples"),
+        (GdfType.INT16, 0, np.int16(0), "channel 0 is sparse but carries samples"),
+    ], ids=["int16-2d", "float128-short-rows", "int16-scalar", "int24-numpy-scalar",
+            "float128-0d", "sparse-scalar", "sparse-numpy-scalar"])
+    def test_wrong_shape_rejected(self, gdf_type, spr, samples, match):
+        """A scalar has no length: it is refused naming the channel, not with
+        a TypeError."""
+        ch = make_channel(gdf_type, spr=spr)
         with pytest.raises(DomainError, match=match):
             encode_records(SignalBlock([samples], 1), layout_from_channels([ch]))
-        writer = StreamWriter(io.BytesIO(), FixedHeader(), [ch])
+        sink = io.BytesIO()
+        writer = StreamWriter(sink, FixedHeader(), [ch])
+        size = len(sink.getvalue())
         with pytest.raises(DomainError, match=match):
             writer.append_record([samples])
+        assert len(sink.getvalue()) == size
+        f = GdfFile(header=FixedHeader(n_records=1), channels=[ch],
+                    signals=SignalBlock([samples], 1))
+        with pytest.raises(DomainError, match=match):
+            to_bytes(f)
+
+    def test_scalar_samples_rejected(self):
+        """Two channels of one sample each given as scalars."""
+        channels = [make_channel(GdfType.INT16, spr=1)] * 2
+        with pytest.raises(DomainError, match="channel 0 needs 1 samples for 1 records, "
+                                              "has a scalar"):
+            StreamWriter(io.BytesIO(), FixedHeader(), channels).append_record([5, 6])
+        with pytest.raises(DomainError, match="channel 0 .* has a scalar"):
+            to_bytes(GdfFile(header=FixedHeader(n_records=1), channels=channels,
+                             signals=SignalBlock([5, 6], 1)))
 
     def test_failed_append_writes_nothing(self):
         channels = [make_channel(GdfType.INT16, spr=2), make_channel(GdfType.INT24, spr=2)]
@@ -609,9 +634,10 @@ _INPUT_KINDS = ["disk", "int64", "uint64", "int32", "float64", "float32", "list"
 
 
 @st.composite
-def _channel_input(draw, gdf_type, count):
+def _channel_input(draw, gdf_type, count, kinds=_INPUT_KINDS):
     """Samples for one channel: in range for its type, or (one channel in
-    five) with values at and beyond its bounds, in one of several dtypes."""
+    five) with values at and beyond its bounds, in one of ``kinds`` of
+    dtypes."""
     info = type_info(gdf_type)
     if info.kind == "opaque":
         return np.frombuffer(draw(st.binary(min_size=16 * count, max_size=16 * count)),
@@ -622,7 +648,7 @@ def _channel_input(draw, gdf_type, count):
     if draw(st.integers(0, 4)) == 0:
         ints.append(st.sampled_from(_EDGE_INTS))
         floats += [st.sampled_from(_EDGE_FLOATS), st.floats()]
-    kind = draw(st.sampled_from(_INPUT_KINDS))
+    kind = draw(st.sampled_from(kinds))
     if kind in ("list", "tuple"):  # Python ints, with floats among them in one list in four
         pool = ints + (floats[:1] + floats[2:] if draw(st.integers(0, 3)) == 0 else [])
         values = draw(st.lists(st.one_of(pool), min_size=count, max_size=count))
@@ -700,6 +726,132 @@ def test_encoder_stages_in_chunks():
     assert _encode_outcome(encode_records, block, layout) == \
         _encode_outcome(_channel_encode, block, layout) == \
         (DomainError, "channel 5 cannot hold 1e+300 (float32)")
+
+
+# how a record's samples for one channel are given to the one-record path:
+# as the channel's sample array (contiguous or not), in another dtype, byte
+# order or shape, or not as an array at all
+_RECORD_FORMS = ["array", "array", "strided", "drawn", "big-endian", "column", "short",
+                 "long", "scalar", "none"]
+
+
+def _plan_takes(samples, gdf_type, spr):
+    """Whether the one-record path takes a channel's samples as they are: an
+    array of the channel's sample dtype and shape (for a 24-bit channel,
+    with every value within 24 bits), or None for a sparse channel."""
+    if spr == 0:
+        return samples is None
+    info = type_info(gdf_type)
+    opaque = info.kind == "opaque"
+    return (isinstance(samples, np.ndarray)
+            and samples.dtype == (np.uint8 if opaque else info.dtype)
+            and samples.shape == ((spr, 16) if opaque else (spr,))
+            and (info.size != 3 or bool(info.min <= samples.min() <= samples.max() <= info.max)))
+
+
+@st.composite
+def _record_input(draw, gdf_type, spr, forms=_RECORD_FORMS):
+    """One channel's samples for one record, in one of ``forms``."""
+    info = type_info(gdf_type)
+    opaque = info.kind == "opaque"
+    if spr == 0:  # sparse: None, or empty, or samples it may not carry
+        return draw(st.sampled_from([None, None, None, [], np.zeros(0, np.uint32),
+                                     np.ones(1, np.uint32), 0]))
+    form = draw(st.sampled_from(forms))
+    if form == "none":
+        return None
+    if form == "scalar":
+        return draw(st.sampled_from([0, 1.5, np.uint8(0) if opaque else info.dtype.type(0)]))
+    if form == "drawn":  # another dtype, a list or a tuple (or, by chance, the array)
+        return draw(_channel_input(gdf_type, spr))
+    count = {"short": spr - 1, "long": spr + 1, "strided": 2 * spr}.get(form, spr)
+    samples = draw(_channel_input(gdf_type, count, ["disk"]))
+    if form == "strided":
+        return samples[::2]
+    if form == "big-endian":
+        return samples.astype(samples.dtype.newbyteorder(">"))
+    if form == "column":  # (spr, 1) values, or a 16-byte float's rows as flat bytes
+        return samples.reshape(-1) if opaque else samples.reshape(count, 1)
+    return samples
+
+
+@st.composite
+def _append_cases(draw):
+    """(channels, records): runs of up to four channels of any type with 1-3
+    samples per record, sparse channels between and inside them, and 1-4
+    records of per-channel samples: about half of them arrays of the
+    channels' sample dtypes (a 24-bit one may hold a value beyond 24 bits),
+    and one record in five with a channel too few or too many."""
+    spec = []
+    for gdf_type, count in draw(st.lists(st.tuples(st.sampled_from(ALL_TYPES),
+                                                   st.integers(1, 4)), max_size=4)):
+        for _ in range(count):
+            if draw(st.integers(0, 4)) == 0:
+                spec.append((GdfType.UINT32, 0))
+            spec.append((gdf_type, draw(st.integers(1, 3))))
+    channels = [ChannelInfo(label=f"c{i}", gdf_type=t, samples_per_record=spr,
+                            cal=Calibration(0, 1, 0.0, 1.0))
+                for i, (t, spr) in enumerate(spec)]
+    records_ = []
+    for _ in range(draw(st.integers(1, 4))):
+        forms = ["array", "strided"] if draw(st.booleans()) else _RECORD_FORMS
+        samples = [None if spr == 0 and len(forms) == 2
+                   else draw(_record_input(t, spr, forms)) for t, spr in spec]
+        extra = draw(st.sampled_from([0] * 8 + [-1, 1]))  # one channel too few or too many
+        records_.append(samples[:-1] if extra < 0 else samples + [None] * extra)
+    return channels, records_
+
+
+class _KeepingSink(io.RawIOBase):
+    """An unseekable sink that keeps every object it is given to write."""
+
+    def __init__(self):
+        self.parts = []
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.parts.append(b)
+        return memoryview(b).nbytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(_append_cases())
+def test_record_plan_against_per_record_encoder(case):
+    """The plan and StreamWriter.append_record give, record after record,
+    the per-record encoder's bytes or its exception; a failed append writes
+    nothing; the plan falls back to the encoder exactly for the records it
+    does not take as they are."""
+    channels, records_ = case
+    layout = layout_from_channels(channels)
+    plan = records.RecordPlan(layout)
+    sink = _KeepingSink()
+    writer = StreamWriter(sink, FixedHeader(), channels)
+    head = len(sink.parts)
+    appended = []
+    per_record = records.encode_records
+    for samples in records_:
+        want = _outcome(lambda: bytes(per_record(SignalBlock(list(samples), 1), layout, out=np.empty(
+            layout.bytes_per_record, np.uint8))))
+        fallbacks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(records, "encode_records",
+                       lambda *args, **kwargs: fallbacks.append(1) or per_record(*args, **kwargs))
+            assert _outcome(lambda: bytes(plan.encode(samples))) == want
+        assert bool(fallbacks) != (len(samples) == len(channels) and all(map(
+            _plan_takes, samples, (ch.gdf_type for ch in channels),
+            (ch.samples_per_record for ch in channels))))
+        parts = len(sink.parts)
+        assert _outcome(lambda: writer.append_record(tuple(samples)) or bytes(sink.parts[-1])) \
+            == want
+        if isinstance(want, bytes):
+            appended.append(want)
+        else:
+            assert issubclass(want[0], DomainError), want
+            assert len(sink.parts) == parts
+    assert writer.records_written == len(appended)
+    assert b"".join(map(bytes, sink.parts[head:])) == b"".join(appended)
 
 
 # The per-channel decoder and scan that the run decoder and the chunked scan
