@@ -551,41 +551,6 @@ class TestStreamWriter:
                 [None if s is None else s[:k * len(s) // n] for s in samples], k), cut
             assert back.events is None, cut
 
-    def test_sink_keeps_what_it_is_given(self):
-        """A sink may keep every object the writer gives it: the parts join
-        to the one-shot bytes, so no record reaches it in a buffer that the
-        writer overwrites later."""
-        class Keeping(io.RawIOBase):
-            def __init__(self):
-                self.parts = []
-
-            def writable(self):
-                return True
-
-            def write(self, b):
-                self.parts.append(b)
-                return memoryview(b).nbytes
-
-        channels = [ChannelInfo(label="eeg", gdf_type=GdfType.INT24, samples_per_record=3),
-                    ChannelInfo(label="marker", gdf_type=GdfType.UINT32, samples_per_record=0),
-                    ChannelInfo(label="aux", gdf_type=GdfType.FLOAT32, samples_per_record=2),
-                    ChannelInfo(label="raw", gdf_type=GdfType.FLOAT128, samples_per_record=1)]
-        rng = np.random.default_rng(3)
-        n = 6
-        samples = [rng.integers(-(1 << 23), 1 << 23, 3 * n).astype(np.int32), None,
-                   rng.normal(size=2 * n).astype(np.float32),
-                   rng.integers(0, 256, (n, 16)).astype(np.uint8)]
-        f = GdfFile(header=FixedHeader(n_records=-1), channels=channels,
-                    signals=SignalBlock(samples, n))
-        sink = Keeping()
-        writer = StreamWriter(sink, f.header, channels)
-        for r in range(n):
-            writer.append_record([samples[0][3 * r:3 * r + 3], None,
-                                  samples[2][2 * r:2 * r + 2], samples[3][r:r + 1]])
-        writer.finalize()  # an unseekable sink: the count stays -1
-        assert len(sink.parts) > n
-        assert b"".join(map(bytes, sink.parts)) == to_bytes(f)
-
     def test_append_after_finalize_rejected(self):
         f, per_record = self._pieces(SynthSpec(channels=2, records=1, events=0))
         writer = StreamWriter(io.BytesIO(), f.header, f.channels)
@@ -603,22 +568,25 @@ class TestStreamWriter:
                 return True
 
             def write(self, b):
-                self.chunks.append(bytes(b))
-                return len(b)
+                self.chunks.append(b)  # kept as given: a sink may hold on to it
+                return memoryview(b).nbytes
 
             def seekable(self):
                 return False
 
-        f, per_record = self._pieces(SynthSpec(channels=2, records=2, events=0))
+        f, per_record = self._pieces(SynthSpec(channels=3, gdf_type=GdfType.INT24, records=3,
+                                               events=0, with_sparse=True))
         sink = NoSeek()
         writer = StreamWriter(sink, f.header, f.channels)
         for rec in per_record:
             writer.append_record(rec)
         writer.finalize()  # allowed: count stays -1
-        blob = b"".join(sink.chunks)
+        blob = b"".join(map(bytes, sink.chunks))
         assert struct.unpack_from("<q", blob, 236)[0] == -1
+        # each record reached the sink as bytes that the writer never overwrote
+        assert blob == to_bytes(replace(f, header=replace(f.header, n_records=-1), events=None))
         back, _ = read_file(blob, lenient=True)
-        assert back.header.n_records == 2
+        assert back.header.n_records == 3
 
     def test_unseekable_sink_with_events_rejected(self):
         class NoSeek(io.BytesIO):

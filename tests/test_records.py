@@ -206,16 +206,6 @@ class TestEncodeRecords:
         with pytest.raises(DomainError, match=match):
             to_bytes(f)
 
-    def test_scalar_samples_rejected(self):
-        """Two channels of one sample each given as scalars."""
-        channels = [make_channel(GdfType.INT16, spr=1)] * 2
-        with pytest.raises(DomainError, match="channel 0 needs 1 samples for 1 records, "
-                                              "has a scalar"):
-            StreamWriter(io.BytesIO(), FixedHeader(), channels).append_record([5, 6])
-        with pytest.raises(DomainError, match="channel 0 .* has a scalar"):
-            to_bytes(GdfFile(header=FixedHeader(n_records=1), channels=channels,
-                             signals=SignalBlock([5, 6], 1)))
-
     def test_failed_append_writes_nothing(self):
         channels = [make_channel(GdfType.INT16, spr=2), make_channel(GdfType.INT24, spr=2)]
         sink = io.BytesIO()
